@@ -6,13 +6,10 @@ from .layers import DenseParams, FilterBank
 from .losses import composite_loss, speed_loss
 from .model import (
     ArchitectureConfig,
-    ModelParams,
+    ConvForecaster,
     PersistenceModel,
-    PredictionPair,
-    SingleStreamModel,
-    TwoStreamModel,
-    build_single_stream,
     load_bundle,
+    param_shapes,
     persistence_baseline,
     save_bundle,
 )
@@ -33,6 +30,7 @@ from .pipeline import (
 from .synth import SynthConfig, generate
 from .training import (
     EvalReport,
+    PredictionPair,
     TrainConfig,
     accuracy,
     dataset_loss,

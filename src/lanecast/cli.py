@@ -15,7 +15,7 @@ import numpy as np
 from .config import load_run_config
 from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_write_bytes, atomic_write_text
-from .model import SingleStreamModel, TwoStreamModel, load_bundle, save_bundle
+from .model import ConvForecaster, load_bundle, save_bundle
 from .pipeline import (
     build_samples,
     fit_normalization,
@@ -129,12 +129,6 @@ def _parse_values(text, flag, kind=float):
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
-def _make_model(config):
-    if config.model == "single_stream":
-        return SingleStreamModel(config.architecture)
-    return TwoStreamModel(config.architecture)
-
-
 def _prepare_dataset(records, config):
     """Fit normalization on the training range, build and split samples."""
     shape = config.corridor
@@ -166,7 +160,7 @@ def cmd_train(args) -> int:
     bundle_path = _required(args.bundle or config.bundle, "--bundle")
     records = read_records(data_path)
     norm, train_set, test_set = _prepare_dataset(records, config)
-    model = _make_model(config)
+    model = ConvForecaster(config.architecture, config.model)
     curve = train(model, train_set, config.training, eval_samples=test_set)
     save_bundle(bundle_path, model, norm)
     loss_path = f"{bundle_path}.loss.csv"
@@ -233,8 +227,8 @@ def cmd_sweep(args) -> int:
     records = read_records(data_path)
     norm, train_set, test_set = _prepare_dataset(records, config)
     rows = sweep(
-        args.axis, values, lambda: _make_model(config), train_set, test_set,
-        config.training, norm, config.corridor,
+        args.axis, values, lambda: ConvForecaster(config.architecture, config.model),
+        train_set, test_set, config.training, norm, config.corridor,
     )
     lines = ["value,accuracy_h1,final_train_loss,status"]
     for row in rows:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, DataError
-from .model import ArchitectureConfig
+from .model import STREAMS_BY_KIND, ArchitectureConfig
 from .pipeline import CorridorShape
 from .synth import SynthConfig
 from .training import TrainConfig
@@ -33,8 +33,6 @@ _SYNTH_KEYS = {
 }
 _PATH_KEYS = {"data", "bundle", "out"}
 
-MODEL_KINDS = ("two_stream", "single_stream")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -51,8 +49,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
-        if self.model not in MODEL_KINDS:
-            raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
+        if self.model not in STREAMS_BY_KIND:
+            raise ConfigError(f"model must be one of {tuple(STREAMS_BY_KIND)}, got {self.model!r}")
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Override every seed (initialization, training, synthesis) at once."""

@@ -183,7 +183,7 @@ def _conv_backward(
     return grad_x, FilterBank(grad_w, grad_b)
 
 
-# -- elementwise and shape ops ------------------------------------------------
+# -- elementwise --------------------------------------------------------------
 
 
 def relu(x: Array) -> Array:
@@ -193,28 +193,6 @@ def relu(x: Array) -> Array:
 def relu_backward(x: Array, grad_out: Array) -> Array:
     """Pass gradient where x > 0, zero elsewhere (subgradient at 0 is 0)."""
     return np.where(_as_f64(x) > 0.0, grad_out, 0.0)
-
-
-def flatten(x: Array) -> Array:
-    """Row-major, channel-innermost vector of a (rows, cols, channels) tensor."""
-    return _as_f64(x).reshape(-1)
-
-
-def unflatten(v: Array, rows: int, cols: int, channels: int) -> Array:
-    v = _as_f64(v)
-    if v.size != rows * cols * channels:
-        raise ShapeError(f"cannot reshape {v.size} values to {rows}x{cols}x{channels}")
-    return v.reshape(rows, cols, channels)
-
-
-def concat(a: Array, b: Array) -> Array:
-    """Join two vectors, `a` first; lengths may differ."""
-    return np.concatenate([_as_f64(a).reshape(-1), _as_f64(b).reshape(-1)])
-
-
-def concat_backward(grad_out: Array, split: int) -> tuple[Array, Array]:
-    grad_out = _as_f64(grad_out)
-    return grad_out[:split], grad_out[split:]
 
 
 # -- dense --------------------------------------------------------------------

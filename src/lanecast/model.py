@@ -1,18 +1,18 @@
-"""Two-stream convolutional forecaster and its single-stream ablation.
+"""Convolutional lane-speed forecaster: the two-stream model and its
+single-stream ablation, one class.
 
-Speed and volume windows pass through separate stacks of three valid 2x2
-convolutions with Relu. The flattened stream outputs get dropout, are
-concatenated, pushed through one hidden dense layer with Relu and dropout,
-and a linear head emits next-step speeds and volumes side by side (speeds
-first). The single-stream variant keeps the identical topology minus the
-volume stream and the concatenation; its head emits speeds only.
+Each input quantity (speed, and volume in the two-stream kind) passes
+through its own stack of three valid 2x2 convolutions with Relu. The
+flattened stream outputs get dropout, are concatenated, pushed through one
+hidden dense layer with Relu and dropout, and a linear head emits the
+next-step values of every streamed quantity side by side (speeds first).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import NamedTuple
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .layers import (
     dropout_backward,
     dropout_forward,
     relu,
+    relu_backward,
 )
 from .pipeline import CorridorShape, NormalizationParams
 
@@ -93,95 +94,26 @@ class ArchitectureConfig:
         return self.shape.detectors * self.shape.lanes
 
 
-@dataclass
-class ModelParams:
-    """Every learnable array, in optimizer/serialization order."""
-
-    speed_stream: list[FilterBank]
-    volume_stream: list[FilterBank] | None
-    fusion: DenseParams
-    output: DenseParams
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        streams = [("speed", self.speed_stream)]
-        if self.volume_stream is not None:
-            streams.append(("volume", self.volume_stream))
-        for prefix, banks in streams:
-            for idx, bank in enumerate(banks, start=1):
-                out[f"{prefix}_conv{idx}.weights"] = bank.weights
-                out[f"{prefix}_conv{idx}.biases"] = bank.biases
-        out["fusion.weights"] = self.fusion.weights
-        out["fusion.biases"] = self.fusion.biases
-        out["output.weights"] = self.output.weights
-        out["output.biases"] = self.output.biases
-        return out
-
-    def count(self) -> int:
-        return sum(a.size for a in self.arrays().values())
+# Model kind -> the input streams it convolves, in parameter and fusion
+# order. Each stream's quantity is also a head output. Config validation,
+# the CLI and the bundle loader all take the kind names from this table.
+STREAMS_BY_KIND = {"two_stream": ("speed", "volume"), "single_stream": ("speed",)}
 
 
-class PredictionPair(NamedTuple):
-    """Normalized next-step predictions; volume is None for speed-only models."""
-
-    speed: np.ndarray
-    volume: np.ndarray | None
-
-
-# -- initialization -----------------------------------------------------------
-
-
-def _he_uniform(rng, shape, fan_in):
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _glorot_uniform(rng, shape, fan_in, fan_out):
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _init_stream(rng, config: ArchitectureConfig) -> list[FilterBank]:
-    banks = []
-    in_channels = config.shape.lanes
+def param_shapes(config: ArchitectureConfig, kind: str) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every learnable array, in optimizer, serialization
+    and initialization order."""
+    streams = STREAMS_BY_KIND[kind]
     fr, fc = config.filter_size
-    for num_filters in config.filters_per_layer:
-        weights = _he_uniform(rng, (num_filters, fr, fc, in_channels), fr * fc * in_channels)
-        banks.append(FilterBank(weights, np.zeros(num_filters)))
-        in_channels = num_filters
-    return banks
-
-
-def init_params(config: ArchitectureConfig, *, volume_stream: bool = True) -> ModelParams:
-    """He-uniform conv and hidden dense weights, Glorot-uniform linear head,
-    zero biases; draw order is fixed for reproducibility."""
-    rng = np.random.default_rng(config.seed)
-    speed = _init_stream(rng, config)
-    volume = _init_stream(rng, config) if volume_stream else None
-    fused_in = config.flat_size * (2 if volume_stream else 1)
-    out_dim = config.targets_per_quantity * (2 if volume_stream else 1)
-    fusion = DenseParams(
-        _he_uniform(rng, (config.fc_hidden, fused_in), fused_in), np.zeros(config.fc_hidden)
-    )
-    output = DenseParams(
-        _glorot_uniform(rng, (out_dim, config.fc_hidden), config.fc_hidden, out_dim),
-        np.zeros(out_dim),
-    )
-    return ModelParams(speed, volume, fusion, output)
-
-
-def _expected_shapes(config: ArchitectureConfig, volume_stream: bool) -> dict[str, tuple]:
-    fr, fc = config.filter_size
-    shapes: dict[str, tuple] = {}
-    prefixes = ["speed", "volume"] if volume_stream else ["speed"]
-    for prefix in prefixes:
+    shapes: dict[str, tuple[int, ...]] = {}
+    for stream in streams:
         in_channels = config.shape.lanes
         for idx, num_filters in enumerate(config.filters_per_layer, start=1):
-            shapes[f"{prefix}_conv{idx}.weights"] = (num_filters, fr, fc, in_channels)
-            shapes[f"{prefix}_conv{idx}.biases"] = (num_filters,)
+            shapes[f"{stream}_conv{idx}.weights"] = (num_filters, fr, fc, in_channels)
+            shapes[f"{stream}_conv{idx}.biases"] = (num_filters,)
             in_channels = num_filters
-    fused_in = config.flat_size * (2 if volume_stream else 1)
-    out_dim = config.targets_per_quantity * (2 if volume_stream else 1)
+    fused_in = config.flat_size * len(streams)
+    out_dim = config.targets_per_quantity * len(streams)
     shapes["fusion.weights"] = (config.fc_hidden, fused_in)
     shapes["fusion.biases"] = (config.fc_hidden,)
     shapes["output.weights"] = (out_dim, config.fc_hidden)
@@ -189,18 +121,29 @@ def _expected_shapes(config: ArchitectureConfig, volume_stream: bool) -> dict[st
     return shapes
 
 
-def _validate_params(params: ModelParams, config: ArchitectureConfig, volume_stream: bool):
-    expected = _expected_shapes(config, volume_stream)
-    actual = params.arrays()
-    if set(actual) != set(expected):
-        missing = sorted(set(expected) - set(actual))
-        extra = sorted(set(actual) - set(expected))
-        raise ShapeError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
-    for name, shape in expected.items():
-        if actual[name].shape != shape:
-            raise ShapeError(
-                f"parameter {name!r} has shape {actual[name].shape}, expected {shape}"
-            )
+# -- initialization -----------------------------------------------------------
+
+
+def _uniform(rng, shape, fan):
+    """U(-b, b) with b = sqrt(6 / fan): He-uniform when fan is the fan-in,
+    Glorot-uniform when it is fan-in plus fan-out."""
+    bound = np.sqrt(6.0 / fan)
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def _init_params(config: ArchitectureConfig, kind: str) -> dict[str, np.ndarray]:
+    """He-uniform conv and hidden dense weights, Glorot-uniform linear head,
+    zero biases; drawn in `param_shapes` order for reproducibility."""
+    rng = np.random.default_rng(config.seed)
+    params = {}
+    for name, shape in param_shapes(config, kind).items():
+        if name.endswith(".biases"):
+            params[name] = np.zeros(shape)
+        elif name == "output.weights":
+            params[name] = _uniform(rng, shape, shape[1] + shape[0])
+        else:
+            params[name] = _uniform(rng, shape, math.prod(shape[1:]))
+    return params
 
 
 # -- forward/backward ---------------------------------------------------------
@@ -217,7 +160,7 @@ class _StreamCache:
 
 @dataclass
 class _ModelCache:
-    streams: tuple
+    streams: dict[str, _StreamCache]
     fused: np.ndarray
     fusion_pre: np.ndarray
     fusion_dropped: np.ndarray
@@ -226,12 +169,8 @@ class _ModelCache:
 
     @property
     def masks(self) -> dict:
-        """Dropout masks of this pass, replayable via forward(..., masks=...)."""
-        out = {"fusion": self.fusion_mask}
-        for name, cache in zip(("speed", "volume"), self.streams):
-            if cache is not None:
-                out[name] = cache.mask
-        return out
+        """Dropout masks of this pass, replayable via forward_batch(..., masks=...)."""
+        return {"fusion": self.fusion_mask, **{name: c.mask for name, c in self.streams.items()}}
 
 
 def _stream_forward(x, banks, ratio, mode, rng, mask):
@@ -247,29 +186,43 @@ def _stream_forward(x, banks, ratio, mode, rng, mask):
     return dropped, _StreamCache(x=x, pre=pre, act=act, mask=mask, flat_dim=flat.shape[1])
 
 
-def _stream_backward(cache: _StreamCache, banks, grad_flat):
+def _stream_backward(cache: _StreamCache, banks, grad_flat, stream: str) -> dict[str, np.ndarray]:
     g = dropout_backward(grad_flat, cache.mask)
     g = g.reshape(cache.act[-1].shape)
-    bank_grads = {}
+    grads = {}
     for idx in range(len(banks) - 1, -1, -1):
-        g = np.where(cache.pre[idx] > 0.0, g, 0.0)
+        g = relu_backward(cache.pre[idx], g)
         below = cache.act[idx - 1] if idx > 0 else cache.x
-        gx, gbank = conv2d_backward(below, banks[idx], g, input_grad=idx > 0)
-        bank_grads[idx] = gbank
-        g = gx
-    return bank_grads
+        g, gbank = conv2d_backward(below, banks[idx], g, input_grad=idx > 0)
+        grads[f"{stream}_conv{idx + 1}.weights"] = gbank.weights
+        grads[f"{stream}_conv{idx + 1}.biases"] = gbank.biases
+    return grads
 
 
-class TwoStreamModel:
-    """Joint speed + volume forecaster with concatenation fusion."""
+class ConvForecaster:
+    """One conv stream per input quantity, concatenation fusion, one hidden
+    dense layer and a linear head.
 
-    kind = "two_stream"
-    uses_volume = True
+    kind "two_stream" convolves speed and volume and predicts both;
+    "single_stream" is the speed-only ablation with a speed head.
+    """
 
-    def __init__(self, config: ArchitectureConfig, params: ModelParams | None = None):
+    def __init__(self, config: ArchitectureConfig, kind: str = "two_stream"):
+        if kind not in STREAMS_BY_KIND:
+            raise ConfigError(f"model kind must be one of {tuple(STREAMS_BY_KIND)}, got {kind!r}")
         self.config = config
-        self.params = params if params is not None else init_params(config, volume_stream=True)
-        _validate_params(self.params, config, volume_stream=True)
+        self.kind = kind
+        self.streams = STREAMS_BY_KIND[kind]
+        self.uses_volume = "volume" in self.streams
+        p = self._params = _init_params(config, kind)
+        layers = range(1, NUM_CONV_LAYERS + 1)
+        # views of the arrays in self._params: in-place updates reach the layers
+        self._banks = {
+            s: [FilterBank(p[f"{s}_conv{i}.weights"], p[f"{s}_conv{i}.biases"]) for i in layers]
+            for s in self.streams
+        }
+        self._fusion = DenseParams(p["fusion.weights"], p["fusion.biases"])
+        self._output = DenseParams(p["output.weights"], p["output.biases"])
 
     def _check_input(self, x, what):
         x = np.asarray(x, dtype=np.float64)
@@ -281,78 +234,76 @@ class TwoStreamModel:
             )
         return x
 
-    def forward_batch(self, speed_x, volume_x, *, mode="infer", rng=None, masks=None):
-        """Returns (pred_speed, pred_volume, cache); cache is None in infer mode.
+    def forward_batch(self, speed_x, volume_x=None, *, mode="infer", rng=None, masks=None):
+        """Returns (pred_speed, pred_volume, cache); pred_volume is None for
+        the speed-only kind, whose volume_x is ignored; cache is None in
+        infer mode.
 
         Dropout draws from `rng` in train mode; pass `masks` (from a previous
         cache) instead to replay a pass with frozen drop patterns.
         """
-        speed_x = self._check_input(speed_x, "speed input")
-        volume_x = self._check_input(volume_x, "volume input")
+        given = {"speed": speed_x, "volume": volume_x}
+        inputs = [self._check_input(given[s], f"{s} input") for s in self.streams]
         fixed = masks or {}
-        speed_out, speed_cache = _stream_forward(
-            speed_x, self.params.speed_stream, self.config.dropout_conv, mode, rng, fixed.get("speed")
-        )
-        volume_out, volume_cache = _stream_forward(
-            volume_x, self.params.volume_stream, self.config.dropout_conv, mode, rng, fixed.get("volume")
-        )
-        fused = np.concatenate([speed_out, volume_out], axis=1)
-        fusion_pre = dense_forward(fused, self.params.fusion)
+        outs, caches = [], {}
+        for stream, x in zip(self.streams, inputs):
+            out, caches[stream] = _stream_forward(
+                x, self._banks[stream], self.config.dropout_conv, mode, rng, fixed.get(stream)
+            )
+            outs.append(out)
+        fused = np.concatenate(outs, axis=1)
+        fusion_pre = dense_forward(fused, self._fusion)
         fusion_act = relu(fusion_pre)
         fusion_dropped, fusion_mask = dropout_forward(
             fusion_act, self.config.dropout_fc, mode, rng, fixed.get("fusion")
         )
-        out = dense_forward(fusion_dropped, self.params.output)
+        out = dense_forward(fusion_dropped, self._output)
         n = self.config.targets_per_quantity
+        pred_u, pred_q = out[:, :n], (out[:, n:] if self.uses_volume else None)
         if mode != "train":
-            return out[:, :n], out[:, n:], None
+            return pred_u, pred_q, None
         cache = _ModelCache(
-            streams=(speed_cache, volume_cache),
+            streams=caches,
             fused=fused,
             fusion_pre=fusion_pre,
             fusion_dropped=fusion_dropped,
             fusion_mask=fusion_mask,
-            batch=speed_x.shape[0],
+            batch=inputs[0].shape[0],
         )
-        return out[:, :n], out[:, n:], cache
+        return pred_u, pred_q, cache
 
-    def predict_batch(self, speed_x, volume_x):
+    def predict_batch(self, speed_x, volume_x=None):
         pred_u, pred_q, _ = self.forward_batch(speed_x, volume_x, mode="infer")
         return pred_u, pred_q
 
-    def forward(self, speed_x, volume_x, *, mode="infer", rng=None):
-        """Single-sample forward: returns (PredictionPair, cache)."""
-        pred_u, pred_q, cache = self.forward_batch(
-            np.asarray(speed_x)[np.newaxis], np.asarray(volume_x)[np.newaxis], mode=mode, rng=rng
-        )
-        return PredictionPair(pred_u[0], pred_q[0]), cache
-
-    def backward_batch(self, cache, grad_speed, grad_volume):
+    def backward_batch(self, cache, grad_speed, grad_volume=None):
         """Exact gradients of every parameter array given output gradients."""
         if cache is None:
             raise ShapeError("backward needs the cache from a train-mode forward")
+        if not self.uses_volume and grad_volume is not None:
+            raise ShapeError("single-stream model has no volume output")
         n = self.config.targets_per_quantity
-        grad_speed = np.asarray(grad_speed, dtype=np.float64)
-        grad_volume = np.asarray(grad_volume, dtype=np.float64)
-        if grad_speed.shape != (cache.batch, n) or grad_volume.shape != (cache.batch, n):
+        given = {"speed": grad_speed, "volume": grad_volume}
+        heads = [np.asarray(given[s], dtype=np.float64) for s in self.streams]
+        if any(g.shape != (cache.batch, n) for g in heads):
             raise ShapeError(
                 f"output gradients must each be ({cache.batch}, {n}), "
-                f"got {grad_speed.shape} and {grad_volume.shape}"
+                f"got {', '.join(str(g.shape) for g in heads)}"
             )
-        grad_out = np.concatenate([grad_speed, grad_volume], axis=1)
-        grad_dropped, gw_out, gb_out = dense_backward(cache.fusion_dropped, self.params.output, grad_out)
+        grad_out = np.concatenate(heads, axis=1)
+        grad_dropped, gw_out, gb_out = dense_backward(cache.fusion_dropped, self._output, grad_out)
         grad_act = dropout_backward(grad_dropped, cache.fusion_mask)
-        grad_pre = np.where(cache.fusion_pre > 0.0, grad_act, 0.0)
-        grad_fused, gw_fus, gb_fus = dense_backward(cache.fused, self.params.fusion, grad_pre)
-        speed_cache, volume_cache = cache.streams
-        split = speed_cache.flat_dim
-        speed_grads = _stream_backward(speed_cache, self.params.speed_stream, grad_fused[:, :split])
-        volume_grads = _stream_backward(volume_cache, self.params.volume_stream, grad_fused[:, split:])
+        grad_pre = relu_backward(cache.fusion_pre, grad_act)
+        grad_fused, gw_fus, gb_fus = dense_backward(cache.fused, self._fusion, grad_pre)
         grads: dict[str, np.ndarray] = {}
-        for prefix, bank_grads in (("speed", speed_grads), ("volume", volume_grads)):
-            for idx, gbank in bank_grads.items():
-                grads[f"{prefix}_conv{idx + 1}.weights"] = gbank.weights
-                grads[f"{prefix}_conv{idx + 1}.biases"] = gbank.biases
+        start = 0
+        for stream in self.streams:
+            stream_cache = cache.streams[stream]
+            stop = start + stream_cache.flat_dim
+            grads.update(
+                _stream_backward(stream_cache, self._banks[stream], grad_fused[:, start:stop], stream)
+            )
+            start = stop
         grads["fusion.weights"] = gw_fus
         grads["fusion.biases"] = gb_fus
         grads["output.weights"] = gw_out
@@ -360,91 +311,17 @@ class TwoStreamModel:
         return grads
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        return self.params.arrays()
+        """Every learnable array by name, in `param_shapes` order; the arrays
+        are the model's own, so in-place writes change the model."""
+        return dict(self._params)
 
     def param_count(self) -> int:
-        return self.params.count()
+        return sum(a.size for a in self._params.values())
 
 
-class SingleStreamModel:
-    """Speed-only ablation: one conv stream, no concatenation, speed head."""
-
-    kind = "single_stream"
-    uses_volume = False
-
-    def __init__(self, config: ArchitectureConfig, params: ModelParams | None = None):
-        self.config = config
-        self.params = params if params is not None else init_params(config, volume_stream=False)
-        _validate_params(self.params, config, volume_stream=False)
-
-    _check_input = TwoStreamModel._check_input
-
-    def forward_batch(self, speed_x, volume_x=None, *, mode="infer", rng=None, masks=None):
-        """volume_x is accepted for interface parity and ignored."""
-        speed_x = self._check_input(speed_x, "speed input")
-        fixed = masks or {}
-        stream_out, stream_cache = _stream_forward(
-            speed_x, self.params.speed_stream, self.config.dropout_conv, mode, rng, fixed.get("speed")
-        )
-        fusion_pre = dense_forward(stream_out, self.params.fusion)
-        fusion_act = relu(fusion_pre)
-        fusion_dropped, fusion_mask = dropout_forward(
-            fusion_act, self.config.dropout_fc, mode, rng, fixed.get("fusion")
-        )
-        out = dense_forward(fusion_dropped, self.params.output)
-        if mode != "train":
-            return out, None, None
-        cache = _ModelCache(
-            streams=(stream_cache, None),
-            fused=stream_out,
-            fusion_pre=fusion_pre,
-            fusion_dropped=fusion_dropped,
-            fusion_mask=fusion_mask,
-            batch=speed_x.shape[0],
-        )
-        return out, None, cache
-
-    def predict_batch(self, speed_x, volume_x=None):
-        pred_u, _, _ = self.forward_batch(speed_x, mode="infer")
-        return pred_u, None
-
-    def forward(self, speed_x, volume_x=None, *, mode="infer", rng=None):
-        pred_u, _, cache = self.forward_batch(np.asarray(speed_x)[np.newaxis], mode=mode, rng=rng)
-        return PredictionPair(pred_u[0], None), cache
-
-    def backward_batch(self, cache, grad_speed, grad_volume=None):
-        if cache is None:
-            raise ShapeError("backward needs the cache from a train-mode forward")
-        if grad_volume is not None:
-            raise ShapeError("single-stream model has no volume output")
-        n = self.config.targets_per_quantity
-        grad_speed = np.asarray(grad_speed, dtype=np.float64)
-        if grad_speed.shape != (cache.batch, n):
-            raise ShapeError(
-                f"output gradient must be ({cache.batch}, {n}), got {grad_speed.shape}"
-            )
-        grad_dropped, gw_out, gb_out = dense_backward(cache.fusion_dropped, self.params.output, grad_speed)
-        grad_act = dropout_backward(grad_dropped, cache.fusion_mask)
-        grad_pre = np.where(cache.fusion_pre > 0.0, grad_act, 0.0)
-        grad_fused, gw_fus, gb_fus = dense_backward(cache.fused, self.params.fusion, grad_pre)
-        stream_cache, _ = cache.streams
-        speed_grads = _stream_backward(stream_cache, self.params.speed_stream, grad_fused)
-        grads: dict[str, np.ndarray] = {}
-        for idx, gbank in speed_grads.items():
-            grads[f"speed_conv{idx + 1}.weights"] = gbank.weights
-            grads[f"speed_conv{idx + 1}.biases"] = gbank.biases
-        grads["fusion.weights"] = gw_fus
-        grads["fusion.biases"] = gb_fus
-        grads["output.weights"] = gw_out
-        grads["output.biases"] = gb_out
-        return grads
-
-    param_arrays = TwoStreamModel.param_arrays
-    param_count = TwoStreamModel.param_count
-
-
-def build_single_stream(config: ArchitectureConfig) -> SingleStreamModel:
-    return SingleStreamModel(config)
+# perfbench builds the two-stream model through this name and traces the
+# methods defined on this class object.
+TwoStreamModel = ConvForecaster
 
 
 # -- persistence baseline -------------------------------------------------------
@@ -474,8 +351,6 @@ class PersistenceModel:
 
 # -- bundle serialization ---------------------------------------------------------
 
-_MODEL_KINDS = {"two_stream": TwoStreamModel, "single_stream": SingleStreamModel}
-
 
 def save_bundle(path, model, norm: NormalizationParams) -> None:
     """Write a model + normalization bundle as one JSON document.
@@ -484,19 +359,13 @@ def save_bundle(path, model, norm: NormalizationParams) -> None:
     shortest round-trip decimal form, so a save/load cycle is lossless at
     double precision and repeated saves are byte-identical.
     """
-    if model.kind not in _MODEL_KINDS:
+    if model.kind not in STREAMS_BY_KIND:
         raise ConfigError(f"cannot serialize model kind {model.kind!r}")
-    shape = model.config.shape
     doc = {
         "format": BUNDLE_FORMAT,
         "schema_version": BUNDLE_SCHEMA_VERSION,
         "kind": model.kind,
-        "corridor": {
-            "detectors": shape.detectors,
-            "steps": shape.steps,
-            "lanes": shape.lanes,
-            "interval": shape.interval,
-        },
+        "corridor": asdict(model.config.shape),
         "architecture": {
             "filters_per_layer": list(model.config.filters_per_layer),
             "filter_size": list(model.config.filter_size),
@@ -505,12 +374,7 @@ def save_bundle(path, model, norm: NormalizationParams) -> None:
             "dropout_fc": model.config.dropout_fc,
             "seed": model.config.seed,
         },
-        "normalization": {
-            "speed_min": norm.speed_min,
-            "speed_max": norm.speed_max,
-            "volume_min": norm.volume_min,
-            "volume_max": norm.volume_max,
-        },
+        "normalization": asdict(norm),
         "params": {
             name: {"shape": list(array.shape), "data": array.reshape(-1).tolist()}
             for name, array in model.param_arrays().items()
@@ -544,7 +408,7 @@ def load_bundle(path):
             f"expected {BUNDLE_SCHEMA_VERSION}"
         )
     kind = _require(doc, "kind", path)
-    if kind not in _MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in STREAMS_BY_KIND:
         raise DataError(f"bundle {path} has unknown model kind {kind!r}")
     try:
         corridor = CorridorShape(**_require(doc, "corridor", path))
@@ -553,30 +417,29 @@ def load_bundle(path):
         norm = NormalizationParams(**norm_doc)
     except (ConfigError, DataError, TypeError) as exc:
         raise DataError(f"bundle {path} has invalid configuration: {exc}") from exc
-    expected = _expected_shapes(config, volume_stream=kind == "two_stream")
+    model = ConvForecaster(config, kind)
+    params = model.param_arrays()  # named and shaped by param_shapes(config, kind)
     stored = _require(doc, "params", path)
-    if set(stored) != set(expected):
-        missing = sorted(set(expected) - set(stored))
-        extra = sorted(set(stored) - set(expected))
+    if set(stored) != set(params):
+        missing = sorted(set(params) - set(stored))
+        extra = sorted(set(stored) - set(params))
         raise DataError(f"bundle {path} parameter mismatch: missing {missing}, unexpected {extra}")
-    arrays = {}
-    for name, spec in stored.items():
+    for name, target in params.items():
+        spec = stored[name]
         if not isinstance(spec, dict) or "shape" not in spec or "data" not in spec:
             raise DataError(f"bundle {path}: parameter {name!r} needs 'shape' and 'data'")
         shape = tuple(spec["shape"])
-        if shape != expected[name]:
+        if shape != target.shape:
             raise DataError(
-                f"bundle {path}: parameter {name!r} has shape {shape}, expected {expected[name]}"
+                f"bundle {path}: parameter {name!r} has shape {shape}, expected {target.shape}"
             )
         try:
             values = np.asarray(spec["data"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise DataError(f"bundle {path}: parameter {name!r} data is not numeric: {exc}") from exc
-        if values.size != int(np.prod(shape)):
+        if values.size != target.size:
             raise DataError(f"bundle {path}: parameter {name!r} data length mismatch")
-        arrays[name] = values.reshape(shape)
-    model_cls = _MODEL_KINDS[kind]
-    model = model_cls(config)
-    for name, target in model.param_arrays().items():
-        target[...] = arrays[name]
+        if not np.isfinite(values).all():
+            raise DataError(f"bundle {path}: parameter {name!r} has non-finite values")
+        target[...] = values.reshape(shape)
     return model, norm

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,11 @@ class NormalizationParams:
     volume_max: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DataError(f"normalization bound {name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise DataError(f"normalization bound {name} must be finite, got {value}")
         if not self.speed_max > self.speed_min:
             raise DataError(
                 f"degenerate speed range [{self.speed_min}, {self.speed_max}]"

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError, MetricError, NumericError, ShapeError
 from .losses import composite_loss, speed_loss
-from .model import PredictionPair
 from .optim import RmsProp
 from .pipeline import CorridorShape, NormalizationParams, denormalize
 
@@ -190,6 +190,13 @@ def accuracy(predicted, actual, *, min_target: float = DEFAULT_MIN_TARGET,
 
 
 # -- multi-step forecasting ---------------------------------------------------------
+
+
+class PredictionPair(NamedTuple):
+    """Normalized next-step predictions; volume is None for speed-only models."""
+
+    speed: np.ndarray
+    volume: np.ndarray | None
 
 
 def _rollout(model, speed_x, volume_x, horizon: int):

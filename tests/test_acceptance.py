@@ -17,7 +17,7 @@ from lanecast.cli import main
 from lanecast.gradcheck import gradient_check
 from lanecast.layers import FilterBank, conv2d_valid
 from lanecast.losses import composite_loss
-from lanecast.model import ArchitectureConfig, PersistenceModel, SingleStreamModel, TwoStreamModel
+from lanecast.model import ArchitectureConfig, ConvForecaster, PersistenceModel
 from lanecast.pipeline import (
     CorridorShape,
     fit_normalization,
@@ -64,7 +64,7 @@ def default_corpus():
 @pytest.fixture(scope="module")
 def trained_two_stream(default_corpus):
     _, norm, train_set, test_set = default_corpus
-    model = TwoStreamModel(ArchitectureConfig(shape=CORRIDOR, seed=ACC_SEED))
+    model = ConvForecaster(ArchitectureConfig(shape=CORRIDOR, seed=ACC_SEED))
     config = TrainConfig(
         learning_rate=EXPERIMENT_LR, epochs=EXPERIMENT_EPOCHS, seed=ACC_SEED
     )
@@ -80,7 +80,7 @@ def test_criterion_01_gradient_fidelity():
     started = time.time()
     shape = CorridorShape(detectors=4, steps=5, lanes=2)
     config = ArchitectureConfig(shape=shape, filters_per_layer=(4, 4, 4), seed=ACC_SEED)
-    model = TwoStreamModel(config)
+    model = ConvForecaster(config)
     rng = np.random.default_rng(ACC_SEED)
     xu = rng.random((1, 4, 5, 2))
     xq = rng.random((1, 4, 5, 2))
@@ -201,7 +201,7 @@ def test_criterion_04_overfit_capability():
     samples = lc.build_samples(records, CORRIDOR, norm)[:32]
     assert len(samples) == 32
     arch = ArchitectureConfig(shape=CORRIDOR, dropout_conv=0.0, dropout_fc=0.0, seed=ACC_SEED)
-    model = TwoStreamModel(arch)
+    model = ConvForecaster(arch)
     config = TrainConfig(
         learning_rate=1e-4, epochs=400, batch_size=4, seed=ACC_SEED
     )
@@ -262,7 +262,7 @@ def test_criterion_07_single_stream_ablation(default_corpus, trained_two_stream)
     asserted (it depends on the corpus)."""
     _, norm, train_set, test_set = default_corpus
     arch = ArchitectureConfig(shape=CORRIDOR, seed=ACC_SEED)
-    single = SingleStreamModel(arch)
+    single = ConvForecaster(arch, "single_stream")
 
     fr, fc = arch.filter_size
     expected = 0
@@ -338,7 +338,7 @@ def test_criterion_09_shape_contract():
     """Corridor-scale config: conv maps 9x7 -> 8x6 -> 7x5, 40 outputs per quantity."""
     config = ArchitectureConfig(shape=CORRIDOR, seed=ACC_SEED)
     shapes = config.conv_map_shapes()
-    model = TwoStreamModel(config)
+    model = ConvForecaster(config)
     xu = np.zeros((1, 10, 8, 4))
     pred_u, pred_q = model.predict_batch(xu, xu)
     ok = (

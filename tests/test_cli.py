@@ -5,7 +5,7 @@ import pytest
 from lanecast.cli import main
 from lanecast.config import default_run_config, load_run_config, parse_run_config
 from lanecast.errors import ConfigError
-from lanecast.model import TwoStreamModel, load_bundle, save_bundle
+from lanecast.model import ConvForecaster, load_bundle, save_bundle
 from lanecast.pipeline import CorridorShape, NormalizationParams, read_records
 
 
@@ -52,7 +52,7 @@ class TestConfig:
         config = parse_run_config(
             {"schema_version": 1, "corridor": {"detectors": 10, "steps": 8, "lanes": 4}}
         )
-        model = TwoStreamModel(config.architecture)
+        model = ConvForecaster(config.architecture)
         assert model.config.conv_map_shapes() == [(9, 7), (8, 6), (7, 5)]
 
     def test_seed_override_applies_everywhere(self, tmp_path):
@@ -163,6 +163,15 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--bundle", str(tmp_path / "none.json"), "--data", data])
         assert code == 2
 
+    def test_non_numeric_bundle_bounds_are_data_error(self, corpus, tmp_path):
+        config, data = corpus
+        bundle = tmp_path / "m.json"
+        assert main(["train", "--config", config, "--data", data, "--bundle", str(bundle)]) == 0
+        doc = json.loads(bundle.read_text())
+        doc["normalization"].update(speed_min="a", speed_max="b")
+        bundle.write_text(json.dumps(doc))
+        assert main(["evaluate", "--bundle", str(bundle), "--data", data]) == 2
+
     def test_non_integer_horizons_are_usage_error(self, corpus, tmp_path):
         config, data = corpus
         bundle = tmp_path / "m.json"
@@ -185,12 +194,13 @@ class TestEvaluateCommand:
         from lanecast.model import ArchitectureConfig
 
         norm = NormalizationParams(0.0, 60.0, 0.0, 240.0)
-        model = TwoStreamModel(ArchitectureConfig(shape=shape, filters_per_layer=(4, 4, 4), fc_hidden=8))
+        model = ConvForecaster(ArchitectureConfig(shape=shape, filters_per_layer=(4, 4, 4), fc_hidden=8))
         for array in model.param_arrays().values():
             array[...] = 0.0
         n = shape.detectors * shape.lanes
-        model.params.output.biases[:n] = norm.normalize_speed(30.0)
-        model.params.output.biases[n:] = norm.normalize_volume(120.0)
+        output_biases = model.param_arrays()["output.biases"]
+        output_biases[:n] = norm.normalize_speed(30.0)
+        output_biases[n:] = norm.normalize_volume(120.0)
         bundle = tmp_path / "oracle.json"
         save_bundle(bundle, model, norm)
         out = tmp_path / "oracle_eval"
@@ -270,12 +280,13 @@ class TestHeatmapCommand:
         from lanecast.model import ArchitectureConfig
 
         norm = NormalizationParams(0.0, 60.0, 0.0, 240.0)
-        model = TwoStreamModel(ArchitectureConfig(shape=shape, filters_per_layer=(4, 4, 4), fc_hidden=8))
+        model = ConvForecaster(ArchitectureConfig(shape=shape, filters_per_layer=(4, 4, 4), fc_hidden=8))
         for array in model.param_arrays().values():
             array[...] = 0.0
         n = shape.detectors * shape.lanes
-        model.params.output.biases[:n] = norm.normalize_speed(30.0)
-        model.params.output.biases[n:] = norm.normalize_volume(120.0)
+        output_biases = model.param_arrays()["output.biases"]
+        output_biases[:n] = norm.normalize_speed(30.0)
+        output_biases[n:] = norm.normalize_volume(120.0)
         bundle = tmp_path / "oracle.json"
         save_bundle(bundle, model, norm)
         assert main([

@@ -6,18 +6,14 @@ from lanecast.gradcheck import gradient_check
 from lanecast.layers import (
     DenseParams,
     FilterBank,
-    concat,
-    concat_backward,
     conv2d_backward,
     conv2d_valid,
     dense_backward,
     dense_forward,
     dropout_backward,
     dropout_forward,
-    flatten,
     relu,
     relu_backward,
-    unflatten,
 )
 
 
@@ -183,36 +179,6 @@ class TestRelu:
     def test_zero_input_gets_zero_subgradient(self):
         grad = relu_backward(np.array([0.0]), np.array([7.0]))
         assert grad[0] == 0.0
-
-
-class TestFlattenConcat:
-    def test_single_element(self):
-        assert np.array_equal(flatten(np.array([[[4.5]]])), [4.5])
-
-    def test_order_is_row_major_channel_innermost(self):
-        x = np.zeros((2, 1, 2))
-        x[0, 0, 0], x[0, 0, 1], x[1, 0, 0], x[1, 0, 1] = 1.0, 2.0, 3.0, 4.0
-        assert np.array_equal(flatten(x), [1.0, 2.0, 3.0, 4.0])
-
-    def test_round_trip_is_bit_exact(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((3, 4, 2))
-        assert np.array_equal(unflatten(flatten(x), 3, 4, 2), x)
-
-    def test_unflatten_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            unflatten(np.zeros(5), 2, 2, 2)
-
-    def test_concat_empty_left(self):
-        assert np.array_equal(concat(np.array([]), np.array([3.0, 4.0])), [3.0, 4.0])
-
-    def test_concat_order(self):
-        assert np.array_equal(concat(np.array([1.0, 2.0]), np.array([3.0])), [1.0, 2.0, 3.0])
-
-    def test_concat_backward_splits(self):
-        left, right = concat_backward(np.array([1.0, 2.0, 3.0]), 2)
-        assert np.array_equal(left, [1.0, 2.0])
-        assert np.array_equal(right, [3.0])
 
 
 class TestDense:

@@ -4,8 +4,8 @@ import pytest
 from lanecast.errors import ConfigError, DataError, MetricError
 from lanecast.model import (
     ArchitectureConfig,
+    ConvForecaster,
     PersistenceModel,
-    TwoStreamModel,
 )
 from lanecast.pipeline import CorridorShape, NormalizationParams, Sample
 from lanecast.training import (
@@ -87,7 +87,7 @@ class TestAccuracy:
 
 class TestTrain:
     def test_zero_epochs_leaves_params(self):
-        model = TwoStreamModel(small_config(seed=1))
+        model = ConvForecaster(small_config(seed=1))
         before = {k: v.copy() for k, v in model.param_arrays().items()}
         curve = train(model, make_samples(small_shape(), 8, seed=1), TrainConfig(epochs=0))
         assert curve == []
@@ -99,13 +99,13 @@ class TestTrain:
         config = TrainConfig(epochs=3, seed=7, batch_size=4, learning_rate=1e-3)
         curves = []
         for _ in range(2):
-            model = TwoStreamModel(small_config(seed=2))
+            model = ConvForecaster(small_config(seed=2))
             curves.append(train(model, samples, config))
         assert [s.train_loss for s in curves[0]] == [s.train_loss for s in curves[1]]
 
     def test_loss_decreases_on_small_corpus(self):
         samples = make_samples(small_shape(), 16, seed=3)
-        model = TwoStreamModel(small_config(seed=3))
+        model = ConvForecaster(small_config(seed=3))
         curve = train(model, samples, TrainConfig(epochs=30, seed=3, batch_size=4, learning_rate=1e-3))
         assert curve[-1].train_loss < curve[0].train_loss * 0.5
 
@@ -115,11 +115,11 @@ class TestTrain:
 
     def test_empty_samples_rejected(self):
         with pytest.raises(DataError):
-            train(TwoStreamModel(small_config()), [], TrainConfig(epochs=1))
+            train(ConvForecaster(small_config()), [], TrainConfig(epochs=1))
 
     def test_eval_loss_recorded(self):
         samples = make_samples(small_shape(), 12, seed=4)
-        model = TwoStreamModel(small_config(seed=4))
+        model = ConvForecaster(small_config(seed=4))
         curve = train(model, samples[:8], TrainConfig(epochs=2, seed=4), eval_samples=samples[8:])
         assert all(s.test_loss is not None for s in curve)
         final = dataset_loss(model, samples[8:], 0.1)
@@ -129,7 +129,7 @@ class TestTrain:
 class TestMultistep:
     def test_horizon_one_equals_forward(self):
         config = small_config(seed=5)
-        model = TwoStreamModel(config)
+        model = ConvForecaster(config)
         sample = make_samples(small_shape(), 1, seed=5)[0]
         steps = predict_multistep(model, sample, 1)
         assert len(steps) == 1
@@ -142,7 +142,7 @@ class TestMultistep:
     def test_three_step_shapes_at_corridor_scale(self):
         shape = CorridorShape(detectors=10, steps=8, lanes=4)
         config = ArchitectureConfig(shape=shape, seed=6)
-        model = TwoStreamModel(config)
+        model = ConvForecaster(config)
         sample = make_samples(shape, 1, seed=6)[0]
         steps = predict_multistep(model, sample, 3)
         assert len(steps) == 3
@@ -250,7 +250,7 @@ class TestSweep:
         base = TrainConfig(epochs=2, seed=15, batch_size=4)
 
         rows = sweep(
-            "lambda", [0.3], lambda: TwoStreamModel(small_config(seed=15)),
+            "lambda", [0.3], lambda: ConvForecaster(small_config(seed=15)),
             train_set, test_set, base, NORM, shape,
         )
         assert len(rows) == 1
@@ -258,7 +258,7 @@ class TestSweep:
 
         from dataclasses import replace
 
-        model = TwoStreamModel(small_config(seed=15))
+        model = ConvForecaster(small_config(seed=15))
         curve = train(model, train_set, replace(base, volume_weight=0.3))
         report = evaluate(model, test_set, [1], NORM, shape)
         assert row.accuracy_h1 == report.accuracy[1]
@@ -270,7 +270,7 @@ class TestSweep:
         samples = make_samples(shape, 12, seed=16)
         rows = sweep(
             "lambda", [round(0.1 * i, 1) for i in range(10)],
-            lambda: TwoStreamModel(small_config(seed=16)),
+            lambda: ConvForecaster(small_config(seed=16)),
             samples[:10], samples[10:], TrainConfig(epochs=1, seed=16, batch_size=4),
             NORM, shape,
         )
@@ -283,7 +283,7 @@ class TestSweep:
         samples = make_samples(shape, 12, seed=17)
         # an absurd learning rate drives the loss to overflow
         rows = sweep(
-            "lr", [1e30, 1e-3], lambda: TwoStreamModel(small_config(seed=17)),
+            "lr", [1e30, 1e-3], lambda: ConvForecaster(small_config(seed=17)),
             samples[:10], samples[10:], TrainConfig(epochs=8, seed=17, batch_size=2),
             NORM, shape,
         )
