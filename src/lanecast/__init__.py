@@ -18,7 +18,7 @@ from .pipeline import (
     CorridorShape,
     LoopRecord,
     NormalizationParams,
-    Sample,
+    SampleSet,
     build_samples,
     denormalize,
     fit_normalization,

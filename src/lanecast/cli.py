@@ -19,6 +19,7 @@ from .model import ConvForecaster, load_bundle, save_bundle
 from .pipeline import (
     build_samples,
     fit_normalization,
+    grid_windows,
     group_records,
     read_records,
     split_dataset,
@@ -258,37 +259,32 @@ def cmd_heatmap(args) -> int:
     model, norm = load_bundle(args.bundle)
     shape = model.config.shape
     records = read_records(args.data)
-    timestamps, speed, volume, complete = group_records(records, shape)
+    grid = group_records(records, shape)
+    timestamps, speed, _, complete = grid
     try:
         start_day, end_day = (int(p) for p in args.days.split(":"))
     except ValueError as exc:
         raise ConfigError(f"--days must be start:end integers, got {args.days!r}") from exc
     if end_day <= start_day:
         raise ConfigError(f"--days range is empty: {args.days}")
-    base = timestamps[0]
-    grid_ts = list(range(base + start_day * DAY_SECONDS,
-                         base + end_day * DAY_SECONDS, shape.interval))
-    dt = shape.interval
-    history_needed = range(shape.steps)
-    for t in grid_ts:
-        if t not in complete:
+    base = int(timestamps[0])
+    grid_ts = np.arange(base + start_day * DAY_SECONDS, base + end_day * DAY_SECONDS, shape.interval)
+    # the window predicting grid timestamp t has its origin one interval earlier
+    origins = grid_ts - shape.interval
+    windows = grid_windows(grid, shape, norm)
+    missing = grid_ts[~np.isin(origins, windows.origin_timestamps)]
+    if missing.size:
+        t = missing[0]
+        if t not in timestamps[complete]:
             raise DataError(f"heatmap range needs complete data at timestamp {t}")
-        if any((t - dt - j * dt) not in complete for j in history_needed):
-            raise DataError(
-                f"prediction at timestamp {t} needs {shape.steps} complete history "
-                f"steps before it; extend the data or shift --days"
-            )
+        raise DataError(
+            f"prediction at timestamp {t} needs {shape.steps} complete history "
+            f"steps before it; extend the data or shift --days"
+        )
 
-    truth = np.stack([speed[t] for t in grid_ts])  # (time, detectors, lanes)
-    windows_u = np.stack([
-        np.stack([norm.normalize_speed(speed[t - (shape.steps - j) * dt]) for j in range(shape.steps)], axis=1)
-        for t in grid_ts
-    ])
-    windows_q = np.stack([
-        np.stack([norm.normalize_volume(volume[t - (shape.steps - j) * dt]) for j in range(shape.steps)], axis=1)
-        for t in grid_ts
-    ])
-    pred_n, _ = model.predict_batch(windows_u, windows_q)
+    truth = speed[np.searchsorted(timestamps, grid_ts)]  # (time, detectors, lanes)
+    windows = windows[np.searchsorted(windows.origin_timestamps, origins)]
+    pred_n, _ = model.predict_batch(windows.speed_history, windows.volume_history)
     pred = norm.denormalize_speed(pred_n).reshape(len(grid_ts), shape.detectors, shape.lanes)
 
     for lane in range(shape.lanes):

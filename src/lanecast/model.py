@@ -415,11 +415,13 @@ def load_bundle(path):
         config = ArchitectureConfig(shape=corridor, **_require(doc, "architecture", path))
         norm_doc = _require(doc, "normalization", path)
         norm = NormalizationParams(**norm_doc)
-    except (ConfigError, DataError, TypeError) as exc:
+        model = ConvForecaster(config, kind)
+    except (ConfigError, DataError, TypeError, ValueError) as exc:
         raise DataError(f"bundle {path} has invalid configuration: {exc}") from exc
-    model = ConvForecaster(config, kind)
     params = model.param_arrays()  # named and shaped by param_shapes(config, kind)
     stored = _require(doc, "params", path)
+    if not isinstance(stored, dict):
+        raise DataError(f"bundle {path}: params must be an object, got {type(stored).__name__}")
     if set(stored) != set(params):
         missing = sorted(set(params) - set(stored))
         extra = sorted(set(stored) - set(params))
@@ -428,8 +430,8 @@ def load_bundle(path):
         spec = stored[name]
         if not isinstance(spec, dict) or "shape" not in spec or "data" not in spec:
             raise DataError(f"bundle {path}: parameter {name!r} needs 'shape' and 'data'")
-        shape = tuple(spec["shape"])
-        if shape != target.shape:
+        shape = spec["shape"]
+        if not isinstance(shape, list) or tuple(shape) != target.shape:
             raise DataError(
                 f"bundle {path}: parameter {name!r} has shape {shape}, expected {target.shape}"
             )
@@ -441,5 +443,5 @@ def load_bundle(path):
             raise DataError(f"bundle {path}: parameter {name!r} data length mismatch")
         if not np.isfinite(values).all():
             raise DataError(f"bundle {path}: parameter {name!r} has non-finite values")
-        target[...] = values.reshape(shape)
+        target[...] = values.reshape(target.shape)
     return model, norm

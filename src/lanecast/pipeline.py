@@ -1,10 +1,10 @@
 """Loop-detector record ingestion and sliding-window sample construction.
 
-Raw per-lane records are grouped into dense (detectors x lanes) grids per
-timestamp, min-max normalized, and cut into windows: `steps` consecutive
-columns of history as input, the following step as the prediction target.
-A window that touches a missing or incomplete timestamp is dropped (and
-counted) rather than imputed.
+Raw per-lane records are gridded into one (timestamps, detectors, lanes)
+array per quantity, min-max normalized, and cut into windows: `steps`
+consecutive columns of history as input, the following step as the
+prediction target. A window that touches a missing or incomplete timestamp
+is dropped (and counted) rather than imputed.
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ import csv
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 from .fileio import atomic_write_text
@@ -35,6 +38,10 @@ class CorridorShape:
     interval: int = 300
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"corridor {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers included
         if self.detectors < 2:
             raise ConfigError(f"need at least 2 detectors, got {self.detectors}")
         if self.steps < 2:
@@ -43,10 +50,6 @@ class CorridorShape:
             raise ConfigError(f"need at least 1 lane, got {self.lanes}")
         if self.interval <= 0:
             raise ConfigError(f"interval must be positive seconds, got {self.interval}")
-
-    @property
-    def cells(self) -> int:
-        return self.detectors * self.lanes
 
 
 @dataclass(frozen=True)
@@ -97,21 +100,41 @@ class NormalizationParams:
         return denormalize(value, self.volume_min, self.volume_max)
 
 
-@dataclass
-class Sample:
-    """One training example in normalized units.
+class Window(NamedTuple):
+    """One window of a SampleSet, fields without the leading window axis."""
 
-    speed_history / volume_history: (detectors, steps, lanes), columns in
-    time order ending at origin_timestamp. speed_target / volume_target:
-    length detectors*lanes, detector-major lane-minor, one interval after
-    the origin.
+    speed_history: np.ndarray
+    volume_history: np.ndarray
+    speed_target: np.ndarray
+    volume_target: np.ndarray
+    origin_timestamp: np.int64
+
+
+@dataclass(frozen=True)
+class SampleSet:
+    """Windows in normalized units, stacked along a leading window axis.
+
+    speed_history / volume_history: (N, detectors, steps, lanes), columns in
+    time order ending at the window's origin timestamp. speed_target /
+    volume_target: (N, detectors*lanes), detector-major lane-minor, one
+    interval after the origin. origin_timestamps: (N,) int64.
+
+    Indexing applies one key to every field: an int gives that window as a
+    `Window`, a slice or index array gives a SampleSet of those windows.
     """
 
     speed_history: np.ndarray
     volume_history: np.ndarray
     speed_target: np.ndarray
     volume_target: np.ndarray
-    origin_timestamp: int
+    origin_timestamps: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.origin_timestamps)
+
+    def __getitem__(self, key):
+        parts = [getattr(self, f.name)[key] for f in fields(self)]
+        return Window(*parts) if isinstance(key, numbers.Integral) else SampleSet(*parts)
 
 
 # -- normalization -------------------------------------------------------------
@@ -139,17 +162,11 @@ def fit_normalization(records, start: int | None = None, end: int | None = None)
     Fit this on the training range only so no test-time information leaks
     into the scaling; later out-of-range values clamp to [0, 1].
     """
-    speeds = []
-    volumes = []
-    for r in records:
-        if start is not None and r.timestamp < start:
-            continue
-        if end is not None and r.timestamp > end:
-            continue
-        speeds.append(r.speed)
-        volumes.append(r.volume)
-    if not speeds:
+    kept = [r for r in records
+            if (start is None or r.timestamp >= start) and (end is None or r.timestamp <= end)]
+    if not kept:
         raise DataError("no records in the normalization range")
+    speeds, volumes = [r.speed for r in kept], [r.volume for r in kept]
     return NormalizationParams(min(speeds), max(speeds), min(volumes), max(volumes))
 
 
@@ -208,95 +225,92 @@ def write_records(path, records) -> None:
 
 
 def group_records(records, shape: CorridorShape):
-    """Group records into per-timestamp (detectors, lanes) grids.
+    """Grid the records by timestamp: (timestamps, speed, volume, complete).
 
-    Returns (sorted timestamps, speed grids, volume grids, complete-timestamp
-    set). A timestamp is complete when every detector/lane cell is present
-    exactly once.
+    timestamps: (T,) int64, ascending, only those present in the records.
+    speed / volume: (T, detectors, lanes), zero where a cell has no record.
+    complete: (T,) bool, every detector/lane cell present.
     """
-    speed: dict[int, np.ndarray] = {}
-    volume: dict[int, np.ndarray] = {}
-    filled: dict[int, np.ndarray] = {}
-    for r in records:
-        if not 1 <= r.detector_index <= shape.detectors:
-            raise DataError(
-                f"detector index {r.detector_index} outside 1..{shape.detectors} "
-                f"at timestamp {r.timestamp}"
-            )
-        if not 1 <= r.lane <= shape.lanes:
-            raise DataError(
-                f"lane {r.lane} outside 1..{shape.lanes} at timestamp {r.timestamp}"
-            )
-        ts = r.timestamp
-        if ts not in filled:
-            speed[ts] = np.zeros((shape.detectors, shape.lanes))
-            volume[ts] = np.zeros((shape.detectors, shape.lanes))
-            filled[ts] = np.zeros((shape.detectors, shape.lanes), dtype=bool)
-        i, l = r.detector_index - 1, r.lane - 1
-        if filled[ts][i, l]:
-            raise DataError(
-                f"duplicate record for timestamp {ts}, detector {r.detector_index}, lane {r.lane}"
-            )
-        speed[ts][i, l] = r.speed
-        volume[ts][i, l] = r.volume
-        filled[ts][i, l] = True
-    timestamps = sorted(filled)
-    base = timestamps[0]
-    for ts in timestamps:
-        if (ts - base) % shape.interval:
-            raise DataError(
-                f"timestamp {ts} is not aligned to the {shape.interval}s grid starting at {base}"
-            )
-    complete = {ts for ts in timestamps if filled[ts].all()}
+    n = len(records)
+    try:
+        ts, det, lane = (
+            np.fromiter(map(attrgetter(name), records), np.int64, n)
+            for name in ("timestamp", "detector_index", "lane")
+        )
+    except OverflowError as exc:
+        raise DataError(f"record index or timestamp outside the 64-bit range: {exc}") from exc
+    for values, what, top in ((det, "detector index", shape.detectors), (lane, "lane", shape.lanes)):
+        bad = np.flatnonzero((values < 1) | (values > top))
+        if bad.size:
+            raise DataError(f"{what} {values[bad[0]]} outside 1..{top} at timestamp {ts[bad[0]]}")
+    timestamps, row = np.unique(ts, return_inverse=True)
+    grid_shape = (len(timestamps), shape.detectors, shape.lanes)
+    cell = np.ravel_multi_index((row, det - 1, lane - 1), grid_shape)
+    counts = np.bincount(cell, minlength=math.prod(grid_shape))
+    duplicates = np.flatnonzero(counts > 1)
+    if duplicates.size:
+        t, i, l = np.unravel_index(duplicates[0], grid_shape)
+        raise DataError(
+            f"duplicate record for timestamp {timestamps[t]}, detector {i + 1}, lane {l + 1}"
+        )
+    # (a - b) % n == 0 without forming a - b, which could overflow int64
+    misaligned = np.flatnonzero(timestamps % shape.interval != timestamps[0] % shape.interval)
+    if misaligned.size:
+        raise DataError(
+            f"timestamp {timestamps[misaligned[0]]} is not aligned to the {shape.interval}s "
+            f"grid starting at {timestamps[0]}"
+        )
+    speed, volume = np.zeros(grid_shape), np.zeros(grid_shape)
+    speed.reshape(-1)[cell] = np.fromiter(map(attrgetter("speed"), records), np.float64, n)
+    volume.reshape(-1)[cell] = np.fromiter(map(attrgetter("volume"), records), np.float64, n)
+    complete = counts.reshape(len(timestamps), -1).all(axis=1)
     return timestamps, speed, volume, complete
 
 
-def _candidate_origins(timestamps, shape: CorridorShape):
-    dt = shape.interval
-    first = timestamps[0] + (shape.steps - 1) * dt
-    last = timestamps[-1] - dt
-    return range(first, last + 1, dt)
-
-
-def _window_ok(origin: int, shape: CorridorShape, complete) -> bool:
-    dt = shape.interval
-    if (origin + dt) not in complete:
-        return False
-    return all((origin - j * dt) in complete for j in range(shape.steps))
+def _valid_starts(timestamps, complete, shape: CorridorShape):
+    """(first rows, dropped): a window of history rows j..j+steps-1 and
+    target row j+steps is valid when those rows are complete and exactly
+    steps intervals apart; dropped counts every other window the span
+    from the first to the last timestamp could hold."""
+    span = (int(timestamps[-1]) - int(timestamps[0])) // shape.interval
+    candidates = max(span - shape.steps + 1, 0)
+    if len(timestamps) <= shape.steps:
+        return np.arange(0), candidates
+    ok = sliding_window_view(complete, shape.steps + 1).all(axis=-1)
+    ok &= timestamps[shape.steps:] - timestamps[:-shape.steps] == shape.steps * shape.interval
+    starts = np.flatnonzero(ok)
+    return starts, candidates - len(starts)
 
 
 def window_origins(records, shape: CorridorShape) -> tuple[list[int], int]:
     """Origins (newest history column) of every buildable window, plus the
     number of candidate windows dropped because of gaps."""
     timestamps, _, _, complete = group_records(records, shape)
-    origins = [t for t in _candidate_origins(timestamps, shape) if _window_ok(t, shape, complete)]
-    dropped = len(_candidate_origins(timestamps, shape)) - len(origins)
-    return origins, dropped
+    starts, dropped = _valid_starts(timestamps, complete, shape)
+    return timestamps[starts + shape.steps - 1].tolist(), dropped
 
 
-def build_samples(records, shape: CorridorShape, norm: NormalizationParams) -> list[Sample]:
-    """Slide a (steps + 1)-wide window over the record grid, one step at a time."""
-    timestamps, speed, volume, complete = group_records(records, shape)
-    dt = shape.interval
-    samples = []
-    dropped = 0
-    for origin in _candidate_origins(timestamps, shape):
-        if not _window_ok(origin, shape, complete):
-            dropped += 1
-            continue
-        history = [origin - (shape.steps - 1 - j) * dt for j in range(shape.steps)]
-        samples.append(
-            Sample(
-                speed_history=np.stack([norm.normalize_speed(speed[t]) for t in history], axis=1),
-                volume_history=np.stack([norm.normalize_volume(volume[t]) for t in history], axis=1),
-                speed_target=norm.normalize_speed(speed[origin + dt]).reshape(-1),
-                volume_target=norm.normalize_volume(volume[origin + dt]).reshape(-1),
-                origin_timestamp=origin,
-            )
-        )
+def grid_windows(grid, shape: CorridorShape, norm: NormalizationParams) -> SampleSet:
+    """Every buildable window of a `group_records` grid, normalized."""
+    timestamps, speed, volume, complete = grid
+    starts, dropped = _valid_starts(timestamps, complete, shape)
     if dropped:
-        logger.info("dropped %d of %d candidate windows (data gaps)", dropped, dropped + len(samples))
-    return samples
+        logger.info("dropped %d of %d candidate windows (data gaps)", dropped, dropped + len(starts))
+    speed, volume = norm.normalize_speed(speed), norm.normalize_volume(volume)
+    # one history column at a time: no second window-sized array is allocated
+    history = np.empty((2, len(starts), shape.detectors, shape.steps, shape.lanes))
+    for col in range(shape.steps):
+        history[0, :, :, col, :] = speed[starts + col]
+        history[1, :, :, col, :] = volume[starts + col]
+    target = starts + shape.steps
+    flat = (len(starts), shape.detectors * shape.lanes)
+    return SampleSet(history[0], history[1], speed[target].reshape(flat),
+                     volume[target].reshape(flat), timestamps[target - 1])
+
+
+def build_samples(records, shape: CorridorShape, norm: NormalizationParams) -> SampleSet:
+    """Slide a (steps + 1)-wide window over the record grid, one step at a time."""
+    return grid_windows(group_records(records, shape), shape, norm)
 
 
 # -- splitting --------------------------------------------------------------------
@@ -320,6 +334,8 @@ def split_dataset(samples, train_fraction: float):
     No shuffling across the boundary; overlapping windows would otherwise
     leak near-duplicates of training rows into the test set.
     """
-    ordered = sorted(samples, key=lambda s: s.origin_timestamp)
-    n = train_count(len(ordered), train_fraction)
-    return ordered[:n], ordered[n:]
+    origins = samples.origin_timestamps
+    if (origins[1:] < origins[:-1]).any():
+        samples = samples[np.argsort(origins, kind="stable")]
+    n = train_count(len(samples), train_fraction)
+    return samples[:n], samples[n:]

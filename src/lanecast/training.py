@@ -70,19 +70,11 @@ class EvalReport:
     loss_curve: list[EpochStats] | None = None
 
 
-def _stack(samples):
-    return (
-        np.stack([s.speed_history for s in samples]),
-        np.stack([s.volume_history for s in samples]),
-        np.stack([s.speed_target for s in samples]),
-        np.stack([s.volume_target for s in samples]),
-    )
-
-
-def _loss_and_grads(model, xu, xq, yu, yq, volume_weight, rng):
+def _loss_and_grads(model, batch, volume_weight, rng):
+    xu, yu = batch.speed_history, batch.speed_target
     if model.uses_volume:
-        pred_u, pred_q, cache = model.forward_batch(xu, xq, mode="train", rng=rng)
-        loss, grad_u, grad_q = composite_loss(pred_u, pred_q, yu, yq, volume_weight)
+        pred_u, pred_q, cache = model.forward_batch(xu, batch.volume_history, mode="train", rng=rng)
+        loss, grad_u, grad_q = composite_loss(pred_u, pred_q, yu, batch.volume_target, volume_weight)
         return loss, model.backward_batch(cache, grad_u, grad_q)
     pred_u, _, cache = model.forward_batch(xu, None, mode="train", rng=rng)
     loss, grad_u = speed_loss(pred_u, yu)
@@ -90,20 +82,19 @@ def _loss_and_grads(model, xu, xq, yu, yq, volume_weight, rng):
 
 
 def dataset_loss(model, samples, volume_weight, chunk: int = 1024) -> float:
-    """Deterministic (infer-mode) loss over a sample collection."""
+    """Deterministic (infer-mode) loss over a SampleSet."""
     if not samples:
         raise DataError("cannot compute the loss of an empty sample set")
-    xu, xq, yu, yq = _stack(samples)
     sum_u = sum_q = 0.0
     count_u = count_q = 0
     for start in range(0, len(samples), chunk):
-        stop = start + chunk
-        pred_u, pred_q = model.predict_batch(xu[start:stop], xq[start:stop])
-        du = pred_u - yu[start:stop]
+        batch = samples[start:start + chunk]
+        pred_u, pred_q = model.predict_batch(batch.speed_history, batch.volume_history)
+        du = pred_u - batch.speed_target
         sum_u += float(np.sum(du * du))
         count_u += du.size
         if model.uses_volume and pred_q is not None:
-            dq = pred_q - yq[start:stop]
+            dq = pred_q - batch.volume_target
             sum_q += float(np.sum(dq * dq))
             count_q += dq.size
     loss = sum_u / count_u
@@ -123,23 +114,20 @@ def train(model, samples, config: TrainConfig, eval_samples=None) -> list[EpochS
     rng = np.random.default_rng(config.seed)
     optimizer = RmsProp(config.learning_rate, config.rho, config.epsilon)
     params = model.param_arrays()
-    xu, xq, yu, yq = _stack(samples)
     total = len(samples)
     curve: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(total) if config.shuffle else np.arange(total)
         weighted = 0.0
         for batch_num, start in enumerate(range(0, total, config.batch_size), start=1):
-            idx = order[start:start + config.batch_size]
-            loss, grads = _loss_and_grads(
-                model, xu[idx], xq[idx], yu[idx], yq[idx], config.volume_weight, rng
-            )
+            batch = samples[order[start:start + config.batch_size]]
+            loss, grads = _loss_and_grads(model, batch, config.volume_weight, rng)
             if not math.isfinite(loss):
                 raise NumericError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {batch_num}"
                 )
             optimizer.step(params, grads)
-            weighted += loss * len(idx)
+            weighted += loss * len(batch)
         stats = EpochStats(epoch=epoch, train_loss=weighted / total)
         if eval_samples:
             stats.test_loss = dataset_loss(model, eval_samples, config.volume_weight)
@@ -218,7 +206,8 @@ def _rollout(model, speed_x, volume_x, horizon: int):
 
 
 def predict_multistep(model, sample, horizon: int) -> list[PredictionPair]:
-    """Forecast `horizon` steps ahead from one sample (inference mode)."""
+    """Forecast `horizon` steps ahead from one window, e.g. `samples[i]`
+    (inference mode)."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     steps = _rollout(
@@ -246,26 +235,20 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     horizons = sorted(set(int(h) for h in horizons))
     if not horizons or horizons[0] < 1:
         raise ConfigError(f"horizons must be >= 1, got {horizons}")
-    index = {s.origin_timestamp: i for i, s in enumerate(samples)}
-    xu, xq, yu, yq = _stack(samples)
-    del yq
-    rollout_steps = _rollout(model, xu, xq, horizons[-1])
+    origins = samples.origin_timestamps
+    rollout_steps = _rollout(model, samples.speed_history, samples.volume_history, horizons[-1])
     report = EvalReport(
         horizons=horizons, accuracy={}, per_lane={}, per_detector={},
         evaluated={}, skipped={}, excluded={},
     )
     for h in horizons:
-        pairs = []
-        for j, sample in enumerate(samples):
-            t = index.get(sample.origin_timestamp + (h - 1) * shape.interval)
-            if t is not None:
-                pairs.append((j, t))
-        if not pairs:
+        _, source, target = np.intersect1d(
+            origins + (h - 1) * shape.interval, origins, return_indices=True
+        )
+        if not source.size:
             raise DataError(f"no sample has a horizon-{h} target; not enough look-ahead")
-        source = np.array([j for j, _ in pairs])
-        target = np.array([t for _, t in pairs])
         pred = denormalize(rollout_steps[h - 1][0][source], norm.speed_min, norm.speed_max)
-        truth = denormalize(yu[target], norm.speed_min, norm.speed_max)
+        truth = denormalize(samples.speed_target[target], norm.speed_min, norm.speed_max)
         overall, used, excluded = _ape_stats(pred, truth, min_target)
         if used == 0:
             raise MetricError(f"horizon {h}: every target is below {min_target} mph")
@@ -280,8 +263,8 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
             _ape_stats(pred_grid[:, i, :], truth_grid[:, i, :], min_target)[0]
             for i in range(shape.detectors)
         ]
-        report.evaluated[h] = len(pairs)
-        report.skipped[h] = len(samples) - len(pairs)
+        report.evaluated[h] = source.size
+        report.skipped[h] = len(samples) - source.size
         report.excluded[h] = excluded
     return report
 

@@ -171,12 +171,12 @@ def test_criterion_03_layout_fidelity():
         norm = fit_normalization(records)
         samples = lc.build_samples(records, shape, norm)
         assert len(samples) == total_steps - shape.steps
-        for s in samples:
-            origin_step = s.origin_timestamp // 300
+        for n, origin in enumerate(samples.origin_timestamps):
+            origin_step = int(origin) // 300
             for t in range(shape.steps):
                 raw = grids[origin_step - (shape.steps - 1 - t)]
-                back_u = norm.denormalize_speed(s.speed_history[:, t, :])
-                back_q = norm.denormalize_volume(s.volume_history[:, t, :])
+                back_u = norm.denormalize_speed(samples.speed_history[n, :, t, :])
+                back_q = norm.denormalize_volume(samples.volume_history[n, :, t, :])
                 worst = max(
                     worst,
                     float(np.abs(back_u - raw).max()),
@@ -185,7 +185,7 @@ def test_criterion_03_layout_fidelity():
             target_raw = grids[origin_step + 1].reshape(-1)
             worst = max(
                 worst,
-                float(np.abs(norm.denormalize_speed(s.speed_target) - target_raw).max()),
+                float(np.abs(norm.denormalize_speed(samples.speed_target[n]) - target_raw).max()),
             )
     assert report("03 layout-fidelity", worst < 1e-12, f"worst abs error {worst:.2e}")
 

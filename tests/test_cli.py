@@ -85,6 +85,13 @@ class TestSynthCommand:
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
 
+    def test_fractional_corridor_is_usage_error(self, tmp_path, capsys):
+        config = small_config_doc(tmp_path, corridor={"detectors": 4.5})
+        assert main(["synth", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "detectors must be an integer" in err
+        assert "Traceback" not in err
+
 
 class TestTrainCommand:
     def test_end_to_end_and_determinism(self, corpus, tmp_path):
@@ -162,6 +169,15 @@ class TestEvaluateCommand:
         _, data = corpus
         code = main(["evaluate", "--bundle", str(tmp_path / "none.json"), "--data", data])
         assert code == 2
+
+    def test_params_list_bundle_is_data_error(self, corpus, tmp_path):
+        config, data = corpus
+        bundle = tmp_path / "m.json"
+        assert main(["train", "--config", config, "--data", data, "--bundle", str(bundle)]) == 0
+        doc = json.loads(bundle.read_text())
+        doc["params"] = list(doc["params"].values())
+        bundle.write_text(json.dumps(doc))
+        assert main(["evaluate", "--bundle", str(bundle), "--data", data]) == 2
 
     def test_non_numeric_bundle_bounds_are_data_error(self, corpus, tmp_path):
         config, data = corpus

@@ -364,7 +364,16 @@ class TestBundle:
 
     @pytest.mark.parametrize(
         "poison, match",
-        [("nan_weight", "non-finite"), ("infinite_bound", "finite"), ("string_bounds", "number")],
+        [
+            ("nan_weight", "non-finite"),
+            ("infinite_bound", "finite"),
+            ("string_bounds", "number"),
+            ("params_list", "params must be an object"),
+            ("params_null", "params must be an object"),
+            ("shape_number", "shape"),
+            ("fractional_detectors", "integer"),
+            ("filter_string", "invalid configuration"),
+        ],
     )
     def test_poisoned_values_rejected(self, tmp_path, poison, match):
         model = ConvForecaster(toy_config(seed=24))
@@ -375,8 +384,18 @@ class TestBundle:
             doc["params"]["fusion.weights"]["data"][5] = float("nan")
         elif poison == "infinite_bound":
             doc["normalization"]["speed_max"] = float("inf")
-        else:
+        elif poison == "string_bounds":
             doc["normalization"].update(speed_min="a", speed_max="b")
+        elif poison == "params_list":
+            doc["params"] = list(doc["params"].values())
+        elif poison == "params_null":
+            doc["params"] = None
+        elif poison == "shape_number":
+            doc["params"]["fusion.biases"]["shape"] = 5
+        elif poison == "fractional_detectors":
+            doc["corridor"]["detectors"] = 4.5
+        else:
+            doc["architecture"]["filters_per_layer"] = "ab"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=match):
             load_bundle(path)

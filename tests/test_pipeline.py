@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from lanecast.pipeline import (
     CorridorShape,
     LoopRecord,
     NormalizationParams,
+    SampleSet,
     build_samples,
     denormalize,
     fit_normalization,
@@ -16,6 +19,7 @@ from lanecast.pipeline import (
     window_origins,
     write_records,
 )
+from lanecast.synth import SynthConfig, generate
 
 
 def make_records(shape, values, base_ts=0):
@@ -128,6 +132,15 @@ class TestBuildSamples:
             norm = fit_normalization(records)
             assert len(build_samples(records, shape, norm)) == total - shape.steps
 
+    def test_too_short_corpus_gives_empty_set(self):
+        shape = CorridorShape(2, 2, 1)
+        records, _ = dense_corpus(shape, 2, seed=2)
+        samples = build_samples(records, shape, fit_normalization(records))
+        assert len(samples) == 0
+        assert samples.speed_history.shape == (0, 2, 2, 1)
+        assert samples.volume_target.shape == (0, 2)
+        assert window_origins(records, shape) == ([], 0)
+
     def test_missing_record_drops_overlapping_windows(self):
         shape = CorridorShape(2, 2, 1)
         records, _ = dense_corpus(shape, 4, seed=3)
@@ -152,7 +165,8 @@ class TestBuildSamples:
         norm = fit_normalization(records)
         samples = build_samples(records, shape, norm)
         assert len(samples) == 5
-        for s in rng.choice(samples, size=3, replace=False):
+        for n in rng.choice(len(samples), size=3, replace=False):
+            s = samples[n]
             origin_step = s.origin_timestamp // shape.interval
             for i in range(shape.detectors):
                 for t in range(shape.steps):
@@ -192,31 +206,115 @@ class TestBuildSamples:
             build_samples(records, shape, fit_normalization(records))
 
 
-class FakeSample:
-    def __init__(self, origin):
-        self.origin_timestamp = origin
+class TestWindows:
+    # sha256 of each window array (and the origins) built by the
+    # per-window implementation this one replaced, on a 2-day synthetic
+    # corpus with three records removed
+    GOLDEN = {
+        "speed_history": "e84377f232a5f01d228d3ceccd3f936c73445ecc3241e39278635c478098b3a9",
+        "volume_history": "289e06277c9efe8972f3f1e07188198db3a919b9297971d6a495d610336a26c2",
+        "speed_target": "6fa3dbf6e28d8803973d72937ea36fe928f2705e1b25b7d90fe1cde937bff75f",
+        "volume_target": "103cfcee609f2f96732d85e8c854efdac887708a5b7d5f2d838245b9bb104ed6",
+        "origin_timestamps": "9468babdad407b70203532d187f9315722b936a92358c72d2e2a77b607a4d3fc",
+    }
+
+    def test_golden_windows(self):
+        shape = CorridorShape(10, 8, 4, 300)
+        records = generate(SynthConfig(shape=shape, days=2, seed=2024))
+        for i in (23000, 12345, 3000):  # one cell at each of three timestamps
+            del records[i]
+        norm = fit_normalization(records)
+        samples = build_samples(records, shape, norm)
+        assert len(samples) == 549
+        for name, digest in self.GOLDEN.items():
+            array = getattr(samples, name)
+            assert array.flags.c_contiguous
+            assert array.dtype == (np.int64 if name == "origin_timestamps" else np.float64)
+            assert hashlib.sha256(array.tobytes()).hexdigest() == digest, name
+        origins, dropped = window_origins(records, shape)
+        assert origins == samples.origin_timestamps.tolist()
+        assert dropped == 19
+
+    def test_sparse_timestamps_return_at_once(self):
+        # two 5-step blocks 10**9 intervals apart, e.g. one stray
+        # millisecond timestamp: no work may scale with the gap
+        shape = CorridorShape(2, 2, 1)
+        far = 300 * 10**9
+        block = {t: [[20.0 + t], [30.0 + t]] for t in range(5)}
+        records = make_records(shape, block) + make_records(shape, block, base_ts=far)
+        origins, dropped = window_origins(records, shape)
+        assert origins == [300, 600, 900, far + 300, far + 600, far + 900]
+        candidates = (far + 4 * 300) // 300 - shape.steps + 1
+        assert dropped == candidates - 6 == 999_999_997
+        samples = build_samples(records, shape, fit_normalization(records))
+        assert samples.origin_timestamps.tolist() == origins
+
+    def test_indexing_applies_to_every_field(self):
+        shape = CorridorShape(2, 2, 1)
+        records, _ = dense_corpus(shape, 6, seed=6)
+        samples = build_samples(records, shape, fit_normalization(records))
+        window = samples[2]
+        assert window.origin_timestamp == samples.origin_timestamps[2] == 900
+        assert np.array_equal(window.volume_history, samples.volume_history[2])
+        assert np.array_equal(window.speed_target, samples.speed_target[2])
+        picked = samples[np.array([3, 0])]
+        assert isinstance(picked, SampleSet) and len(picked) == 2
+        assert picked.origin_timestamps.tolist() == [1200, 300]
+        assert np.array_equal(picked.speed_history[0], samples.speed_history[3])
+        assert [s.origin_timestamp for s in samples] == [300, 600, 900, 1200]
+
+
+class TestCorridorShape:
+    @pytest.mark.parametrize("field", ["detectors", "steps", "lanes", "interval"])
+    @pytest.mark.parametrize("value", [4.5, 4.0, True, "4"])
+    def test_non_integer_geometry_rejected(self, field, value):
+        kwargs = {"detectors": 4, "steps": 4, "lanes": 2, "interval": 300, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            CorridorShape(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        shape = CorridorShape(np.int64(4), np.int32(3), np.int64(2), np.int64(300))
+        assert shape == CorridorShape(4, 3, 2, 300)
+        assert all(type(value) is int for value in vars(shape).values())
+
+
+def origin_samples(origins):
+    """A SampleSet whose every field holds each window's origin."""
+    origins = np.asarray(origins, dtype=np.int64)
+    values = origins.astype(np.float64)
+    history = values.reshape(-1, 1, 1, 1)
+    return SampleSet(history, history, values[:, None], values[:, None], origins)
 
 
 class TestSplit:
     def test_reference_ratio(self):
-        samples = [FakeSample(i) for i in range(105_000)]
+        samples = origin_samples(range(105_000))
         train, test = split_dataset(samples, 80_000 / 105_000)
         assert len(train) == 80_000
         assert len(test) == 25_000
 
     def test_small_split_is_chronological(self):
-        samples = [FakeSample(i * 300) for i in range(10)]
+        samples = origin_samples([i * 300 for i in range(10)])
         train, test = split_dataset(samples, 0.8)
         assert len(train) == 8 and len(test) == 2
         assert max(s.origin_timestamp for s in train) < min(s.origin_timestamp for s in test)
 
     def test_unordered_input_is_sorted_first(self):
-        samples = [FakeSample(i * 300) for i in (3, 0, 4, 1, 2)]
+        samples = origin_samples([i * 300 for i in (3, 0, 4, 1, 2)])
         train, test = split_dataset(samples, 0.6)
         assert [s.origin_timestamp for s in train] == [0, 300, 600]
+        # every field moves with its origin
+        assert train.speed_history.reshape(-1).tolist() == [0.0, 300.0, 600.0]
+
+    def test_ordered_input_is_not_copied(self):
+        samples = origin_samples([i * 300 for i in range(10)])
+        train, test = split_dataset(samples, 0.8)
+        for part in (train, test):
+            assert np.shares_memory(part.speed_history, samples.speed_history)
+            assert np.shares_memory(part.origin_timestamps, samples.origin_timestamps)
 
     def test_empty_side_rejected(self):
-        samples = [FakeSample(i) for i in range(10)]
+        samples = origin_samples(range(10))
         with pytest.raises(DataError):
             split_dataset(samples, 0.999)
         with pytest.raises(DataError):

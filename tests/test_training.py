@@ -7,7 +7,7 @@ from lanecast.model import (
     ConvForecaster,
     PersistenceModel,
 )
-from lanecast.pipeline import CorridorShape, NormalizationParams, Sample
+from lanecast.pipeline import CorridorShape, NormalizationParams, SampleSet
 from lanecast.training import (
     TrainConfig,
     accuracy,
@@ -32,8 +32,8 @@ def small_config(seed=0):
 
 def make_samples(shape, count, seed=0, constant=None):
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(count):
+    windows = []
+    for _ in range(count):
         if constant is None:
             xu = rng.random((shape.detectors, shape.steps, shape.lanes))
             xq = rng.random((shape.detectors, shape.steps, shape.lanes))
@@ -44,8 +44,9 @@ def make_samples(shape, count, seed=0, constant=None):
             xq = np.full((shape.detectors, shape.steps, shape.lanes), constant)
             yu = np.full(shape.detectors * shape.lanes, constant)
             yq = np.full(shape.detectors * shape.lanes, constant)
-        samples.append(Sample(xu, xq, yu, yq, origin_timestamp=i * shape.interval))
-    return samples
+        windows.append((xu, xq, yu, yq))
+    fields = [np.stack(column) for column in zip(*windows)]
+    return SampleSet(*fields, np.arange(count, dtype=np.int64) * shape.interval)
 
 
 NORM = NormalizationParams(0.0, 60.0, 0.0, 240.0)
@@ -115,7 +116,7 @@ class TestTrain:
 
     def test_empty_samples_rejected(self):
         with pytest.raises(DataError):
-            train(ConvForecaster(small_config()), [], TrainConfig(epochs=1))
+            train(ConvForecaster(small_config()), make_samples(small_shape(), 2)[:0], TrainConfig(epochs=1))
 
     def test_eval_loss_recorded(self):
         samples = make_samples(small_shape(), 12, seed=4)
@@ -223,7 +224,7 @@ class TestEvaluate:
 
     def test_gap_breaks_alignment(self):
         samples = make_samples(small_shape(), 6, seed=12)
-        del samples[3]
+        samples = samples[[0, 1, 2, 4, 5]]
         report = evaluate(PersistenceModel(), samples, [2], NORM, small_shape())
         # origins 0..5 minus 3; horizon-2 targets exist for 1,3(->missing),...
         assert report.evaluated[2] == 3
