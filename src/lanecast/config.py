@@ -8,11 +8,11 @@ exactly. Unknown keys are rejected rather than ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, DataError
 from .model import STREAMS_BY_KIND, ArchitectureConfig
-from .pipeline import CorridorShape
+from .pipeline import CorridorShape, check_fields
 from .synth import SynthConfig
 from .training import TrainConfig
 
@@ -21,15 +21,6 @@ SCHEMA_VERSION = 1
 _TOP_KEYS = {
     "schema_version", "corridor", "architecture", "training", "synth",
     "split_fraction", "model", "paths",
-}
-_CORRIDOR_KEYS = {"detectors", "steps", "lanes", "interval"}
-_ARCH_KEYS = {"filters_per_layer", "filter_size", "fc_hidden", "dropout_conv", "dropout_fc", "seed"}
-_TRAIN_KEYS = {
-    "volume_weight", "learning_rate", "rho", "epsilon", "batch_size", "epochs", "seed", "shuffle",
-}
-_SYNTH_KEYS = {
-    "days", "free_flow_speed", "jam_density", "peaks", "lane_bias", "noise_sd",
-    "volume_noise_sd", "wave_speed", "detector_spacing", "seed",
 }
 _PATH_KEYS = {"data", "bundle", "out"}
 
@@ -47,6 +38,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        check_fields(self, "config")
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         if self.model not in STREAMS_BY_KIND:
@@ -70,74 +62,43 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
-def _build(factory, section: dict, where: str, **extra):
+def _section(doc: dict, name: str, cls, source: str, **extra):
+    """Build section `name` of the document as `cls`. Its keys are the
+    dataclass fields except `shape`, which comes from the corridor; `extra`
+    supplies `shape` or defaults that the section's own keys override."""
+    where = f"{source}.{name}"
+    section = doc.get(name, {})
+    _check_keys(section, {f.name for f in fields(cls)} - {"shape"}, where)
     try:
-        return factory(**section, **extra)
+        return cls(**{**extra, **section})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def default_run_config() -> RunConfig:
-    corridor = CorridorShape(detectors=10, steps=8, lanes=4, interval=300)
-    return RunConfig(
-        corridor=corridor,
-        architecture=ArchitectureConfig(shape=corridor),
-        training=TrainConfig(),
-        synth=SynthConfig(shape=corridor),
-    )
+    return parse_run_config({"schema_version": SCHEMA_VERSION})
 
 
 def parse_run_config(doc: dict, source: str = "config") -> RunConfig:
     _check_keys(doc, _TOP_KEYS, source)
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or isinstance(version, bool):  # JSON true == 1
         raise ConfigError(
             f"{source}: schema_version {version!r} is not the supported {SCHEMA_VERSION}"
         )
-    corridor_doc = doc.get("corridor", {})
-    _check_keys(corridor_doc, _CORRIDOR_KEYS, f"{source}.corridor")
     # unspecified geometry falls back to the default 10-detector, 8-step,
-    # 4-lane corridor at 5-minute resolution
-    corridor_doc = {"detectors": 10, "steps": 8, "lanes": 4, "interval": 300, **corridor_doc}
-    corridor = _build(CorridorShape, corridor_doc, f"{source}.corridor")
-
-    arch_doc = dict(doc.get("architecture", {}))
-    _check_keys(arch_doc, _ARCH_KEYS, f"{source}.architecture")
-    if "filters_per_layer" in arch_doc:
-        arch_doc["filters_per_layer"] = tuple(arch_doc["filters_per_layer"])
-    if "filter_size" in arch_doc:
-        arch_doc["filter_size"] = tuple(arch_doc["filter_size"])
-    architecture = _build(ArchitectureConfig, arch_doc, f"{source}.architecture", shape=corridor)
-
-    train_doc = doc.get("training", {})
-    _check_keys(train_doc, _TRAIN_KEYS, f"{source}.training")
-    training = _build(TrainConfig, train_doc, f"{source}.training")
-
-    synth_doc = dict(doc.get("synth", {}))
-    _check_keys(synth_doc, _SYNTH_KEYS, f"{source}.synth")
-    if "peaks" in synth_doc:
-        synth_doc["peaks"] = tuple(tuple(p) for p in synth_doc["peaks"])
-    if synth_doc.get("lane_bias") is not None:
-        synth_doc["lane_bias"] = tuple(synth_doc["lane_bias"])
-    synth = _build(SynthConfig, synth_doc, f"{source}.synth", shape=corridor)
-
+    # 4-lane corridor at the default 5-minute resolution
+    corridor = _section(doc, "corridor", CorridorShape, source, detectors=10, steps=8, lanes=4)
     paths = doc.get("paths", {})
     _check_keys(paths, _PATH_KEYS, f"{source}.paths")
-
-    try:
-        return RunConfig(
-            corridor=corridor,
-            architecture=architecture,
-            training=training,
-            synth=synth,
-            split_fraction=doc.get("split_fraction", 0.8),
-            model=doc.get("model", "two_stream"),
-            data=paths.get("data"),
-            bundle=paths.get("bundle"),
-            out=paths.get("out"),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+    return RunConfig(
+        corridor=corridor,
+        architecture=_section(doc, "architecture", ArchitectureConfig, source, shape=corridor),
+        training=_section(doc, "training", TrainConfig, source),
+        synth=_section(doc, "synth", SynthConfig, source, shape=corridor),
+        **{key: doc[key] for key in ("split_fraction", "model") if key in doc},
+        **paths,
+    )
 
 
 def load_run_config(path: str | None, seed: int | None = None) -> RunConfig:

@@ -30,7 +30,7 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .pipeline import CorridorShape, NormalizationParams
+from .pipeline import CorridorShape, NormalizationParams, check_fields
 
 BUNDLE_FORMAT = "lane-speed-model"
 BUNDLE_SCHEMA_VERSION = 1
@@ -43,16 +43,15 @@ class ArchitectureConfig:
     """Layer widths, dropout ratios and initialization seed for one model."""
 
     shape: CorridorShape
-    filters_per_layer: tuple[int, int, int] = (32, 32, 32)
-    filter_size: tuple[int, int] = (2, 2)
+    filters_per_layer: tuple[int, ...] = (32, 32, 32)
+    filter_size: tuple[int, ...] = (2, 2)
     fc_hidden: int = 256
     dropout_conv: float = 0.5
     dropout_fc: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "filters_per_layer", tuple(int(f) for f in self.filters_per_layer))
-        object.__setattr__(self, "filter_size", tuple(int(f) for f in self.filter_size))
+        check_fields(self, "architecture")
         if len(self.filters_per_layer) != NUM_CONV_LAYERS:
             raise ConfigError(
                 f"expected {NUM_CONV_LAYERS} filter counts, got {self.filters_per_layer}"
@@ -366,14 +365,7 @@ def save_bundle(path, model, norm: NormalizationParams) -> None:
         "schema_version": BUNDLE_SCHEMA_VERSION,
         "kind": model.kind,
         "corridor": asdict(model.config.shape),
-        "architecture": {
-            "filters_per_layer": list(model.config.filters_per_layer),
-            "filter_size": list(model.config.filter_size),
-            "fc_hidden": model.config.fc_hidden,
-            "dropout_conv": model.config.dropout_conv,
-            "dropout_fc": model.config.dropout_fc,
-            "seed": model.config.seed,
-        },
+        "architecture": {k: v for k, v in asdict(model.config).items() if k != "shape"},
         "normalization": asdict(norm),
         "params": {
             name: {"shape": list(array.shape), "data": array.reshape(-1).tolist()}

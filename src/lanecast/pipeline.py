@@ -28,6 +28,45 @@ logger = logging.getLogger(__name__)
 CSV_HEADER = ["timestamp", "detector_index", "lane", "speed", "volume"]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# annotation -> (what it must be, test, conversion applied to the stored value)
+_FIELD_RULES = {
+    "int": ("an integer", _is_integer, int),  # numpy integers then serialize
+    "float": ("a finite number", _is_finite_number, None),  # a JSON 0 stays 0 in bundles
+    "bool": ("true or false", lambda v: isinstance(v, bool), None),
+    "str": ("a string", lambda v: isinstance(v, str), None),
+    "tuple[int, ...]": (
+        "a list of integers",
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_integer, v)),
+        lambda v: tuple(map(int, v)),
+    ),
+}
+
+
+def check_fields(obj, where: str, error=ConfigError) -> None:
+    """Check every field of a config dataclass against its annotation.
+
+    The rules cover `int`, `float`, `bool`, `str` and `tuple[int, ...]`;
+    `X | None` also takes None. Any other annotation is left to the class.
+    """
+    for f in fields(obj):
+        kind, value = f.type.removesuffix(" | None"), getattr(obj, f.name)
+        if kind not in _FIELD_RULES or (value is None and kind != f.type):
+            continue
+        what, accepts, convert = _FIELD_RULES[kind]
+        if not accepts(value):
+            raise error(f"{where} {f.name} must be {what}, got {value!r}")
+        if convert is not None:
+            object.__setattr__(obj, f.name, convert(value))
+
+
 @dataclass(frozen=True)
 class CorridorShape:
     """Corridor geometry: detector count, history length, lanes, step size."""
@@ -38,10 +77,7 @@ class CorridorShape:
     interval: int = 300
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"corridor {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy integers included
+        check_fields(self, "corridor")
         if self.detectors < 2:
             raise ConfigError(f"need at least 2 detectors, got {self.detectors}")
         if self.steps < 2:
@@ -73,11 +109,7 @@ class NormalizationParams:
     volume_max: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DataError(f"normalization bound {name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise DataError(f"normalization bound {name} must be finite, got {value}")
+        check_fields(self, "normalization bound", DataError)
         if not self.speed_max > self.speed_min:
             raise DataError(
                 f"degenerate speed range [{self.speed_min}, {self.speed_max}]"
@@ -232,6 +264,8 @@ def group_records(records, shape: CorridorShape):
     complete: (T,) bool, every detector/lane cell present.
     """
     n = len(records)
+    if not n:
+        raise DataError("no records to window")
     try:
         ts, det, lane = (
             np.fromiter(map(attrgetter(name), records), np.int64, n)

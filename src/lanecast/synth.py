@@ -11,12 +11,13 @@ arriving upstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .pipeline import CorridorShape, LoopRecord
+from .pipeline import CorridorShape, LoopRecord, check_fields
 
 DAY_SECONDS = 86400
 
@@ -40,6 +41,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, "synth")
         if self.days < 1:
             raise ConfigError(f"days must be >= 1, got {self.days}")
         if DAY_SECONDS % self.shape.interval:
@@ -48,6 +50,9 @@ class SynthConfig:
             )
         if self.free_flow_speed <= 0 or self.jam_density <= 0:
             raise ConfigError("free_flow_speed and jam_density must be positive")
+        if not isinstance(self.peaks, (list, tuple)):
+            raise ConfigError(f"peaks must be a list of [start, end, severity], got {self.peaks!r}")
+        object.__setattr__(self, "peaks", tuple(map(tuple, self.peaks)))
         for peak in self.peaks:
             start, end, severity = peak
             if not 0.0 <= start < end <= 24.0:
@@ -58,16 +63,19 @@ class SynthConfig:
             raise ConfigError("noise standard deviations must be >= 0")
         if self.wave_speed <= 0 or self.detector_spacing <= 0:
             raise ConfigError("wave_speed and detector_spacing must be positive")
-        if self.lane_bias is None:
+        bias = self.lane_bias
+        if bias is None:
             lanes = self.shape.lanes
             bias = (1.0,) if lanes == 1 else tuple(np.linspace(0.9, 1.05, lanes))
-            object.__setattr__(self, "lane_bias", bias)
+        if not isinstance(bias, (list, tuple)):
+            raise ConfigError(f"lane_bias must be a list of multipliers, got {bias!r}")
+        object.__setattr__(self, "lane_bias", tuple(bias))
         if len(self.lane_bias) != self.shape.lanes:
             raise ConfigError(
                 f"lane_bias has {len(self.lane_bias)} entries for {self.shape.lanes} lanes"
             )
-        if any(b <= 0 for b in self.lane_bias):
-            raise ConfigError("lane_bias multipliers must be positive")
+        if any(not 0 < b < math.inf for b in self.lane_bias):
+            raise ConfigError(f"lane_bias multipliers must be positive and finite, got {self.lane_bias}")
 
 
 def _slowdown_field(config: SynthConfig, hours: np.ndarray) -> np.ndarray:

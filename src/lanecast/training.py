@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError, DataError, MetricError, NumericError, ShapeError
 from .losses import composite_loss, speed_loss
 from .optim import RmsProp
-from .pipeline import CorridorShape, NormalizationParams, denormalize
+from .pipeline import CorridorShape, NormalizationParams, check_fields, denormalize
 
 DEFAULT_MIN_TARGET = 1.0  # mph; slower targets are excluded from percentage errors
 
@@ -31,6 +31,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
+        check_fields(self, "training")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -56,8 +57,6 @@ class EvalReport:
 
     Breakdown entries are NaN where every value of that slice was excluded.
     evaluated + skipped equals the test sample count at each horizon.
-    loss_curve carries the per-epoch training history when the caller has
-    one (evaluation alone cannot produce it).
     """
 
     horizons: list[int]
@@ -67,7 +66,6 @@ class EvalReport:
     evaluated: dict[int, int]
     skipped: dict[int, int]
     excluded: dict[int, int]
-    loss_curve: list[EpochStats] | None = None
 
 
 def _loss_and_grads(model, batch, volume_weight, rng):

@@ -1,6 +1,12 @@
+import copy
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanecast.cli import main
 from lanecast.config import default_run_config, load_run_config, parse_run_config
@@ -9,7 +15,7 @@ from lanecast.model import ConvForecaster, load_bundle, save_bundle
 from lanecast.pipeline import CorridorShape, NormalizationParams, read_records
 
 
-def small_config_doc(tmp_path, **extra):
+def small_doc(**extra):
     doc = {
         "schema_version": 1,
         "corridor": {"detectors": 4, "steps": 4, "lanes": 2, "interval": 300},
@@ -18,8 +24,12 @@ def small_config_doc(tmp_path, **extra):
         "synth": {"days": 2, "seed": 3},
     }
     doc.update(extra)
+    return doc
+
+
+def small_config_doc(tmp_path, **extra):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(small_doc(**extra)))
     return str(path)
 
 
@@ -335,3 +345,124 @@ class TestHeatmapCommand:
             "--days", "0:1", "--out", str(tmp_path / "h"),
         ])
         assert code == 2
+
+
+# Each value once made a run end in a traceback, a silent truncation, NaN
+# data or the wrong exit code. (leaf, value, command that reads it)
+MALFORMED_CONFIG = [
+    ("architecture.fc_hidden", 4.5, "train"),
+    ("architecture.seed", 1.5, "train"),
+    ("architecture.filters_per_layer", [2.7, 2, 2], "train"),
+    ("architecture.filter_size", [2.0, 2.9], "train"),
+    ("training.batch_size", 2.5, "train"),
+    ("training.epochs", 1.5, "train"),
+    ("training.seed", 1.5, "train"),
+    ("training.shuffle", "no", "train"),
+    ("training.epsilon", math.inf, "train"),
+    ("training.learning_rate", math.nan, "train"),
+    ("training.volume_weight", math.nan, "train"),
+    ("synth.days", 1.5, "synth"),
+    ("synth.seed", 1.5, "synth"),
+    ("synth.peaks", 5, "synth"),
+    ("synth.noise_sd", math.nan, "synth"),
+    ("synth.free_flow_speed", math.inf, "synth"),
+    ("paths.data", ["x"], "train"),
+    ("paths.bundle", 7, "train"),
+    ("paths.out", 3, "sweep"),
+]
+
+
+@pytest.fixture(scope="module")
+def probe_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("probe") / "config.json"
+    path.write_text(json.dumps(small_doc(synth={"days": 1, "seed": 3})))
+    data = str(path.parent / "data.csv")
+    assert main(["synth", "--config", str(path), "--out", data]) == 0
+    return data
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("leaf, value, command", MALFORMED_CONFIG, ids=[c[0] for c in MALFORMED_CONFIG])
+    def test_usage_error_without_traceback(self, probe_data, tmp_path, monkeypatch, capsys,
+                                           leaf, value, command):
+        monkeypatch.chdir(tmp_path)  # nothing a faulty path names escapes the test
+        section, key = leaf.split(".")
+        doc = small_doc()
+        doc.setdefault(section, {})[key] = value
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        flags = {
+            "synth": {"--out": "synth.csv"},
+            "train": {"--data": probe_data, "--bundle": "bundle.json"},
+            "sweep": {"--data": probe_data, "--out": "sweep.csv", "--axis": "lambda", "--values": "0.1"},
+        }[command]
+        flags.pop(f"--{key}", None)  # a paths entry is only read without its flag
+        argv = [command, "--config", "config.json", *(part for item in flags.items() for part in item)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+
+# A valid tiny run: every key is spelled out so that each one is a leaf the
+# property test can replace.
+TINY_DOC = {
+    "schema_version": 1,
+    "corridor": {"detectors": 5, "steps": 5, "lanes": 2, "interval": 300},
+    "architecture": {"filters_per_layer": [2, 2, 2], "filter_size": [2, 2], "fc_hidden": 4,
+                     "dropout_conv": 0.5, "dropout_fc": 0.25, "seed": 1},
+    "training": {"volume_weight": 0.1, "learning_rate": 0.001, "rho": 0.9, "epsilon": 1e-8,
+                 "batch_size": 64, "epochs": 1, "seed": 1, "shuffle": True},
+    "synth": {"days": 1, "free_flow_speed": 60.0, "jam_density": 200.0, "peaks": [[7.0, 9.5, 0.65]],
+              "lane_bias": [0.9, 1.05], "noise_sd": 4.0, "volume_noise_sd": 3.0, "wave_speed": 12.0,
+              "detector_spacing": 0.5, "seed": 1},
+    "split_fraction": 0.8,
+    "model": "two_stream",
+    "paths": {"data": "data.csv", "bundle": "bundle.json", "out": "sweep.csv"},
+}
+
+
+def _leaves(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+# No integers: a valid but large one (an interval of 2 s, a huge day count)
+# would make one example generate millions of records.
+VALUE_POOL = [4.5, 0.5, math.nan, math.inf, -math.inf, True, False, "4", [], [1.5], {}, None]
+
+# Accepted types of the int, bool and str leaves, by the nearest key name;
+# any other type there must be a usage error.
+LEAF_TYPES = {
+    **dict.fromkeys(["schema_version", "detectors", "steps", "lanes", "interval", "filters_per_layer",
+                     "filter_size", "fc_hidden", "seed", "batch_size", "epochs", "days"], (int,)),
+    "shuffle": (bool,),
+    "model": (str,),
+    **dict.fromkeys(["data", "bundle", "out"], (str, type(None))),
+}
+
+
+class TestConfigProperty:
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(leaf=st.sampled_from(list(_leaves(TINY_DOC))), value=st.sampled_from(VALUE_POOL))
+    def test_one_bad_leaf_never_raises(self, leaf, value):
+        doc = copy.deepcopy(TINY_DOC)
+        parent = doc
+        for key in leaf[:-1]:
+            parent = parent[key]
+        parent[leaf[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            config, data = os.path.join(tmp, "config.json"), os.path.join(tmp, "data.csv")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            codes = [
+                main(["synth", "--config", config, "--out", data]),
+                main(["train", "--config", config, "--data", data,
+                      "--bundle", os.path.join(tmp, "bundle.json")]),
+            ]
+        assert all(code in (0, 1, 2, 3) for code in codes)
+        named = [key for key in leaf if isinstance(key, str)][-1]
+        if named in LEAF_TYPES and type(value) not in LEAF_TYPES[named]:
+            assert codes == [1, 1]

@@ -280,6 +280,14 @@ class TestBundle:
     def norm(self):
         return NormalizationParams(0.5, 75.0, 0.0, 260.0)
 
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # digest recorded before the architecture block was built from the
+        # dataclass fields; the int-valued dropout_conv must stay a JSON 0
+        path = tmp_path / "model.json"
+        save_bundle(path, ConvForecaster(toy_config(seed=25, dropout_conv=0)), self.norm())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "6c1c045abf63b6d06b57d5aaa5b3954c22e247e92b5efa9e2b7ce88e9e26f9dd"
+
     def test_round_trip_forward_bit_exact(self, tmp_path):
         config = toy_config(seed=16)
         model = ConvForecaster(config)

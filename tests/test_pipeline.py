@@ -12,6 +12,7 @@ from lanecast.pipeline import (
     build_samples,
     denormalize,
     fit_normalization,
+    group_records,
     normalize,
     read_records,
     split_dataset,
@@ -262,6 +263,13 @@ class TestWindows:
         assert picked.origin_timestamps.tolist() == [1200, 300]
         assert np.array_equal(picked.speed_history[0], samples.speed_history[3])
         assert [s.origin_timestamp for s in samples] == [300, 600, 900, 1200]
+
+    def test_empty_records_are_data_error(self):
+        shape = CorridorShape(2, 2, 1)
+        norm = NormalizationParams(0.0, 1.0, 0.0, 1.0)
+        for build in (group_records, window_origins, lambda r, s: build_samples(r, s, norm)):
+            with pytest.raises(DataError, match="no records"):
+                build([], shape)
 
 
 class TestCorridorShape:

@@ -108,5 +108,8 @@ def test_invalid_configs_rejected():
         SynthConfig(shape=small_shape(), peaks=((5.0, 6.0, 1.5),))
     with pytest.raises(ConfigError):
         SynthConfig(shape=small_shape(), lane_bias=(1.0,))
+    # a NaN multiplier once passed `b <= 0` and generated all-NaN speeds
+    with pytest.raises(ConfigError, match="lane_bias"):
+        SynthConfig(shape=small_shape(), lane_bias=(1.0, 1.0, float("nan")))
     with pytest.raises(ConfigError):
         SynthConfig(shape=CorridorShape(2, 2, 1, interval=7), days=1)
