@@ -28,7 +28,7 @@ from .pipeline import (
     write_records,
 )
 from .synth import generate
-from .training import evaluate, sweep, train
+from .training import SWEEP_AXES, evaluate, sweep, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweepp.add_argument("--config", help="run config JSON")
     sweepp.add_argument("--seed", type=int, help="override every config seed")
     sweepp.add_argument("--data", help="input record CSV")
-    sweepp.add_argument("--axis", required=True, choices=["lambda", "lr"],
+    sweepp.add_argument("--axis", required=True, choices=list(SWEEP_AXES),
                         help="swept parameter: volume loss weight or learning rate")
     sweepp.add_argument("--values", required=True, help="comma list of values")
     sweepp.add_argument("--out", help="output CSV path")

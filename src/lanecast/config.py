@@ -18,10 +18,6 @@ from .training import TrainConfig
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {
-    "schema_version", "corridor", "architecture", "training", "synth",
-    "split_fraction", "model", "paths",
-}
 _PATH_KEYS = {"data", "bundle", "out"}
 
 
@@ -52,6 +48,10 @@ class RunConfig:
             training=replace(self.training, seed=seed),
             synth=replace(self.synth, seed=seed),
         )
+
+
+# the document's top level: the RunConfig fields, with the paths in their own section
+_TOP_KEYS = {f.name for f in fields(RunConfig)} - _PATH_KEYS | {"schema_version", "paths"}
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:

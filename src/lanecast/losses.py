@@ -40,21 +40,21 @@ def composite_loss(pred_speed, pred_volume, target_speed, target_volume, volume_
 
     Returns (loss, grad_pred_speed, grad_pred_volume). Accepts single vectors
     or (batch, n) matrices; the mean runs over every element either way.
-    A weight outside [0, 1] is allowed but warned about: the volume term is
-    meant to assist, not dominate, the speed objective.
+    A `pred_volume` of None (the speed-only model) scores speed alone and
+    returns a None volume gradient. A weight outside [0, 1] is allowed but
+    warned about: the volume term is meant to assist, not dominate, the
+    speed objective.
     """
+    speed_term, grad_u = speed_loss(pred_speed, target_speed)
+    if pred_volume is None:
+        return speed_term, grad_u, None
     if not 0.0 <= volume_weight <= 1.0:
         warnings.warn(
             f"volume_weight {volume_weight} is outside the suggested [0, 1] range",
             stacklevel=2,
         )
-    pred_u, target_u = _check_pair(pred_speed, target_speed, "speed")
     pred_q, target_q = _check_pair(pred_volume, target_volume, "volume")
-    du = pred_u - target_u
     dq = pred_q - target_q
-    speed_term = float(np.mean(du * du))
-    volume_term = float(np.mean(dq * dq))
-    loss = speed_term + volume_weight * volume_term
-    grad_u = (2.0 / du.size) * du
+    loss = speed_term + volume_weight * float(np.mean(dq * dq))
     grad_q = (2.0 * volume_weight / dq.size) * dq
     return loss, grad_u, grad_q

@@ -150,11 +150,8 @@ def _init_params(config: ArchitectureConfig, kind: str) -> dict[str, np.ndarray]
 
 @dataclass
 class _StreamCache:
-    x: np.ndarray
-    pre: list[np.ndarray]   # conv pre-activations
-    act: list[np.ndarray]   # relu outputs
+    acts: list[np.ndarray]  # the stream input, then each conv layer's relu output
     mask: np.ndarray | None
-    flat_dim: int
 
 
 @dataclass
@@ -164,7 +161,6 @@ class _ModelCache:
     fusion_pre: np.ndarray
     fusion_dropped: np.ndarray
     fusion_mask: np.ndarray | None
-    batch: int
 
     @property
     def masks(self) -> dict:
@@ -173,26 +169,22 @@ class _ModelCache:
 
 
 def _stream_forward(x, banks, ratio, mode, rng, mask):
-    pre, act = [], []
-    current = x
+    acts = [x]
     for bank in banks:
-        z = conv2d_valid(current, bank)
-        current = relu(z)
-        pre.append(z)
-        act.append(current)
-    flat = current.reshape(current.shape[0], -1)
+        acts.append(relu(conv2d_valid(acts[-1], bank)))
+    flat = acts[-1].reshape(x.shape[0], -1)
     dropped, mask = dropout_forward(flat, ratio, mode, rng, mask)
-    return dropped, _StreamCache(x=x, pre=pre, act=act, mask=mask, flat_dim=flat.shape[1])
+    return dropped, _StreamCache(acts=acts, mask=mask)
 
 
 def _stream_backward(cache: _StreamCache, banks, grad_flat, stream: str) -> dict[str, np.ndarray]:
     g = dropout_backward(grad_flat, cache.mask)
-    g = g.reshape(cache.act[-1].shape)
+    g = g.reshape(cache.acts[-1].shape)
     grads = {}
     for idx in range(len(banks) - 1, -1, -1):
-        g = relu_backward(cache.pre[idx], g)
-        below = cache.act[idx - 1] if idx > 0 else cache.x
-        g, gbank = conv2d_backward(below, banks[idx], g, input_grad=idx > 0)
+        # relu(z) > 0 exactly where z > 0, so the output carries the relu mask
+        g = relu_backward(cache.acts[idx + 1], g)
+        g, gbank = conv2d_backward(cache.acts[idx], banks[idx], g, input_grad=idx > 0)
         grads[f"{stream}_conv{idx + 1}.weights"] = gbank.weights
         grads[f"{stream}_conv{idx + 1}.biases"] = gbank.biases
     return grads
@@ -267,7 +259,6 @@ class ConvForecaster:
             fusion_pre=fusion_pre,
             fusion_dropped=fusion_dropped,
             fusion_mask=fusion_mask,
-            batch=inputs[0].shape[0],
         )
         return pred_u, pred_q, cache
 
@@ -284,9 +275,10 @@ class ConvForecaster:
         n = self.config.targets_per_quantity
         given = {"speed": grad_speed, "volume": grad_volume}
         heads = [np.asarray(given[s], dtype=np.float64) for s in self.streams]
-        if any(g.shape != (cache.batch, n) for g in heads):
+        batch = len(cache.fused)
+        if any(g.shape != (batch, n) for g in heads):
             raise ShapeError(
-                f"output gradients must each be ({cache.batch}, {n}), "
+                f"output gradients must each be ({batch}, {n}), "
                 f"got {', '.join(str(g.shape) for g in heads)}"
             )
         grad_out = np.concatenate(heads, axis=1)
@@ -298,7 +290,7 @@ class ConvForecaster:
         start = 0
         for stream in self.streams:
             stream_cache = cache.streams[stream]
-            stop = start + stream_cache.flat_dim
+            stop = start + stream_cache.acts[-1][0].size
             grads.update(
                 _stream_backward(stream_cache, self._banks[stream], grad_fused[:, start:stop], stream)
             )
@@ -341,7 +333,6 @@ class PersistenceModel:
     """Parameterless floor: repeats the last observation, speeds and volumes."""
 
     kind = "persistence"
-    uses_volume = True
 
     def predict_batch(self, speed_x, volume_x):
         pred_q = persistence_baseline(volume_x) if volume_x is not None else None

@@ -32,14 +32,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_finite_number(value) -> bool:
+def is_finite_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 # annotation -> (what it must be, test, conversion applied to the stored value)
 _FIELD_RULES = {
     "int": ("an integer", _is_integer, int),  # numpy integers then serialize
-    "float": ("a finite number", _is_finite_number, None),  # a JSON 0 stays 0 in bundles
+    "float": ("a finite number", is_finite_number, None),  # a JSON 0 stays 0 in bundles
     "bool": ("true or false", lambda v: isinstance(v, bool), None),
     "str": ("a string", lambda v: isinstance(v, str), None),
     "tuple[int, ...]": (

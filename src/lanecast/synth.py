@@ -11,17 +11,24 @@ arriving upstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .pipeline import CorridorShape, LoopRecord, check_fields
+from .pipeline import CorridorShape, LoopRecord, check_fields, is_finite_number
 
 DAY_SECONDS = 86400
 
 DEFAULT_PEAKS = ((7.0, 9.5, 0.65), (16.0, 19.0, 0.75))
+
+
+def _peak(peak) -> tuple:
+    if not isinstance(peak, (list, tuple)) or len(peak) != 3 or not all(
+        map(is_finite_number, peak)
+    ):
+        raise ConfigError(f"peaks entries must be [start, end, severity] numbers, got {peak!r}")
+    return tuple(peak)
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,7 @@ class SynthConfig:
             raise ConfigError("free_flow_speed and jam_density must be positive")
         if not isinstance(self.peaks, (list, tuple)):
             raise ConfigError(f"peaks must be a list of [start, end, severity], got {self.peaks!r}")
-        object.__setattr__(self, "peaks", tuple(map(tuple, self.peaks)))
+        object.__setattr__(self, "peaks", tuple(map(_peak, self.peaks)))
         for peak in self.peaks:
             start, end, severity = peak
             if not 0.0 <= start < end <= 24.0:
@@ -67,16 +74,15 @@ class SynthConfig:
         if bias is None:
             lanes = self.shape.lanes
             bias = (1.0,) if lanes == 1 else tuple(np.linspace(0.9, 1.05, lanes))
-        if not isinstance(bias, (list, tuple)):
-            raise ConfigError(f"lane_bias must be a list of multipliers, got {bias!r}")
+        if not isinstance(bias, (list, tuple)) or not all(map(is_finite_number, bias)):
+            raise ConfigError(f"lane_bias must be a list of finite multipliers, got {bias!r}")
         object.__setattr__(self, "lane_bias", tuple(bias))
         if len(self.lane_bias) != self.shape.lanes:
             raise ConfigError(
                 f"lane_bias has {len(self.lane_bias)} entries for {self.shape.lanes} lanes"
             )
-        if any(not 0 < b < math.inf for b in self.lane_bias):
-            raise ConfigError(f"lane_bias multipliers must be positive and finite, got {self.lane_bias}")
-
+        if any(b <= 0 for b in self.lane_bias):
+            raise ConfigError(f"lane_bias multipliers must be positive, got {self.lane_bias}")
 
 def _slowdown_field(config: SynthConfig, hours: np.ndarray) -> np.ndarray:
     """Fraction of free-flow speed lost, per (step, detector), in [0, 1).

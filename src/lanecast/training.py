@@ -10,11 +10,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, MetricError, NumericError, ShapeError
-from .losses import composite_loss, speed_loss
+from .losses import composite_loss
 from .optim import RmsProp
 from .pipeline import CorridorShape, NormalizationParams, check_fields, denormalize
 
 DEFAULT_MIN_TARGET = 1.0  # mph; slower targets are excluded from percentage errors
+LOSS_CHUNK = 1024  # windows per forward pass in dataset_loss
 
 
 @dataclass(frozen=True)
@@ -69,29 +70,35 @@ class EvalReport:
 
 
 def _loss_and_grads(model, batch, volume_weight, rng):
-    xu, yu = batch.speed_history, batch.speed_target
-    if model.uses_volume:
-        pred_u, pred_q, cache = model.forward_batch(xu, batch.volume_history, mode="train", rng=rng)
-        loss, grad_u, grad_q = composite_loss(pred_u, pred_q, yu, batch.volume_target, volume_weight)
-        return loss, model.backward_batch(cache, grad_u, grad_q)
-    pred_u, _, cache = model.forward_batch(xu, None, mode="train", rng=rng)
-    loss, grad_u = speed_loss(pred_u, yu)
-    return loss, model.backward_batch(cache, grad_u, None)
+    pred_u, pred_q, cache = model.forward_batch(
+        batch.speed_history, batch.volume_history, mode="train", rng=rng
+    )
+    loss, grad_u, grad_q = composite_loss(
+        pred_u, pred_q, batch.speed_target, batch.volume_target, volume_weight
+    )
+    return loss, model.backward_batch(cache, grad_u, grad_q)
 
 
-def dataset_loss(model, samples, volume_weight, chunk: int = 1024) -> float:
+def _check_predictions(pred_u, pred_q, where):
+    for name, pred in (("speed", pred_u), ("volume", pred_q)):
+        if pred is not None and not np.isfinite(pred).all():
+            raise NumericError(f"{where}: the model predicted non-finite {name} values")
+
+
+def dataset_loss(model, samples, volume_weight) -> float:
     """Deterministic (infer-mode) loss over a SampleSet."""
     if not samples:
         raise DataError("cannot compute the loss of an empty sample set")
     sum_u = sum_q = 0.0
     count_u = count_q = 0
-    for start in range(0, len(samples), chunk):
-        batch = samples[start:start + chunk]
+    for start in range(0, len(samples), LOSS_CHUNK):
+        batch = samples[start:start + LOSS_CHUNK]
         pred_u, pred_q = model.predict_batch(batch.speed_history, batch.volume_history)
+        _check_predictions(pred_u, pred_q, "dataset loss")
         du = pred_u - batch.speed_target
         sum_u += float(np.sum(du * du))
         count_u += du.size
-        if model.uses_volume and pred_q is not None:
+        if pred_q is not None:
             dq = pred_q - batch.volume_target
             sum_q += float(np.sum(dq * dq))
             count_q += dq.size
@@ -104,7 +111,7 @@ def dataset_loss(model, samples, volume_weight, chunk: int = 1024) -> float:
 def train(model, samples, config: TrainConfig, eval_samples=None) -> list[EpochStats]:
     """Epochs of shuffled mini-batches: forward, composite loss, backward,
     optimizer step. Deterministic under config.seed. Aborts with a
-    diagnostic if the loss stops being finite."""
+    diagnostic if the loss or a gradient stops being finite."""
     if not samples:
         raise DataError("no training samples")
     if not hasattr(model, "forward_batch"):
@@ -124,6 +131,12 @@ def train(model, samples, config: TrainConfig, eval_samples=None) -> list[EpochS
                 raise NumericError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {batch_num}"
                 )
+            for name, grad in grads.items():
+                if not np.isfinite(grad).all():
+                    raise NumericError(
+                        f"training diverged: non-finite gradient of {name} "
+                        f"at epoch {epoch}, batch {batch_num}"
+                    )
             optimizer.step(params, grads)
             weighted += loss * len(batch)
         stats = EpochStats(epoch=epoch, train_loss=weighted / total)
@@ -197,7 +210,7 @@ def _rollout(model, speed_x, volume_x, horizon: int):
             break
         fed_u = np.clip(pred_u, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
         speed_x = np.concatenate([speed_x[:, :, 1:, :], fed_u], axis=2)
-        if pred_q is not None and volume_x is not None:
+        if pred_q is not None:
             fed_q = np.clip(pred_q, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
             volume_x = np.concatenate([volume_x[:, :, 1:, :], fed_q], axis=2)
     return steps
@@ -234,17 +247,22 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     if not horizons or horizons[0] < 1:
         raise ConfigError(f"horizons must be >= 1, got {horizons}")
     origins = samples.origin_timestamps
-    rollout_steps = _rollout(model, samples.speed_history, samples.volume_history, horizons[-1])
-    report = EvalReport(
-        horizons=horizons, accuracy={}, per_lane={}, per_detector={},
-        evaluated={}, skipped={}, excluded={},
-    )
+    pairs = {}  # horizon -> (source, target) sample indices
     for h in horizons:
         _, source, target = np.intersect1d(
             origins + (h - 1) * shape.interval, origins, return_indices=True
         )
         if not source.size:
             raise DataError(f"no sample has a horizon-{h} target; not enough look-ahead")
+        pairs[h] = source, target
+    rollout_steps = _rollout(model, samples.speed_history, samples.volume_history, horizons[-1])
+    for h, (pred_u, pred_q) in enumerate(rollout_steps, start=1):
+        _check_predictions(pred_u, pred_q, f"evaluate, step {h}")
+    report = EvalReport(
+        horizons=horizons, accuracy={}, per_lane={}, per_detector={},
+        evaluated={}, skipped={}, excluded={},
+    )
+    for h, (source, target) in pairs.items():
         pred = denormalize(rollout_steps[h - 1][0][source], norm.speed_min, norm.speed_max)
         truth = denormalize(samples.speed_target[target], norm.speed_min, norm.speed_max)
         overall, used, excluded = _ape_stats(pred, truth, min_target)
@@ -278,7 +296,8 @@ class SweepRow:
     status: str
 
 
-SWEEP_AXES = ("lambda", "lr")
+# sweep axis name -> the TrainConfig field it sets
+SWEEP_AXES = {"lambda": "volume_weight", "lr": "learning_rate"}
 
 
 def sweep(axis: str, values, build_model, train_samples, test_samples,
@@ -291,16 +310,13 @@ def sweep(axis: str, values, build_model, train_samples, test_samples,
     and the sweep continues.
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
     rows = []
     for value in values:
-        if axis == "lambda":
-            config = replace(base_config, volume_weight=float(value))
-        else:
-            config = replace(base_config, learning_rate=float(value))
+        config = replace(base_config, **{SWEEP_AXES[axis]: float(value)})
         model = build_model()
         try:
             curve = train(model, train_samples, config)

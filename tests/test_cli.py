@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lanecast.cli import main
 from lanecast.config import default_run_config, load_run_config, parse_run_config
 from lanecast.errors import ConfigError
-from lanecast.model import ConvForecaster, load_bundle, save_bundle
+from lanecast.model import ArchitectureConfig, ConvForecaster, load_bundle, save_bundle
 from lanecast.pipeline import CorridorShape, NormalizationParams, read_records
 
 
@@ -198,6 +198,29 @@ class TestEvaluateCommand:
         bundle.write_text(json.dumps(doc))
         assert main(["evaluate", "--bundle", str(bundle), "--data", data]) == 2
 
+    def test_horizon_beyond_data_is_data_error(self, corpus, tmp_path, capsys):
+        # rejected before the rollout: this horizon once ran forward passes
+        # until the process was killed
+        config, data = corpus
+        bundle = tmp_path / "m.json"
+        assert main(["train", "--config", config, "--data", data, "--bundle", str(bundle)]) == 0
+        code = main(["evaluate", "--bundle", str(bundle), "--data", data, "--horizons", "1,100000"])
+        assert code == 2
+        assert "horizon-100000" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_bundle_is_numeric_failure(self, corpus, tmp_path, capsys):
+        # finite weights of 1e200 overflow in the forward pass
+        _, data = corpus
+        model = ConvForecaster(ArchitectureConfig(shape=CorridorShape(4, 4, 2),
+                                                  filters_per_layer=(4, 4, 4), fc_hidden=8))
+        for array in model.param_arrays().values():
+            array[...] = 1e200
+        bundle = tmp_path / "overflow.json"
+        save_bundle(bundle, model, NormalizationParams(0.0, 60.0, 0.0, 240.0))
+        assert main(["evaluate", "--bundle", str(bundle), "--data", data]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_non_integer_horizons_are_usage_error(self, corpus, tmp_path):
         config, data = corpus
         bundle = tmp_path / "m.json"
@@ -216,8 +239,6 @@ class TestEvaluateCommand:
                     lines.append(f"{step * 300},{det},{lane},30.0,120.0")
         data = tmp_path / "const.csv"
         data.write_text("\n".join(lines) + "\n")
-
-        from lanecast.model import ArchitectureConfig
 
         norm = NormalizationParams(0.0, 60.0, 0.0, 240.0)
         model = ConvForecaster(ArchitectureConfig(shape=shape, filters_per_layer=(4, 4, 4), fc_hidden=8))
@@ -303,8 +324,6 @@ class TestHeatmapCommand:
         data = tmp_path / "const.csv"
         data.write_text("\n".join(lines) + "\n")
 
-        from lanecast.model import ArchitectureConfig
-
         norm = NormalizationParams(0.0, 60.0, 0.0, 240.0)
         model = ConvForecaster(ArchitectureConfig(shape=shape, filters_per_layer=(4, 4, 4), fc_hidden=8))
         for array in model.param_arrays().values():
@@ -364,12 +383,27 @@ MALFORMED_CONFIG = [
     ("synth.days", 1.5, "synth"),
     ("synth.seed", 1.5, "synth"),
     ("synth.peaks", 5, "synth"),
+    ("synth.peaks", [5], "synth"),
+    ("synth.peaks", [[1, 2]], "synth"),
+    ("synth.peaks", [["a", 2, 0.5]], "synth"),
+    ("synth.peaks", [[7, 9, True]], "synth"),
+    ("synth.lane_bias", [1, "x"], "synth"),
     ("synth.noise_sd", math.nan, "synth"),
     ("synth.free_flow_speed", math.inf, "synth"),
     ("paths.data", ["x"], "train"),
     ("paths.bundle", 7, "train"),
     ("paths.out", 3, "sweep"),
 ]
+
+
+def _case_ids(cases):
+    """The leaf name, numbered from the leaf's second case on."""
+    seen = {}
+    ids = []
+    for leaf, _, _ in cases:
+        seen[leaf] = seen.get(leaf, 0) + 1
+        ids.append(leaf if seen[leaf] == 1 else f"{leaf}-{seen[leaf]}")
+    return ids
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +416,7 @@ def probe_data(tmp_path_factory):
 
 
 class TestMalformedConfig:
-    @pytest.mark.parametrize("leaf, value, command", MALFORMED_CONFIG, ids=[c[0] for c in MALFORMED_CONFIG])
+    @pytest.mark.parametrize("leaf, value, command", MALFORMED_CONFIG, ids=_case_ids(MALFORMED_CONFIG))
     def test_usage_error_without_traceback(self, probe_data, tmp_path, monkeypatch, capsys,
                                            leaf, value, command):
         monkeypatch.chdir(tmp_path)  # nothing a faulty path names escapes the test

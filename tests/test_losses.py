@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,20 @@ def test_out_of_range_weight_warns_not_raises():
     with pytest.warns(UserWarning, match="outside"):
         loss, _, _ = composite_loss(u, q, u, q, 1.5)
     assert loss == 0.0
+
+
+def test_none_volume_scores_speed_alone():
+    # the speed-only model's loss: no volume term, no volume gradient and no
+    # warning about a weight that goes unused
+    rng = np.random.default_rng(25)
+    pred, target = rng.random((2, 3, 8))
+    loss_s, grad_s = speed_loss(pred, target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss_c, grad_u, grad_q = composite_loss(pred, None, target, None, 1.5)
+    assert loss_c == loss_s
+    assert np.array_equal(grad_u, grad_s)
+    assert grad_q is None
 
 
 def test_speed_loss_matches_zero_weight_composite():

@@ -6,7 +6,7 @@ import pytest
 
 from lanecast.errors import ConfigError, DataError, ShapeError
 from lanecast.gradcheck import gradient_check
-from lanecast.losses import composite_loss, speed_loss
+from lanecast.losses import composite_loss
 from lanecast.model import (
     ArchitectureConfig,
     ConvForecaster,
@@ -16,7 +16,8 @@ from lanecast.model import (
     persistence_baseline,
     save_bundle,
 )
-from lanecast.pipeline import CorridorShape, NormalizationParams
+from lanecast.pipeline import CorridorShape, NormalizationParams, SampleSet
+from lanecast.training import TrainConfig, train
 
 
 def toy_config(seed=0, **overrides):
@@ -168,23 +169,17 @@ class TestBackward:
         xu, xq = rng.random((2, 1, shape.detectors, shape.steps, shape.lanes))
         yu, yq = rng.random((2, 1, config.targets_per_quantity))
 
-        def loss_and_grads(pred_u, pred_q):
-            if model.uses_volume:
-                return composite_loss(pred_u, pred_q, yu, yq, 0.1)
-            loss, grad_u = speed_loss(pred_u, yu)
-            return loss, grad_u, None
-
         pred_u, pred_q, cache = model.forward_batch(xu, xq, mode="train", rng=rng)
         # an all-zero fused vector would put every hidden unit on the Relu
         # kink, where central differences are undefined
         assert (cache.fused != 0.0).any()
         masks = cache.masks
-        _, grad_u, grad_q = loss_and_grads(pred_u, pred_q)
+        _, grad_u, grad_q = composite_loss(pred_u, pred_q, yu, yq, 0.1)
         grads = model.backward_batch(cache, grad_u, grad_q)
 
         def loss_fn():
             pu, pq, _ = model.forward_batch(xu, xq, mode="train", masks=masks)
-            return loss_and_grads(pu, pq)[0]
+            return composite_loss(pu, pq, yu, yq, 0.1)[0]
 
         report = gradient_check(
             loss_fn, model.param_arrays(), grads,
@@ -287,6 +282,30 @@ class TestBundle:
         save_bundle(path, ConvForecaster(toy_config(seed=25, dropout_conv=0)), self.norm())
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "6c1c045abf63b6d06b57d5aaa5b3954c22e247e92b5efa9e2b7ce88e9e26f9dd"
+
+    # digests recorded before the train step became one path for both kinds
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("two_stream", "f52232f4bb4cc27c71775f1a96dd046eef05ed36d367b9853732f6e552ad0140"),
+            ("single_stream", "9ba32f75062c2c8901a605e185348ccf4fa5dac308884e2326746ad6765417f9"),
+        ],
+    )
+    def test_trained_bytes_are_pinned(self, tmp_path, kind, digest):
+        # two epochs with dropout on: pins loss, backward, dropout draws and optimizer
+        config = toy_config(seed=27)
+        k, n, c = config.shape.detectors, config.shape.steps, config.shape.lanes
+        rng = np.random.default_rng(28)
+        samples = SampleSet(
+            rng.random((12, k, n, c)), rng.random((12, k, n, c)),
+            rng.random((12, k * c)), rng.random((12, k * c)),
+            np.arange(12, dtype=np.int64) * config.shape.interval,
+        )
+        model = ConvForecaster(config, kind)
+        train(model, samples, TrainConfig(epochs=2, seed=29, batch_size=4, learning_rate=1e-3))
+        path = tmp_path / "model.json"
+        save_bundle(path, model, self.norm())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_round_trip_forward_bit_exact(self, tmp_path):
         config = toy_config(seed=16)

@@ -113,3 +113,10 @@ def test_invalid_configs_rejected():
         SynthConfig(shape=small_shape(), lane_bias=(1.0, 1.0, float("nan")))
     with pytest.raises(ConfigError):
         SynthConfig(shape=CorridorShape(2, 2, 1, interval=7), days=1)
+    # malformed entries once escaped as a bare TypeError or ValueError
+    for peaks in ([5], [[1, 2]], [["a", 2, 0.5]], [[7, 9, True]], [[7, float("inf"), 0.5]]):
+        with pytest.raises(ConfigError, match="peaks"):
+            SynthConfig(shape=small_shape(), peaks=peaks)
+    for bias in ([1, "x", 1], [1, True, 1], [1, float("inf"), 1]):
+        with pytest.raises(ConfigError, match="lane_bias"):
+            SynthConfig(shape=small_shape(), lane_bias=bias)

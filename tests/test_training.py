@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lanecast.errors import ConfigError, DataError, MetricError
+from lanecast.errors import ConfigError, DataError, MetricError, NumericError
 from lanecast.model import (
     ArchitectureConfig,
     ConvForecaster,
@@ -86,6 +86,54 @@ class TestAccuracy:
             accuracy(np.array([1.0]), np.array([2.0]), metric="nope")
 
 
+class _PoisonedGradient(ConvForecaster):
+    """Puts a NaN into one gradient array of the second batch."""
+
+    batches = 0
+
+    def backward_batch(self, cache, grad_speed, grad_volume=None):
+        grads = super().backward_batch(cache, grad_speed, grad_volume)
+        self.batches += 1
+        if self.batches == 2:
+            grads["fusion.biases"][0] = np.nan
+        return grads
+
+
+class _CountingPersistence(PersistenceModel):
+    """Persistence forecasts that count the forward passes."""
+
+    calls = 0
+
+    def predict_batch(self, speed_x, volume_x):
+        self.calls += 1
+        return super().predict_batch(speed_x, volume_x)
+
+
+class _PoisonedPredictions(PersistenceModel):
+    """Persistence forecasts with one quantity replaced by a non-finite value."""
+
+    def __init__(self, quantity, value):
+        self.quantity, self.value = quantity, value
+
+    def predict_batch(self, speed_x, volume_x):
+        preds = dict(zip(("speed", "volume"), super().predict_batch(speed_x, volume_x)))
+        preds[self.quantity] = np.full_like(preds[self.quantity], self.value)
+        return preds["speed"], preds["volume"]
+
+
+@pytest.mark.parametrize("quantity, value", [("speed", np.nan), ("volume", np.inf)])
+class TestNonFinitePredictions:
+    def test_dataset_loss_refuses(self, quantity, value):
+        samples = make_samples(small_shape(), 6, seed=18)
+        with pytest.raises(NumericError, match=f"non-finite {quantity}"):
+            dataset_loss(_PoisonedPredictions(quantity, value), samples, 0.1)
+
+    def test_evaluate_refuses(self, quantity, value):
+        samples = make_samples(small_shape(), 6, seed=18)
+        with pytest.raises(NumericError, match=f"non-finite {quantity}"):
+            evaluate(_PoisonedPredictions(quantity, value), samples, [1], NORM, small_shape())
+
+
 class TestTrain:
     def test_zero_epochs_leaves_params(self):
         model = ConvForecaster(small_config(seed=1))
@@ -117,6 +165,13 @@ class TestTrain:
     def test_empty_samples_rejected(self):
         with pytest.raises(DataError):
             train(ConvForecaster(small_config()), make_samples(small_shape(), 2)[:0], TrainConfig(epochs=1))
+
+    def test_non_finite_gradient_rejected(self):
+        model = _PoisonedGradient(small_config(seed=5))
+        with pytest.raises(NumericError, match=r"fusion\.biases at epoch 1, batch 2"):
+            train(model, make_samples(small_shape(), 8, seed=5), TrainConfig(epochs=1, batch_size=4))
+        # the poisoned gradient never reached the optimizer
+        assert np.isfinite(model.param_arrays()["fusion.biases"]).all()
 
     def test_eval_loss_recorded(self):
         samples = make_samples(small_shape(), 12, seed=4)
@@ -178,8 +233,6 @@ class TestMultistep:
 class _WindowShiftProbe:
     """Records the inputs it sees so the rollout's shift can be verified."""
 
-    uses_volume = True
-
     def __init__(self):
         self.seen = []
 
@@ -231,9 +284,12 @@ class TestEvaluate:
         assert report.skipped[2] == 2
 
     def test_horizon_beyond_data_rejected(self):
+        # refused before the rollout runs a single forward pass
         samples = make_samples(small_shape(), 3, seed=13)
-        with pytest.raises(DataError):
-            evaluate(PersistenceModel(), samples, [5], NORM, small_shape())
+        probe = _CountingPersistence()
+        with pytest.raises(DataError, match="horizon-5"):
+            evaluate(probe, samples, [1, 5], NORM, small_shape())
+        assert probe.calls == 0
 
     def test_breakdown_shapes(self):
         shape = small_shape()
