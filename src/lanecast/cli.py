@@ -268,7 +268,15 @@ def cmd_heatmap(args) -> int:
     if end_day <= start_day:
         raise ConfigError(f"--days range is empty: {args.days}")
     base = int(timestamps[0])
-    grid_ts = np.arange(base + start_day * DAY_SECONDS, base + end_day * DAY_SECONDS, shape.interval)
+    start, end = base + start_day * DAY_SECONDS, base + end_day * DAY_SECONDS
+    # checked in Python integers before np.arange allocates the range
+    last = start + (end - start - 1) // shape.interval * shape.interval
+    if start < base or last > int(timestamps[-1]):
+        raise DataError(
+            f"--days {args.days} covers timestamps {start}..{last}, outside the data's "
+            f"{base}..{int(timestamps[-1])}"
+        )
+    grid_ts = np.arange(start, end, shape.interval)
     # the window predicting grid timestamp t has its origin one interval earlier
     origins = grid_ts - shape.interval
     windows = grid_windows(grid, shape, norm)

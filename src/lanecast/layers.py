@@ -170,16 +170,25 @@ def _conv_backward(
     expected = (x.shape[0], out_rows, out_cols, bank.num_filters)
     if grad_out.shape != expected:
         raise ShapeError(f"output gradient shape {grad_out.shape} != expected {expected}")
-    grad_w = np.zeros_like(bank.weights)
+    fr, fc = bank.filter_rows, bank.filter_cols
     grad_b = grad_out.sum(axis=(0, 1, 2))
-    grad_x = np.zeros_like(x) if input_grad else None
-    for a in range(bank.filter_rows):
-        for b in range(bank.filter_cols):
-            for ch in range(x.shape[3]):
-                window = x[:, a:a + out_rows, b:b + out_cols, ch]
-                grad_w[:, a, b, ch] = np.tensordot(grad_out, window, axes=([0, 1, 2], [0, 1, 2]))
-                if input_grad:
-                    grad_x[:, a:a + out_rows, b:b + out_cols, ch] += grad_out @ bank.weights[:, a, b, ch]
+    # im2col lowering (Chellapilla et al., 2006): one row per output
+    # position, one column per tap in the weights' (row, col, channel) order,
+    # so both gradients are single matrix products.
+    g = grad_out.reshape(-1, bank.num_filters)
+    patches = np.lib.stride_tricks.sliding_window_view(x, (fr, fc), axis=(1, 2))
+    patches = patches.transpose(0, 1, 2, 4, 5, 3).reshape(g.shape[0], -1)
+    grad_w = (g.T @ patches).reshape(bank.weights.shape)
+    if not input_grad:
+        return None, FilterBank(grad_w, grad_b)
+    # col2im: each tap's column block is added back at its shifted window.
+    cols = (g @ bank.weights.reshape(bank.num_filters, -1)).reshape(
+        x.shape[0], out_rows, out_cols, fr, fc, x.shape[3]
+    )
+    grad_x = np.zeros_like(x)
+    for a in range(fr):
+        for b in range(fc):
+            grad_x[:, a:a + out_rows, b:b + out_cols] += cols[:, :, :, a, b]
     return grad_x, FilterBank(grad_w, grad_b)
 
 

@@ -199,21 +199,20 @@ class PredictionPair(NamedTuple):
 
 
 def _rollout(model, speed_x, volume_x, horizon: int):
-    """Recursive forecast: each later step feeds the previous predictions
-    back as the newest input column (both quantities, clipped to [0, 1])."""
-    steps = []
+    """Recursive forecast, yielding each step's (speed, volume) predictions:
+    each later step feeds the previous predictions back as the newest input
+    column (both quantities, clipped to [0, 1])."""
     batch, detectors, _, lanes = speed_x.shape
     for h in range(horizon):
         pred_u, pred_q = model.predict_batch(speed_x, volume_x)
-        steps.append((pred_u, pred_q))
+        yield pred_u, pred_q
         if h + 1 == horizon:
-            break
+            return
         fed_u = np.clip(pred_u, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
         speed_x = np.concatenate([speed_x[:, :, 1:, :], fed_u], axis=2)
         if pred_q is not None:
             fed_q = np.clip(pred_q, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
             volume_x = np.concatenate([volume_x[:, :, 1:, :], fed_q], axis=2)
-    return steps
 
 
 def predict_multistep(model, sample, horizon: int) -> list[PredictionPair]:
@@ -247,23 +246,30 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     if not horizons or horizons[0] < 1:
         raise ConfigError(f"horizons must be >= 1, got {horizons}")
     origins = samples.origin_timestamps
+    reach = int(origins.max() - origins.min())
     pairs = {}  # horizon -> (source, target) sample indices
     for h in horizons:
-        _, source, target = np.intersect1d(
-            origins + (h - 1) * shape.interval, origins, return_indices=True
-        )
-        if not source.size:
+        shift = (h - 1) * shape.interval
+        # compared as Python integers first: a huge shift overflows int64
+        if shift <= reach:
+            _, source, target = np.intersect1d(origins + shift, origins, return_indices=True)
+        if shift > reach or not source.size:
             raise DataError(f"no sample has a horizon-{h} target; not enough look-ahead")
         pairs[h] = source, target
-    rollout_steps = _rollout(model, samples.speed_history, samples.volume_history, horizons[-1])
-    for h, (pred_u, pred_q) in enumerate(rollout_steps, start=1):
+    # only the requested horizons' source rows are kept, so memory does not
+    # grow with the largest horizon; every step is still checked
+    kept = {}  # horizon -> speed predictions of its source samples
+    steps = _rollout(model, samples.speed_history, samples.volume_history, horizons[-1])
+    for h, (pred_u, pred_q) in enumerate(steps, start=1):
         _check_predictions(pred_u, pred_q, f"evaluate, step {h}")
+        if h in pairs:
+            kept[h] = pred_u[pairs[h][0]]
     report = EvalReport(
         horizons=horizons, accuracy={}, per_lane={}, per_detector={},
         evaluated={}, skipped={}, excluded={},
     )
     for h, (source, target) in pairs.items():
-        pred = denormalize(rollout_steps[h - 1][0][source], norm.speed_min, norm.speed_max)
+        pred = denormalize(kept[h], norm.speed_min, norm.speed_max)
         truth = denormalize(samples.speed_target[target], norm.speed_min, norm.speed_max)
         overall, used, excluded = _ape_stats(pred, truth, min_target)
         if used == 0:

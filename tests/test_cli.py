@@ -207,6 +207,11 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--bundle", str(bundle), "--data", data, "--horizons", "1,100000"])
         assert code == 2
         assert "horizon-100000" in capsys.readouterr().err
+        # (h - 1) * interval overflows int64 here
+        huge = "100000000000000000000"
+        code = main(["evaluate", "--bundle", str(bundle), "--data", data, "--horizons", f"1,{huge}"])
+        assert code == 2
+        assert f"horizon-{huge}" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_bundle_is_numeric_failure(self, corpus, tmp_path, capsys):
@@ -354,6 +359,13 @@ class TestHeatmapCommand:
             "--days", "5:6", "--out", str(tmp_path / "h"),
         ])
         assert code == 2
+        # rejected before np.arange tries to allocate hundreds of GiB
+        for days in ("0:100000000", "-100000000:1"):
+            code = main([
+                "heatmap", "--bundle", str(bundle), "--data", data,
+                f"--days={days}", "--out", str(tmp_path / "h"),
+            ])
+            assert code == 2
 
     def test_day_zero_needs_history_from_before(self, corpus, tmp_path):
         config, data = corpus

@@ -36,6 +36,28 @@ def naive_conv(x, bank):
     return out
 
 
+def naive_conv_backward(x, bank, grad_out, input_grad=True):
+    """Loop reference for conv2d_backward on a batched input: one step per
+    (filter row, filter col, channel) tap. Returns (grad_x, grad_w, grad_b)."""
+    _, out_rows, out_cols, _ = grad_out.shape
+    grad_w = np.zeros_like(bank.weights)
+    grad_b = grad_out.sum(axis=(0, 1, 2))
+    grad_x = np.zeros_like(x) if input_grad else None
+    for a in range(bank.filter_rows):
+        for b in range(bank.filter_cols):
+            for ch in range(x.shape[3]):
+                window = x[:, a:a + out_rows, b:b + out_cols, ch]
+                grad_w[:, a, b, ch] = np.tensordot(grad_out, window, axes=([0, 1, 2], [0, 1, 2]))
+                if input_grad:
+                    grad_x[:, a:a + out_rows, b:b + out_cols, ch] += grad_out @ bank.weights[:, a, b, ch]
+    return grad_x, grad_w, grad_b
+
+
+def _assert_close_relative(got, want, rtol):
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= rtol * scale
+
+
 class TestConvForward:
     def test_zero_input_zero_bias_gives_zero(self):
         rng = np.random.default_rng(0)
@@ -154,6 +176,52 @@ class TestConvBackward:
         bank = FilterBank(np.ones((1, 2, 2, 1)), np.zeros(1))
         with pytest.raises(ShapeError):
             conv2d_backward(x, bank, np.zeros((4, 4, 1)))
+
+    @pytest.mark.parametrize("shape", [(64, 10, 8, 4), (64, 9, 7, 32), (64, 8, 6, 32)])
+    def test_matches_loop_at_corridor_shapes(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape)
+        bank = FilterBank(rng.standard_normal((32, 2, 2, shape[3])), rng.standard_normal(32))
+        grad_out = rng.standard_normal((shape[0], shape[1] - 1, shape[2] - 1, 32))
+        gx, gbank = conv2d_backward(x, bank, grad_out)
+        want_x, want_w, want_b = naive_conv_backward(x, bank, grad_out)
+        _assert_close_relative(gx, want_x, 1e-12)
+        _assert_close_relative(gbank.weights, want_w, 1e-12)
+        assert np.array_equal(gbank.biases, want_b)
+
+    def test_matches_loop_on_random_shapes(self):
+        # Every fifth case has batch 1, every seventh one channel, every sixth
+        # a 1x1 filter, every fourth skips the input gradient, and the odd
+        # cases pass a 3-d (unbatched) input.
+        rng = np.random.default_rng(46)
+        for case in range(50):
+            unbatched = case % 2 == 1
+            batch = 1 if unbatched or case % 5 == 0 else int(rng.integers(2, 9))
+            channels = 1 if case % 7 == 0 else int(rng.integers(1, 6))
+            rows = int(rng.integers(1, 9))
+            cols = int(rng.integers(1, 9))
+            fr = 1 if case % 6 == 0 else int(rng.integers(1, rows + 1))
+            fc = 1 if case % 6 == 0 else int(rng.integers(1, cols + 1))
+            filters = int(rng.integers(1, 6))
+            input_grad = case % 4 != 3
+            x = rng.standard_normal((batch, rows, cols, channels))
+            bank = FilterBank(
+                rng.standard_normal((filters, fr, fc, channels)), rng.standard_normal(filters)
+            )
+            grad_out = rng.standard_normal((batch, rows - fr + 1, cols - fc + 1, filters))
+            want_x, want_w, want_b = naive_conv_backward(x, bank, grad_out, input_grad)
+            if unbatched:
+                gx, gbank = conv2d_backward(x[0], bank, grad_out[0], input_grad=input_grad)
+                gx = None if gx is None else gx[np.newaxis]
+            else:
+                gx, gbank = conv2d_backward(x, bank, grad_out, input_grad=input_grad)
+            if input_grad:
+                assert gx.shape == x.shape
+                _assert_close_relative(gx, want_x, 1e-12)
+            else:
+                assert gx is None
+            _assert_close_relative(gbank.weights, want_w, 1e-12)
+            assert np.array_equal(gbank.biases, want_b)
 
     def test_input_grad_can_be_skipped(self):
         x = np.ones((3, 3, 1))

@@ -287,8 +287,8 @@ class TestBundle:
     @pytest.mark.parametrize(
         "kind, digest",
         [
-            ("two_stream", "f52232f4bb4cc27c71775f1a96dd046eef05ed36d367b9853732f6e552ad0140"),
-            ("single_stream", "9ba32f75062c2c8901a605e185348ccf4fa5dac308884e2326746ad6765417f9"),
+            ("two_stream", "f1a5907a185b55e82ae166dbce2721e86664e24a46be7ead65c11b84885c55ae"),
+            ("single_stream", "2320d5c036efcb321135a325a847be1d8be2910f57dc0f50428fd93079417b55"),
         ],
     )
     def test_trained_bytes_are_pinned(self, tmp_path, kind, digest):

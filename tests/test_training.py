@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,24 @@ class TestEvaluate:
         with pytest.raises(DataError, match="horizon-5"):
             evaluate(probe, samples, [1, 5], NORM, small_shape())
         assert probe.calls == 0
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # the rollout keeps no finished step: at horizon 200 the 240 windows'
+        # 199 earlier steps would hold 6 MB of predictions
+        shape = small_shape()
+        samples = make_samples(shape, 240, seed=15)
+        model = ConvForecaster(small_config(seed=15))
+
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                evaluate(model, samples, [horizon], NORM, shape)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        near, far = peak(1), peak(200)
+        assert far <= near + 512 * 1024, (near, far)
 
     def test_breakdown_shapes(self):
         shape = small_shape()
