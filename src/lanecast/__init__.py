@@ -18,6 +18,7 @@ from .pipeline import (
     CorridorShape,
     LoopRecord,
     NormalizationParams,
+    Records,
     SampleSet,
     build_samples,
     denormalize,

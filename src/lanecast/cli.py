@@ -17,6 +17,7 @@ from .errors import ConfigError, DataError, NumericError
 from .fileio import atomic_write_bytes, atomic_write_text
 from .model import ConvForecaster, load_bundle, save_bundle
 from .pipeline import (
+    _valid_starts,
     build_samples,
     fit_normalization,
     grid_windows,
@@ -24,7 +25,6 @@ from .pipeline import (
     read_records,
     split_dataset,
     train_count,
-    window_origins,
     write_records,
 )
 from .synth import generate
@@ -133,13 +133,16 @@ def _parse_values(text, flag, kind=float):
 def _prepare_dataset(records, config):
     """Fit normalization on the training range, build and split samples."""
     shape = config.corridor
-    origins, _ = window_origins(records, shape)
-    if not origins:
+    grid = group_records(records, shape)
+    timestamps, _, _, complete = grid
+    starts, _ = _valid_starts(timestamps, complete, shape)
+    if not len(starts):
         raise DataError("no complete windows in the input data")
-    n_train = train_count(len(origins), config.split_fraction)
-    boundary = origins[n_train - 1] + shape.interval
+    n_train = train_count(len(starts), config.split_fraction)
+    # one interval past the newest history column of the last training window
+    boundary = int(timestamps[starts[n_train - 1] + shape.steps - 1]) + shape.interval
     norm = fit_normalization(records, end=boundary)
-    samples = build_samples(records, shape, norm)
+    samples = grid_windows(grid, shape, norm)
     train_set, test_set = split_dataset(samples, config.split_fraction)
     return norm, train_set, test_set
 

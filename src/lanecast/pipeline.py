@@ -10,9 +10,11 @@ is dropped (and counted) rather than imputed.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import NamedTuple
@@ -20,12 +22,19 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .fileio import atomic_write_text
 
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = ["timestamp", "detector_index", "lane", "speed", "volume"]
+# one CSV row, and the dtype of each Records column
+_ROW = np.dtype([("timestamp", np.int64), ("detector_index", np.int64), ("lane", np.int64),
+                 ("speed", np.float64), ("volume", np.float64)])
+_INT64 = np.iinfo(np.int64)
+# the bytes a body may hold to be parsed as columns: loadtxt strips more
+# kinds of whitespace than int() and float() do
+_COLUMN_BYTES = b"0123456789+-.eE, \r\n"
 
 
 def _is_integer(value) -> bool:
@@ -97,6 +106,66 @@ class LoopRecord:
     lane: int            # 1-based, 1 = shoulder
     speed: float
     volume: float
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Loop-detector readings as five aligned columns, one row per reading.
+
+    timestamp, detector_index and lane are int64 arrays, speed and volume
+    float64, all of one length. Indexing with an int gives that row as a
+    `LoopRecord` (negative indices count from the end), so iteration yields
+    LoopRecords. `==` against Records compares the columns exactly, against
+    a list of LoopRecords row by row.
+    """
+
+    timestamp: np.ndarray
+    detector_index: np.ndarray
+    lane: np.ndarray
+    speed: np.ndarray
+    volume: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.timestamp)[:1]
+        for name in _ROW.names:
+            column = getattr(self, name)
+            if not (isinstance(column, np.ndarray) and column.dtype == _ROW[name] and column.shape == shape):
+                raise ShapeError(
+                    f"Records.{name} must be a {_ROW[name]} array of shape {shape}, got "
+                    f"{getattr(column, 'dtype', type(column).__name__)} of shape {np.shape(column)}"
+                )
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, index: int) -> LoopRecord:
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError(f"record {index} out of range for {n} records")
+        return LoopRecord(
+            int(self.timestamp[index]), int(self.detector_index[index]), int(self.lane[index]),
+            float(self.speed[index]), float(self.volume[index]),
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, Records):
+            return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                       for f in fields(self))
+        if isinstance(other, list):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
+def _as_records(records) -> Records:
+    """`records` as columns: Records pass through, a LoopRecord list is copied."""
+    if isinstance(records, Records):
+        return records
+    n = len(records)
+    try:
+        columns = [np.fromiter(map(attrgetter(name), records), _ROW[name], n) for name in _ROW.names]
+    except OverflowError as exc:
+        raise DataError(f"record index or timestamp outside the 64-bit range: {exc}") from exc
+    return Records(*columns)
 
 
 @dataclass(frozen=True)
@@ -194,26 +263,76 @@ def fit_normalization(records, start: int | None = None, end: int | None = None)
     Fit this on the training range only so no test-time information leaks
     into the scaling; later out-of-range values clamp to [0, 1].
     """
-    kept = [r for r in records
-            if (start is None or r.timestamp >= start) and (end is None or r.timestamp <= end)]
-    if not kept:
+    records = _as_records(records)
+    kept = np.ones(len(records), dtype=bool)
+    if start is not None:
+        kept &= records.timestamp >= start
+    if end is not None:
+        kept &= records.timestamp <= end
+    if not kept.any():
         raise DataError("no records in the normalization range")
-    speeds, volumes = [r.speed for r in kept], [r.volume for r in kept]
-    return NormalizationParams(min(speeds), max(speeds), min(volumes), max(volumes))
+    speeds, volumes = records.speed[kept], records.volume[kept]
+    return NormalizationParams(
+        float(speeds.min()), float(speeds.max()), float(volumes.min()), float(volumes.max())
+    )
 
 
 # -- CSV ------------------------------------------------------------------------
 
 
-def read_records(path) -> list[LoopRecord]:
-    """Parse the record CSV; malformed lines raise with their line number."""
-    records = []
+def read_records(path) -> Records:
+    """Parse the record CSV; malformed lines raise with their line number.
+
+    The body is parsed as columns in one pass. Whatever that pass cannot
+    take, or takes but breaks a rule, is parsed again line by line with the
+    csv module, which gives the error and its line.
+    """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    records = _parse_columns(raw)
+    return records if records is not None else _parse_lines(path, raw)
+
+
+def _parse_columns(raw: bytes) -> Records | None:
+    """The records of a file with the exact header, or None to parse by lines."""
+    header, newline, body = raw.partition(b"\n")
+    if header.removesuffix(b"\r") != ",".join(CSV_HEADER).encode() or not newline:
+        return None
+    if body.translate(None, _COLUMN_BYTES):
+        return None
+    # csv rejects a field longer than its limit, which loadtxt would parse
+    breaks = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
+    if np.diff(breaks, prepend=-1, append=len(body)).max() > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body only warns
+            rows = np.loadtxt(io.BytesIO(body), dtype=_ROW, delimiter=",", comments=None,
+                              ndmin=1, encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    records = Records(*(np.ascontiguousarray(rows[name]) for name in _ROW.names))
+    if not (
+        (records.detector_index >= 1).all() and (records.lane >= 1).all()
+        and (np.isfinite(records.speed) & (records.speed >= 0.0)).all()
+        and (np.isfinite(records.volume) & (records.volume >= 0.0)).all()
+    ):
+        return None
+    return records
+
+
+def _parse_lines(path, raw: bytes) -> Records:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} line {line}: not UTF-8 text: {exc}") from exc
+    rows = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != CSV_HEADER:
             raise DataError(
@@ -234,23 +353,28 @@ def read_records(path) -> list[LoopRecord]:
                 )
             except ValueError as exc:
                 raise DataError(f"{path} line {lineno}: {exc}") from exc
+            if not all(_INT64.min <= v <= _INT64.max
+                       for v in (record.timestamp, record.detector_index, record.lane)):
+                raise DataError(f"{path} line {lineno}: timestamp or index outside the 64-bit range")
             if record.detector_index < 1 or record.lane < 1:
                 raise DataError(f"{path} line {lineno}: detector and lane indices are 1-based")
             if not (math.isfinite(record.speed) and record.speed >= 0.0):
                 raise DataError(f"{path} line {lineno}: speed must be finite and >= 0")
             if not (math.isfinite(record.volume) and record.volume >= 0.0):
                 raise DataError(f"{path} line {lineno}: volume must be finite and >= 0")
-            records.append(record)
-    if not records:
+            rows.append(record)
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
+    if not rows:
         raise DataError(f"{path}: no records")
-    return records
+    return _as_records(rows)
 
 
 def write_records(path, records) -> None:
-    lines = [",".join(CSV_HEADER)]
-    for r in records:
-        lines.append(f"{r.timestamp},{r.detector_index},{r.lane},{r.speed!r},{r.volume!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    records = _as_records(records)
+    columns = (getattr(records, name).tolist() for name in _ROW.names)
+    lines = [f"{t},{d},{l},{s!r},{v!r}" for t, d, l, s, v in zip(*columns)]
+    atomic_write_text(path, "\n".join([",".join(CSV_HEADER), *lines]) + "\n")
 
 
 # -- window construction ---------------------------------------------------------
@@ -263,16 +387,10 @@ def group_records(records, shape: CorridorShape):
     speed / volume: (T, detectors, lanes), zero where a cell has no record.
     complete: (T,) bool, every detector/lane cell present.
     """
-    n = len(records)
-    if not n:
+    records = _as_records(records)
+    if not len(records):
         raise DataError("no records to window")
-    try:
-        ts, det, lane = (
-            np.fromiter(map(attrgetter(name), records), np.int64, n)
-            for name in ("timestamp", "detector_index", "lane")
-        )
-    except OverflowError as exc:
-        raise DataError(f"record index or timestamp outside the 64-bit range: {exc}") from exc
+    ts, det, lane = records.timestamp, records.detector_index, records.lane
     for values, what, top in ((det, "detector index", shape.detectors), (lane, "lane", shape.lanes)):
         bad = np.flatnonzero((values < 1) | (values > top))
         if bad.size:
@@ -295,8 +413,8 @@ def group_records(records, shape: CorridorShape):
             f"grid starting at {timestamps[0]}"
         )
     speed, volume = np.zeros(grid_shape), np.zeros(grid_shape)
-    speed.reshape(-1)[cell] = np.fromiter(map(attrgetter("speed"), records), np.float64, n)
-    volume.reshape(-1)[cell] = np.fromiter(map(attrgetter("volume"), records), np.float64, n)
+    speed.reshape(-1)[cell] = records.speed
+    volume.reshape(-1)[cell] = records.volume
     complete = counts.reshape(len(timestamps), -1).all(axis=1)
     return timestamps, speed, volume, complete
 

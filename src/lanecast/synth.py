@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .pipeline import CorridorShape, LoopRecord, check_fields, is_finite_number
+from .pipeline import CorridorShape, Records, check_fields, is_finite_number
 
 DAY_SECONDS = 86400
 
@@ -108,8 +108,8 @@ def _slowdown_field(config: SynthConfig, hours: np.ndarray) -> np.ndarray:
     return 1.0 - keep
 
 
-def generate(config: SynthConfig) -> list[LoopRecord]:
-    """Emit one LoopRecord per (day, step, detector, lane), timestamps from 0.
+def generate(config: SynthConfig) -> Records:
+    """One record per (day, step, detector, lane) in that order, timestamps from 0.
 
     Fully deterministic: each day draws from its own child of the config
     seed, so days could be generated independently and still agree with a
@@ -124,7 +124,8 @@ def generate(config: SynthConfig) -> list[LoopRecord]:
     speed_cap = config.free_flow_speed * float(bias.max()) + 5.0 * config.noise_sd
     interval_fraction = shape.interval / 3600.0
 
-    records = []
+    speed = np.empty((config.days, *base.shape))
+    volume = np.empty_like(speed)
     children = np.random.SeedSequence(config.seed).spawn(config.days)
     for day, child in enumerate(children):
         rng = np.random.default_rng(child)
@@ -134,12 +135,13 @@ def generate(config: SynthConfig) -> list[LoopRecord]:
         q = np.maximum(hourly_flow, 0.0) * interval_fraction
         q += config.volume_noise_sd * rng.standard_normal(q.shape)
         np.maximum(q, 0.0, out=q)
-        day_base = day * DAY_SECONDS
-        for s in range(steps):
-            ts = day_base + s * shape.interval
-            for i in range(shape.detectors):
-                for l in range(shape.lanes):
-                    records.append(
-                        LoopRecord(ts, i + 1, l + 1, float(u[s, i, l]), float(q[s, i, l]))
-                    )
-    return records
+        speed[day], volume[day] = u, q
+    cells = shape.detectors * shape.lanes
+    times = config.days * steps
+    return Records(
+        timestamp=np.repeat(np.arange(times, dtype=np.int64) * shape.interval, cells),
+        detector_index=np.tile(np.repeat(np.arange(1, shape.detectors + 1), shape.lanes), times),
+        lane=np.tile(np.arange(1, shape.lanes + 1), times * shape.detectors),
+        speed=speed.reshape(-1),
+        volume=volume.reshape(-1),
+    )

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import os
@@ -81,6 +82,14 @@ class TestSynthCommand:
         records = read_records(out)
         assert len(records) == 288 * 4 * 2
 
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # sha256 of the CSV the per-record writer produced for this config
+        config = small_config_doc(tmp_path, synth={"days": 1, "seed": 1})
+        out = tmp_path / "one.csv"
+        assert main(["synth", "--config", config, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "a5d1d5dc4b2a25a91899a936ac75d8aee36aad270e79e4e041bfdaaf7fda4dc7"
+
     def test_zero_days_is_usage_error(self, tmp_path):
         config = small_config_doc(tmp_path, synth={"days": 0})
         assert main(["synth", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
@@ -139,6 +148,20 @@ class TestTrainCommand:
         lines = (tmp_path / "m.json.loss.csv").read_text().strip().splitlines()
         final_test_loss = float(lines[-1].split(",")[2])
         assert reloaded_loss == final_test_loss
+
+    @pytest.mark.parametrize("bad_line", [
+        b"600,1,1,3.\xff5,4\n",                           # not UTF-8
+        b"600,1,1," + b"9" * 140_000 + b",4\n",            # beyond the csv field limit
+        b"9223372036854775808,1,1,3.5,4\n",                # beyond int64
+    ], ids=["non_utf8", "over_long_field", "timestamp_beyond_int64"])
+    def test_unparseable_csv_is_data_error(self, corpus, tmp_path, capsys, bad_line):
+        config, data = corpus
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(open(data, "rb").read() + bad_line)
+        code = main(["train", "--config", config, "--data", str(bad), "--bundle", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
 
     def test_missing_data_flag_is_usage_error(self, tmp_path):
         config = small_config_doc(tmp_path)

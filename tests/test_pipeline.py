@@ -3,11 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from lanecast.errors import ConfigError, DataError
+from lanecast.errors import ConfigError, DataError, ShapeError
+from lanecast import pipeline
 from lanecast.pipeline import (
+    CSV_HEADER,
     CorridorShape,
     LoopRecord,
     NormalizationParams,
+    Records,
     SampleSet,
     build_samples,
     denormalize,
@@ -21,6 +24,8 @@ from lanecast.pipeline import (
     write_records,
 )
 from lanecast.synth import SynthConfig, generate
+
+HEADER = "timestamp,detector_index,lane,speed,volume\n"
 
 
 def make_records(shape, values, base_ts=0):
@@ -221,7 +226,7 @@ class TestWindows:
 
     def test_golden_windows(self):
         shape = CorridorShape(10, 8, 4, 300)
-        records = generate(SynthConfig(shape=shape, days=2, seed=2024))
+        records = list(generate(SynthConfig(shape=shape, days=2, seed=2024)))
         for i in (23000, 12345, 3000):  # one cell at each of three timestamps
             del records[i]
         norm = fit_normalization(records)
@@ -335,6 +340,80 @@ class TestSplit:
             train_count(10, 0.0)
 
 
+class TestRecords:
+    def small(self):
+        return generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=3))
+
+    def test_length(self):
+        assert len(self.small()) == 288 * 2 * 2
+
+    def test_index_gives_loop_record(self):
+        records = self.small()
+        row = records[5]
+        assert type(row) is LoopRecord
+        assert row == LoopRecord(300, 1, 2, float(records.speed[5]), float(records.volume[5]))
+        assert type(row.timestamp) is int and type(row.speed) is float
+
+    def test_negative_index(self):
+        records = self.small()
+        assert records[-1] == records[len(records) - 1]
+        assert records[-len(records)] == records[0]
+        with pytest.raises(IndexError):
+            records[-len(records) - 1]
+
+    def test_index_error_at_length_ends_iteration(self):
+        records = self.small()
+        with pytest.raises(IndexError):
+            records[len(records)]
+        rows = list(records)
+        assert len(rows) == len(records) and rows[-1] == records[-1]
+
+    def test_equality_with_records_is_exact(self):
+        a, b = self.small(), self.small()
+        assert a == b and not a != b
+        speed = b.speed.copy()
+        speed[7] = np.nextafter(speed[7], np.inf)
+        changed = Records(b.timestamp, b.detector_index, b.lane, speed, b.volume)
+        assert a != changed
+        assert a != Records(*(getattr(b, name)[:-1] for name in CSV_HEADER))
+
+    def test_equality_with_list_is_row_by_row(self):
+        records = self.small()
+        rows = list(records)
+        assert records == rows and rows == records
+        rows[9] = LoopRecord(rows[9].timestamp, rows[9].detector_index, rows[9].lane, 1.0, 2.0)
+        assert records != rows
+        assert records != rows[:-1]
+
+    def test_columns_must_align(self):
+        records = self.small()
+        columns = {name: getattr(records, name) for name in CSV_HEADER}
+        for name, bad in (("speed", records.speed[:-1]), ("lane", records.lane.astype(np.float64)),
+                          ("volume", records.volume.tolist()), ("timestamp", records.timestamp[:, None])):
+            with pytest.raises(ShapeError, match=name):
+                Records(**{**columns, name: bad})
+
+    def test_list_and_records_give_identical_results(self, tmp_path):
+        shape = CorridorShape(2, 2, 2)
+        records = self.small()
+        rows = list(records)
+        for a, b in zip(group_records(records, shape), group_records(rows, shape)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert fit_normalization(records, end=3600) == fit_normalization(rows, end=3600)
+        norm = fit_normalization(records)
+        from_records, from_rows = build_samples(records, shape, norm), build_samples(rows, shape, norm)
+        for name in ("speed_history", "volume_history", "speed_target", "volume_target", "origin_timestamps"):
+            assert np.array_equal(getattr(from_records, name), getattr(from_rows, name))
+        write_records(tmp_path / "a.csv", records)
+        write_records(tmp_path / "b.csv", rows)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_index_beyond_64_bits_is_data_error(self):
+        rows = [LoopRecord(2**63, 1, 1, 1.0, 1.0)]
+        with pytest.raises(DataError, match="64-bit"):
+            group_records(rows, CorridorShape(2, 2, 1))
+
+
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
         shape = CorridorShape(2, 2, 2)
@@ -365,3 +444,110 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_records(tmp_path / "absent.csv")
+
+    # read_records parses the body as columns and hands whatever that parse
+    # rejects to the csv line loop; both must agree with the loop alone
+    VALID = {
+        "plus_signs": ("+5,+1,1,+3.5,4\n", [(5, 1, 1, 3.5, 4.0)]),
+        "padded_fields": (" 5 , 1,1 , 3.5 ,4 \n", [(5, 1, 1, 3.5, 4.0)]),
+        "underscores": ("1_000,1,1,1_0.5,4\n", [(1000, 1, 1, 10.5, 4.0)]),
+        "quoted_fields": ('"5","1",1,"3.5",4\n', [(5, 1, 1, 3.5, 4.0)]),
+        "blank_lines": ("\n0,1,1,3.5,4\n\n\n300,1,1,3.5,4\n\n",
+                        [(0, 1, 1, 3.5, 4.0), (300, 1, 1, 3.5, 4.0)]),
+        "no_final_newline": ("0,1,1,3.5,4", [(0, 1, 1, 3.5, 4.0)]),
+    }
+
+    @pytest.mark.parametrize("crlf", [False, True])
+    @pytest.mark.parametrize("name", sorted(VALID))
+    def test_odd_valid_input_matches_line_loop(self, tmp_path, name, crlf):
+        body, rows = self.VALID[name]
+        text = HEADER + body
+        if crlf:
+            text = text.replace("\n", "\r\n")
+        path = tmp_path / "odd.csv"
+        path.write_bytes(text.encode())
+        records = read_records(path)
+        assert records == [LoopRecord(*row) for row in rows]
+        assert records == pipeline._parse_lines(path, text.encode())
+        assert all(getattr(records, n).dtype == pipeline._ROW[n] for n in CSV_HEADER)
+
+    def test_canonical_file_skips_line_loop(self, tmp_path, monkeypatch):
+        records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
+        path = tmp_path / "records.csv"
+        write_records(path, records)
+
+        def line_loop(path, raw):
+            raise AssertionError("the columnar parse fell back to the line loop")
+
+        monkeypatch.setattr(pipeline, "_parse_lines", line_loop)
+        back = read_records(path)
+        assert back == records
+        assert all(getattr(back, n).flags.c_contiguous for n in CSV_HEADER)
+
+    # each message and line number as the line loop alone reported them
+    GOOD = "0,1,1,3.5,4.0\n300,1,2,4.25,5.0\n"
+    MALFORMED = {
+        "float_in_int": ("1.5,1,1,3.5,4\n", "line 4: invalid literal for int() with base 10: '1.5'"),
+        "exponent_in_int": ("0,1e3,1,3.5,4\n", "line 4: invalid literal for int() with base 10: '1e3'"),
+        "empty_field": ("0,1,,3.5,4\n", "line 4: invalid literal for int() with base 10: ''"),
+        "four_fields": ("0,1,1,3.5\n", "line 4: expected 5 fields, got 4"),
+        "six_fields": ("0,1,1,3.5,4,5\n", "line 4: expected 5 fields, got 6"),
+        "trailing_comma": ("0,1,1,3.5,4,\n", "line 4: expected 5 fields, got 6"),
+        "leading_hash": ("#0,1,1,3.5,4\n", "line 4: invalid literal for int() with base 10: '#0'"),
+        "whitespace_line": ("   \n", "line 4: expected 5 fields, got 1"),
+        "nan_speed": ("0,1,1,nan,4\n", "line 4: speed must be finite and >= 0"),
+        "negative_speed": ("0,1,1,-3.5,4\n", "line 4: speed must be finite and >= 0"),
+        "inf_volume": ("0,1,1,3.5,inf\n", "line 4: volume must be finite and >= 0"),
+        "index_zero": ("0,0,1,3.5,4\n", "line 4: detector and lane indices are 1-based"),
+        "lane_zero": ("0,1,0,3.5,4\n", "line 4: detector and lane indices are 1-based"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_line_message_unchanged(self, tmp_path, name):
+        line, message = self.MALFORMED[name]
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + self.GOOD + line)
+        with pytest.raises(DataError) as info:
+            read_records(path)
+        assert str(info.value) == f"{path} {message}"
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(HEADER)
+        with pytest.raises(DataError) as info:
+            read_records(path)
+        assert str(info.value) == f"{path}: no records"
+
+    def test_timestamp_beyond_64_bits(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(HEADER + self.GOOD + "9223372036854775808,1,1,3.5,4\n")
+        with pytest.raises(DataError, match="line 4: .*64-bit"):
+            read_records(path)
+
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((HEADER + self.GOOD).encode() + b"600,1,1,3.\xff5,4\n")
+        with pytest.raises(DataError, match="line 4: not UTF-8") as info:
+            read_records(path)
+        assert str(path) in str(info.value)
+
+    def test_over_long_field(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(HEADER + self.GOOD + "600,1,1," + "9" * 140_000 + ",4\n")
+        with pytest.raises(DataError, match="line 4: field larger than field limit") as info:
+            read_records(path)
+        assert str(path) in str(info.value)
+
+    def test_padded_over_long_field_is_not_parsed_as_columns(self, tmp_path):
+        # loadtxt strips the padding and would accept the field
+        path = tmp_path / "long.csv"
+        path.write_text(HEADER + self.GOOD + "600,1,1," + " " * 140_000 + "3.5,4\n")
+        with pytest.raises(DataError, match="line 4: field larger than field limit"):
+            read_records(path)
+
+    def test_separator_float_fails_with_line_loop_message(self, tmp_path):
+        # loadtxt strips \x1f around a number, float() does not
+        path = tmp_path / "unit_sep.csv"
+        path.write_text(HEADER + self.GOOD + "600,1,1,\x1f3.5,4\n")
+        with pytest.raises(DataError, match="line 4: could not convert string to float"):
+            read_records(path)
