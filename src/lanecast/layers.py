@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ShapeError
 
 Array = np.ndarray
+_CONV_CHUNK = 64  # windows per conv forward patch matrix: one train batch
 
 
 def _as_f64(x) -> Array:
@@ -125,20 +126,41 @@ def _conv_shapes(x: Array, bank: FilterBank) -> tuple[int, int]:
     return rows - bank.filter_rows + 1, cols - bank.filter_cols + 1
 
 
+def _taps(x: Array, bank: FilterBank) -> Array:
+    """im2col view (batch, out_rows, out_cols, filter_rows, filter_cols, channels)."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, bank.weights.shape[1:3], axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3)
+
+
 def _conv_forward(x: Array, bank: FilterBank) -> Array:
     out_rows, out_cols = _conv_shapes(x, bank)
-    batch = x.shape[0]
-    channels = x.shape[3]
-    out = np.zeros((batch, out_rows, out_cols, bank.num_filters))
-    # The accumulation order (filter row, filter col, channel) is fixed so
-    # that every output element sees the exact floating-point operation
-    # sequence of a scalar reference loop; results are bitwise reproducible.
-    w = bank.weights
-    for a in range(bank.filter_rows):
-        for b in range(bank.filter_cols):
-            for ch in range(channels):
-                out += x[:, a:a + out_rows, b:b + out_cols, ch, np.newaxis] * w[:, a, b, ch]
-    out += bank.biases
+    filters = bank.num_filters
+    w = bank.weights.reshape(filters, -1)
+    out = np.empty((x.shape[0], out_rows, out_cols, filters))
+    # Every output element gets a scalar loop's operations, acc = 0; acc += x*w
+    # over taps (filter row, col, channel); acc + bias: bitwise reproducible.
+    # Tap-major patches give every ufunc long rows, and a small ufunc buffer
+    # stops numpy copying the broadcast weights through it (3x on layer 3).
+    # One set of flat buffers serves every chunk: a new set per chunk, allocated
+    # while the last one was still alive, raised the train workload's peak RSS.
+    columns = min(len(x), _CONV_CHUNK) * out_rows * out_cols
+    patch_buf, acc_buf, tmp_buf = (np.empty(n * columns) for n in (w.shape[1], filters, filters))
+    bufsize = np.setbufsize(16)
+    try:
+        for start in range(0, len(x), _CONV_CHUNK):
+            view = _taps(x[start:start + _CONV_CHUNK], bank).transpose(3, 4, 5, 0, 1, 2)
+            patches = patch_buf[:view.size].reshape(view.shape)
+            patches[...] = view
+            patches = patches.reshape(w.shape[1], -1)
+            acc = acc_buf[:filters * patches.shape[1]].reshape(filters, -1)
+            tmp = tmp_buf[:acc.size].reshape(acc.shape)
+            acc[...] = 0.0
+            for k, row in enumerate(patches):
+                acc += np.multiply(w[:, k, np.newaxis], row, out=tmp)
+            acc += bank.biases[:, np.newaxis]
+            out[start:start + _CONV_CHUNK] = acc.T.reshape(-1, out_rows, out_cols, filters)
+    finally:
+        np.setbufsize(bufsize)
     return out
 
 
@@ -176,8 +198,7 @@ def _conv_backward(
     # position, one column per tap in the weights' (row, col, channel) order,
     # so both gradients are single matrix products.
     g = grad_out.reshape(-1, bank.num_filters)
-    patches = np.lib.stride_tricks.sliding_window_view(x, (fr, fc), axis=(1, 2))
-    patches = patches.transpose(0, 1, 2, 4, 5, 3).reshape(g.shape[0], -1)
+    patches = _taps(x, bank).reshape(g.shape[0], -1)
     grad_w = (g.T @ patches).reshape(bank.weights.shape)
     if not input_grad:
         return None, FilterBank(grad_w, grad_b)

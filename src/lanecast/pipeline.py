@@ -31,10 +31,13 @@ CSV_HEADER = ["timestamp", "detector_index", "lane", "speed", "volume"]
 # one CSV row, and the dtype of each Records column
 _ROW = np.dtype([("timestamp", np.int64), ("detector_index", np.int64), ("lane", np.int64),
                  ("speed", np.float64), ("volume", np.float64)])
-_INT64 = np.iinfo(np.int64)
+# the int64 values; `in` tests a Python int against a range in constant time
+_INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 # the bytes a body may hold to be parsed as columns: loadtxt strips more
 # kinds of whitespace than int() and float() do
 _COLUMN_BYTES = b"0123456789+-.eE, \r\n"
+# a bytes.translate table: 1 for a byte outside _COLUMN_BYTES, else 0
+_ODD_BYTES = bytes(b not in _COLUMN_BYTES for b in range(256))
 
 
 def _is_integer(value) -> bool:
@@ -283,30 +286,73 @@ def fit_normalization(records, start: int | None = None, end: int | None = None)
 def read_records(path) -> Records:
     """Parse the record CSV; malformed lines raise with their line number.
 
-    The body is parsed as columns in one pass. Whatever that pass cannot
-    take, or takes but breaks a rule, is parsed again line by line with the
-    csv module, which gives the error and its line.
+    The body is parsed as columns in one pass, after any line of other than
+    plain numeric bytes is read with the line loop's rules and written back
+    plainly. Whatever that cannot take, or takes but breaks a rule, is parsed
+    again as a whole file with the csv line loop, which gives the error and
+    its line.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    records = _parse_columns(raw)
+    records = _parse_columns(path, raw)
     return records if records is not None else _parse_lines(path, raw)
 
 
-def _parse_columns(raw: bytes) -> Records | None:
+def _parse_columns(path, raw: bytes) -> Records | None:
     """The records of a file with the exact header, or None to parse by lines."""
     header, newline, body = raw.partition(b"\n")
     if header.removesuffix(b"\r") != ",".join(CSV_HEADER).encode() or not newline:
-        return None
-    if body.translate(None, _COLUMN_BYTES):
         return None
     # csv rejects a field longer than its limit, which loadtxt would parse
     breaks = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
     if np.diff(breaks, prepend=-1, append=len(body)).max() > csv.field_size_limit():
         return None
+    if body.translate(None, _COLUMN_BYTES):
+        body = _plain_body(path, body)
+    return _load_columns(body) if body is not None else None
+
+
+def _plain_body(path, body: bytes) -> bytes | None:
+    """The body with each line outside _COLUMN_BYTES written plainly, or None.
+
+    Those lines are read by one csv reader with the line loop's rules, and
+    each is replaced by its record as write_records writes it, which loadtxt
+    reads back exactly. None when one breaks a rule or is not one csv row of
+    its own: strict mode fails a line that leaves a quoted field open, which
+    the line loop reads on into the next line.
+    """
+    lines = body.count(b"\n") + 1
+    marks = body.translate(_ODD_BYTES)
+    spans, at = [], marks.find(1)
+    while at >= 0:
+        if 2 * len(spans) > lines:  # mostly odd lines: the line loop is faster
+            return None
+        end = body.find(b"\n", at)
+        end = len(body) if end < 0 else end
+        spans.append((body.rfind(b"\n", 0, at) + 1, end))
+        at = marks.find(1, end)
+    pieces, done, lineno = [], 0, 2
+    try:
+        odd_lines = b"\n".join(body[a:b] for a, b in spans).decode("utf-8").split("\n")
+        reader = csv.reader(odd_lines, strict=True)
+        for n, ((start, end), row) in enumerate(zip(spans, reader, strict=True), start=1):
+            if reader.line_num != n:
+                return None
+            lineno += body.count(b"\n", done, start)
+            r = _parse_row(path, lineno, row)
+            line = f"{r.timestamp},{r.detector_index},{r.lane},{r.speed!r},{r.volume!r}"
+            pieces += [body[done:start], line.encode()]
+            done = end
+    except (csv.Error, DataError, ValueError):  # ValueError: not UTF-8, or fewer rows than lines
+        return None
+    return b"".join([*pieces, body[done:]])
+
+
+def _load_columns(body: bytes) -> Records | None:
+    """A body of plain numeric lines as columns, or None if any line fails."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty body only warns
@@ -339,35 +385,39 @@ def _parse_lines(path, raw: bytes) -> Records:
                 f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
             )
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path} line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                record = LoopRecord(
-                    timestamp=int(row[0]),
-                    detector_index=int(row[1]),
-                    lane=int(row[2]),
-                    speed=float(row[3]),
-                    volume=float(row[4]),
-                )
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-            if not all(_INT64.min <= v <= _INT64.max
-                       for v in (record.timestamp, record.detector_index, record.lane)):
-                raise DataError(f"{path} line {lineno}: timestamp or index outside the 64-bit range")
-            if record.detector_index < 1 or record.lane < 1:
-                raise DataError(f"{path} line {lineno}: detector and lane indices are 1-based")
-            if not (math.isfinite(record.speed) and record.speed >= 0.0):
-                raise DataError(f"{path} line {lineno}: speed must be finite and >= 0")
-            if not (math.isfinite(record.volume) and record.volume >= 0.0):
-                raise DataError(f"{path} line {lineno}: volume must be finite and >= 0")
-            rows.append(record)
+            if row:
+                rows.append(_parse_row(path, lineno, row))
     except csv.Error as exc:
         raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no records")
     return _as_records(rows)
+
+
+def _parse_row(path, lineno: int, row: list[str]) -> LoopRecord:
+    """One csv row as a record; a malformed row raises with its line."""
+    if len(row) != 5:
+        raise DataError(f"{path} line {lineno}: expected 5 fields, got {len(row)}")
+    try:
+        record = LoopRecord(
+            timestamp=int(row[0]),
+            detector_index=int(row[1]),
+            lane=int(row[2]),
+            speed=float(row[3]),
+            volume=float(row[4]),
+        )
+    except ValueError as exc:
+        raise DataError(f"{path} line {lineno}: {exc}") from exc
+    if not (record.timestamp in _INT64 and record.detector_index in _INT64
+            and record.lane in _INT64):
+        raise DataError(f"{path} line {lineno}: timestamp or index outside the 64-bit range")
+    if record.detector_index < 1 or record.lane < 1:
+        raise DataError(f"{path} line {lineno}: detector and lane indices are 1-based")
+    if not (math.isfinite(record.speed) and record.speed >= 0.0):
+        raise DataError(f"{path} line {lineno}: speed must be finite and >= 0")
+    if not (math.isfinite(record.volume) and record.volume >= 0.0):
+        raise DataError(f"{path} line {lineno}: volume must be finite and >= 0")
+    return record
 
 
 def write_records(path, records) -> None:

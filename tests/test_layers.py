@@ -36,6 +36,22 @@ def naive_conv(x, bank):
     return out
 
 
+def tap_loop_conv_forward(x, bank):
+    """Batched loop reference for conv2d_valid: one broadcast step per
+    (filter row, filter col, channel) tap, then the bias, so every element
+    sees naive_conv's operation sequence."""
+    _, rows, cols, channels = x.shape
+    out_rows = rows - bank.filter_rows + 1
+    out_cols = cols - bank.filter_cols + 1
+    out = np.zeros((x.shape[0], out_rows, out_cols, bank.num_filters))
+    for a in range(bank.filter_rows):
+        for b in range(bank.filter_cols):
+            for ch in range(channels):
+                out += x[:, a:a + out_rows, b:b + out_cols, ch, np.newaxis] * bank.weights[:, a, b, ch]
+    out += bank.biases
+    return out
+
+
 def naive_conv_backward(x, bank, grad_out, input_grad=True):
     """Loop reference for conv2d_backward on a batched input: one step per
     (filter row, filter col, channel) tap. Returns (grad_x, grad_w, grad_b)."""
@@ -119,6 +135,55 @@ class TestConvForward:
         bank = FilterBank(np.ones((1, 5, 2, 1)), np.zeros(1))
         with pytest.raises(ShapeError, match="does not fit"):
             conv2d_valid(np.zeros((4, 4, 1)), bank)
+
+    # batches on both sides of the forward's 64-window chunks
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65, 128, 575])
+    @pytest.mark.parametrize("shape", [(10, 8, 4), (9, 7, 32), (8, 6, 32)])
+    def test_matches_tap_loop_at_corridor_shapes(self, shape, batch):
+        rng = np.random.default_rng(sum(shape) + batch)
+        x = rng.standard_normal((batch, *shape))
+        bank = FilterBank(rng.standard_normal((32, 2, 2, shape[2])), rng.standard_normal(32))
+        got = conv2d_valid(x, bank)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, tap_loop_conv_forward(x, bank))
+
+    def test_matches_tap_loop_on_strided_input(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((130, 12, 16, 8))[::2, 1:11, ::2, 2:6]
+        assert not x.flags.c_contiguous
+        bank = FilterBank(rng.standard_normal((32, 2, 2, 4)), rng.standard_normal(32))
+        assert np.array_equal(conv2d_valid(x, bank), tap_loop_conv_forward(x, bank))
+
+    def test_matches_tap_loop_on_random_shapes(self):
+        # Every third case has a 1x1 filter, every fourth one channel, every
+        # fifth more filter rows than columns, and the odd cases a 3-d input.
+        rng = np.random.default_rng(47)
+        for case in range(40):
+            unbatched = case % 2 == 1
+            batch = 1 if unbatched else int(rng.integers(2, 140))
+            channels = 1 if case % 4 == 0 else int(rng.integers(1, 6))
+            rows = int(rng.integers(2, 9))
+            cols = int(rng.integers(2, 9))
+            if case % 3 == 0:
+                fr = fc = 1
+            elif case % 5 == 0:
+                fr, fc = int(rng.integers(2, rows + 1)), 1
+            else:
+                fr, fc = int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1))
+            filters = int(rng.integers(1, 6))
+            x = rng.standard_normal((batch, rows, cols, channels))
+            bank = FilterBank(
+                rng.standard_normal((filters, fr, fc, channels)), rng.standard_normal(filters)
+            )
+            want = tap_loop_conv_forward(x, bank)
+            got = conv2d_valid(x[0], bank)[np.newaxis] if unbatched else conv2d_valid(x, bank)
+            assert np.array_equal(got, want), (case, x.shape, bank.weights.shape)
+
+    def test_ufunc_buffer_size_restored(self):
+        before = np.getbufsize()
+        bank = FilterBank(np.ones((2, 2, 2, 3)), np.zeros(2))
+        conv2d_valid(np.ones((70, 4, 4, 3)), bank)
+        assert np.getbufsize() == before
 
     def test_batched_input_matches_per_sample(self):
         rng = np.random.default_rng(9)

@@ -471,6 +471,87 @@ class TestCsv:
         assert records == pipeline._parse_lines(path, text.encode())
         assert all(getattr(records, n).dtype == pipeline._ROW[n] for n in CSV_HEADER)
 
+    @pytest.mark.parametrize("crlf", [False, True])
+    @pytest.mark.parametrize("name", sorted(VALID))
+    def test_mixed_body_matches_line_loop(self, tmp_path, name, crlf):
+        # each case between plain lines and quoted lines, first and last:
+        # the plain lines are parsed as columns and the others alone
+        body, rows = self.VALID[name]
+        text = HEADER + '"7",1,2,"3.5",4\n' + self.GOOD + body + "\n" + self.GOOD + '900,1,1,"2.5",1'
+        if crlf:
+            text = text.replace("\n", "\r\n")
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(text.encode())
+        good = [LoopRecord(0, 1, 1, 3.5, 4.0), LoopRecord(300, 1, 2, 4.25, 5.0)]
+        records = read_records(path)
+        assert records == [LoopRecord(7, 1, 2, 3.5, 4.0), *good,
+                           *(LoopRecord(*row) for row in rows), *good, LoopRecord(900, 1, 1, 2.5, 1.0)]
+        assert records == pipeline._parse_lines(path, text.encode())
+        assert all(getattr(records, n).dtype == pipeline._ROW[n] for n in CSV_HEADER)
+
+    def test_only_odd_lines_reach_line_parser(self, tmp_path, monkeypatch):
+        records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
+        path = tmp_path / "records.csv"
+        write_records(path, records)
+        lines = path.read_text().split("\n")
+        for i in (1, 40, 41, 300):
+            lines[i] = '"' + lines[i].replace(",", '","') + '"'
+        fields = lines[500].split(",")
+        lines[500] = ",".join([fields[0], "0_" + fields[1], *fields[2:]])
+        path.write_text("\n".join(lines))
+        calls = []
+
+        def parse_row(path, lineno, row):
+            calls.append(lineno)
+            return parse(path, lineno, row)
+
+        def line_loop(path, raw):
+            raise AssertionError("the mixed parse fell back to the line loop")
+
+        parse = pipeline._parse_row
+        monkeypatch.setattr(pipeline, "_parse_row", parse_row)
+        monkeypatch.setattr(pipeline, "_parse_lines", line_loop)
+        assert read_records(path) == records
+        assert calls == [2, 41, 42, 301, 501]
+
+    @pytest.mark.parametrize("quoted_share", [0.45, 1.0])
+    def test_mostly_quoted_body_goes_to_line_loop(self, tmp_path, monkeypatch, quoted_share):
+        # a spreadsheet export quotes every field: past half the lines, the
+        # whole-file loop is the faster parse and no line is parsed twice
+        records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
+        path = tmp_path / "records.csv"
+        write_records(path, records)
+        lines = path.read_text().split("\n")
+        quoted = int(quoted_share * (len(lines) - 2))
+        for i in range(1, 1 + quoted):
+            lines[i] = '"' + lines[i].replace(",", '","') + '"'
+        path.write_text("\n".join(lines))
+        loops = []
+        line_loop = pipeline._parse_lines
+        monkeypatch.setattr(pipeline, "_parse_lines", lambda *a: loops.append(1) or line_loop(*a))
+        assert read_records(path) == records
+        assert len(loops) == (quoted_share > 0.5)
+
+    # a line the csv loop reads on into the next, or splits in two
+    SPANNING = {
+        "quoted_newline": ('0,1,1,3.5,"4\n"\n300,1,1,3.5,4\n', [(0, 1, 1, 3.5, 4.0), (300, 1, 1, 3.5, 4.0)]),
+        "lone_cr": ('"0",1,1,3.5,4\n60,1,1,3.5,4\r300,1,1,3.5,4\n',
+                    [(0, 1, 1, 3.5, 4.0), (60, 1, 1, 3.5, 4.0), (300, 1, 1, 3.5, 4.0)]),
+        # two rows from one plain line, then a quoted line, then a line of CRs
+        "lone_cr_before_blank": ('60,1,1,3.5,4\r300,1,1,3.5,4\n"7",1,1,3.5,4\n\r\r\n',
+                                 [(60, 1, 1, 3.5, 4.0), (300, 1, 1, 3.5, 4.0), (7, 1, 1, 3.5, 4.0)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPANNING))
+    def test_spanning_line_read_as_by_line_loop(self, tmp_path, name):
+        body, rows = self.SPANNING[name]
+        path = tmp_path / "span.csv"
+        path.write_bytes((HEADER + self.GOOD + body).encode())
+        records = read_records(path)
+        good = [LoopRecord(0, 1, 1, 3.5, 4.0), LoopRecord(300, 1, 2, 4.25, 5.0)]
+        assert records == [*good, *(LoopRecord(*row) for row in rows)]
+        assert records == pipeline._parse_lines(path, path.read_bytes())
+
     def test_canonical_file_skips_line_loop(self, tmp_path, monkeypatch):
         records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
         path = tmp_path / "records.csv"
