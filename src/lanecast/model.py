@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import layers
 from .errors import ConfigError, DataError, ShapeError
 from .fileio import atomic_write_text
 from .layers import (
@@ -171,10 +172,21 @@ class _ModelCache:
 def _stream_forward(x, banks, ratio, mode, rng, mask):
     acts = [x]
     for bank in banks:
-        acts.append(relu(conv2d_valid(acts[-1], bank)))
+        z = conv2d_valid(acts[-1], bank)
+        # in place: nothing else reads the pre-activation
+        acts.append(np.maximum(z, 0.0, out=z))
     flat = acts[-1].reshape(x.shape[0], -1)
     dropped, mask = dropout_forward(flat, ratio, mode, rng, mask)
     return dropped, _StreamCache(acts=acts, mask=mask)
+
+
+def _shift_left(a):
+    """Move each column of a C-contiguous (batch, rows, cols, channels) array
+    one place to the left, in place, as one flat overlapping copy. The last
+    column is left holding the next row's first column, for the caller to
+    overwrite."""
+    flat = np.reshape(a, -1, copy=False)
+    flat[:-a.shape[-1]] = flat[a.shape[-1]:]
 
 
 def _stream_backward(cache: _StreamCache, banks, grad_flat, stream: str) -> dict[str, np.ndarray]:
@@ -227,8 +239,8 @@ class ConvForecaster:
 
     def forward_batch(self, speed_x, volume_x=None, *, mode="infer", rng=None, masks=None):
         """Returns (pred_speed, pred_volume, cache); pred_volume is None for
-        the speed-only kind, whose volume_x is ignored; cache is None in
-        infer mode.
+        the speed-only kind, whose volume_x is ignored. The cache holds the
+        pass's activations; only a train-mode cache carries dropout masks.
 
         Dropout draws from `rng` in train mode; pass `masks` (from a previous
         cache) instead to replay a pass with frozen drop patterns.
@@ -242,17 +254,19 @@ class ConvForecaster:
                 x, self._banks[stream], self.config.dropout_conv, mode, rng, fixed.get(stream)
             )
             outs.append(out)
+        return self._head(outs, caches, mode, rng, fixed.get("fusion"))
+
+    def _head(self, outs, caches, mode="infer", rng=None, mask=None):
+        """Fusion and output layers on the streams' flattened outputs."""
         fused = np.concatenate(outs, axis=1)
         fusion_pre = dense_forward(fused, self._fusion)
         fusion_act = relu(fusion_pre)
         fusion_dropped, fusion_mask = dropout_forward(
-            fusion_act, self.config.dropout_fc, mode, rng, fixed.get("fusion")
+            fusion_act, self.config.dropout_fc, mode, rng, mask
         )
         out = dense_forward(fusion_dropped, self._output)
         n = self.config.targets_per_quantity
         pred_u, pred_q = out[:, :n], (out[:, n:] if self.uses_volume else None)
-        if mode != "train":
-            return pred_u, pred_q, None
         cache = _ModelCache(
             streams=caches,
             fused=fused,
@@ -264,6 +278,35 @@ class ConvForecaster:
 
     def predict_batch(self, speed_x, volume_x=None):
         pred_u, pred_q, _ = self.forward_batch(speed_x, volume_x, mode="infer")
+        return pred_u, pred_q
+
+    def forward_newest_column(self, acts, fed):
+        """Infer-mode predictions for windows one time step on, from the
+        activations of the windows before; returns (pred_speed, pred_volume).
+
+        `acts` maps each stream to an infer-mode cache's activations (the
+        input, then each conv layer's Relu output), all C-contiguous. They
+        are shifted left by one column in place and `fed[stream]`, of shape
+        (batch, detectors, 1, lanes), becomes the input's newest column.
+        Only each conv layer's newest output column can differ from its
+        shifted one, so only that is computed, from the newest
+        `filter_cols` columns below it. Every element gets the operations
+        of the full pass, so the predictions are bitwise those of
+        `predict_batch` on the shifted windows.
+        """
+        flats = []
+        for stream in self.streams:
+            stream_acts = acts[stream]
+            for a in stream_acts:
+                _shift_left(a)
+            stream_acts[0][:, :, -1:] = fed[stream]
+            for below, above, bank in zip(stream_acts, stream_acts[1:], self._banks[stream]):
+                # through the module: perfbench traces `conv2d_valid` in this
+                # one and names the layer by the full input shape
+                z = layers.conv2d_valid(below[:, :, -bank.filter_cols:], bank)
+                above[:, :, -1:] = np.maximum(z, 0.0, out=z)
+            flats.append(stream_acts[-1].reshape(len(stream_acts[-1]), -1))
+        pred_u, pred_q, _ = self._head(flats, {})
         return pred_u, pred_q
 
     def backward_batch(self, cache, grad_speed, grad_volume=None):

@@ -201,18 +201,38 @@ class PredictionPair(NamedTuple):
 def _rollout(model, speed_x, volume_x, horizon: int):
     """Recursive forecast, yielding each step's (speed, volume) predictions:
     each later step feeds the previous predictions back as the newest input
-    column (both quantities, clipped to [0, 1])."""
+    column (both quantities, clipped to [0, 1]).
+
+    A model with `forward_newest_column` makes one full pass and then
+    computes only the newest column of each conv layer per later step; any
+    other model sees every shifted window in full through `predict_batch`.
+    """
     batch, detectors, _, lanes = speed_x.shape
-    for h in range(horizon):
+    incremental = hasattr(model, "forward_newest_column")
+    if incremental:
+        # the later steps shift the activations in place: the pass runs on copies
+        pred_u, pred_q, cache = model.forward_batch(
+            np.array(speed_x, order="C"), np.array(volume_x, order="C")
+        )
+        acts = {stream: c.acts for stream, c in cache.streams.items()}
+        del cache  # only the conv activations are carried from step to step
+    else:
         pred_u, pred_q = model.predict_batch(speed_x, volume_x)
+    for h in range(1, horizon + 1):
         yield pred_u, pred_q
-        if h + 1 == horizon:
+        if h == horizon:
             return
         fed_u = np.clip(pred_u, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
-        speed_x = np.concatenate([speed_x[:, :, 1:, :], fed_u], axis=2)
+        fed_q = None
         if pred_q is not None:
             fed_q = np.clip(pred_q, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
-            volume_x = np.concatenate([volume_x[:, :, 1:, :], fed_q], axis=2)
+        if incremental:
+            pred_u, pred_q = model.forward_newest_column(acts, {"speed": fed_u, "volume": fed_q})
+        else:
+            speed_x = np.concatenate([speed_x[:, :, 1:, :], fed_u], axis=2)
+            if fed_q is not None:
+                volume_x = np.concatenate([volume_x[:, :, 1:, :], fed_q], axis=2)
+            pred_u, pred_q = model.predict_batch(speed_x, volume_x)
 
 
 def predict_multistep(model, sample, horizon: int) -> list[PredictionPair]:

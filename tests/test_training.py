@@ -12,6 +12,7 @@ from lanecast.model import (
 from lanecast.pipeline import CorridorShape, NormalizationParams, SampleSet
 from lanecast.training import (
     TrainConfig,
+    _rollout,
     accuracy,
     dataset_loss,
     evaluate,
@@ -256,6 +257,75 @@ def test_rollout_shift_is_exact():
     assert np.array_equal(second[0, :, :-1, :], first[0, :, 1:, :])
     fed = second[0, :, -1, :].reshape(-1)
     assert np.array_equal(fed, np.clip(steps[0].speed, 0.0, 1.0))
+
+
+def _concatenate_rollout(model, speed_x, volume_x, horizon):
+    """The rollout's oracle: `predict_batch` on every shifted window, rebuilt
+    in full with np.concatenate at each step."""
+    batch, detectors, _, lanes = speed_x.shape
+    steps = []
+    for _ in range(horizon):
+        pred_u, pred_q = model.predict_batch(speed_x, volume_x)
+        steps.append((pred_u, pred_q))
+        fed_u = np.clip(pred_u, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
+        speed_x = np.concatenate([speed_x[:, :, 1:, :], fed_u], axis=2)
+        if pred_q is not None:
+            fed_q = np.clip(pred_q, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
+            volume_x = np.concatenate([volume_x[:, :, 1:, :], fed_q], axis=2)
+    return steps
+
+
+def _biased_model(shape, filters, filter_size, kind, seed):
+    """A fresh model whose biases are non-zero, so every bias add shows."""
+    config = ArchitectureConfig(
+        shape=shape, filters_per_layer=filters, filter_size=filter_size, fc_hidden=16, seed=seed
+    )
+    model = ConvForecaster(config, kind)
+    rng = np.random.default_rng(seed)
+    for name, array in model.param_arrays().items():
+        if name.endswith(".biases"):
+            array[...] = rng.normal(0.0, 0.2, array.shape)
+    return model
+
+
+@pytest.mark.parametrize("kind", ["two_stream", "single_stream"])
+@pytest.mark.parametrize(
+    "shape, filters, filter_size, batch, horizon",
+    [
+        (small_shape(), (4, 4, 4), (2, 2), 1, 12),
+        (small_shape(), (4, 4, 4), (2, 1), 65, 12),  # filter_cols 1
+        (CorridorShape(4, 4, 2), (4, 4, 4), (2, 2), 64, 12),  # conv3 has one column
+        (CorridorShape(3, 7, 2), (4, 3, 5), (1, 3), 130, 12),  # filter_cols 3, one column
+        (CorridorShape(10, 8, 4), (32, 32, 32), (2, 2), 130, 12),  # the paper's corridor
+        (CorridorShape(10, 8, 4), (32, 32, 32), (1, 3), 65, 4),
+    ],
+    ids=["toy-batch1", "filter-cols1", "one-column", "filter-cols3", "corridor", "corridor-cols3"],
+)
+def test_incremental_rollout_matches_concatenate_oracle(kind, shape, filters, filter_size, batch, horizon):
+    # batches 64, 65 and 130 straddle the conv forward's 64-window chunks
+    model = _biased_model(shape, filters, filter_size, kind, seed=batch)
+    samples = make_samples(shape, batch, seed=horizon)
+    expected = _concatenate_rollout(model, samples.speed_history, samples.volume_history, horizon)
+    steps = list(_rollout(model, samples.speed_history, samples.volume_history, horizon))
+    assert len(steps) == horizon
+    for (pred_u, pred_q), (want_u, want_q) in zip(steps, expected):
+        assert pred_u.tobytes() == want_u.tobytes()
+        if kind == "single_stream":
+            assert pred_q is None and want_q is None
+        else:
+            assert pred_q.tobytes() == want_q.tobytes()
+
+
+def test_rollout_leaves_the_samples_untouched():
+    # the incremental rollout shifts its activations in place, on its own copies
+    shape = small_shape()
+    samples = make_samples(shape, 30, seed=19)
+    model = _biased_model(shape, (4, 4, 4), (2, 2), "two_stream", seed=19)
+    fields = ("speed_history", "volume_history", "speed_target", "volume_target", "origin_timestamps")
+    before = {name: getattr(samples, name).tobytes() for name in fields}
+    evaluate(model, samples, [1, 2, 5], NORM, shape)
+    predict_multistep(model, samples[3], 6)
+    assert {name: getattr(samples, name).tobytes() for name in fields} == before
 
 
 class TestEvaluate:
