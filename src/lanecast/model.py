@@ -18,7 +18,7 @@ import numpy as np
 
 from . import layers
 from .errors import ConfigError, DataError, ShapeError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, format_rows
 from .layers import (
     DenseParams,
     FilterBank,
@@ -390,10 +390,16 @@ def save_bundle(path, model, norm: NormalizationParams) -> None:
 
     Arrays are stored as shape-annotated row-major lists; floats use the
     shortest round-trip decimal form, so a save/load cycle is lossless at
-    double precision and repeated saves are byte-identical.
+    double precision and repeated saves are byte-identical. The bytes are
+    those of `json.dumps(doc, sort_keys=True)`. A non-finite parameter,
+    which load_bundle rejects, raises DataError and nothing is written.
     """
     if model.kind not in STREAMS_BY_KIND:
         raise ConfigError(f"cannot serialize model kind {model.kind!r}")
+    arrays = model.param_arrays()
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise DataError(f"bundle {path}: parameter {name!r} has non-finite values")
     doc = {
         "format": BUNDLE_FORMAT,
         "schema_version": BUNDLE_SCHEMA_VERSION,
@@ -401,12 +407,17 @@ def save_bundle(path, model, norm: NormalizationParams) -> None:
         "corridor": asdict(model.config.shape),
         "architecture": {k: v for k, v in asdict(model.config).items() if k != "shape"},
         "normalization": asdict(norm),
-        "params": {
-            name: {"shape": list(array.shape), "data": array.reshape(-1).tolist()}
-            for name, array in model.param_arrays().items()
-        },
+        # an empty list stands in for each array's values, which are spliced
+        # into the text in the sorted name order json.dumps writes. No other
+        # '"data": []' can occur: a quote inside a JSON string is escaped.
+        "params": {name: {"shape": list(array.shape), "data": []} for name, array in arrays.items()},
     }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True))
+    slots = json.dumps(doc, sort_keys=True).encode().split(b'"data": []')
+    pieces = [slots[0]]
+    for name, rest in zip(sorted(arrays), slots[1:]):
+        values = format_rows([arrays[name].reshape(-1)], b"", b", ")[:-2]
+        pieces += [b'"data": [', values, b"]", rest]
+    atomic_write_text(path, b"".join(pieces))
 
 
 def _require(doc: dict, key: str, path):

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ShapeError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, format_rows
 
 logger = logging.getLogger(__name__)
 
@@ -334,7 +334,7 @@ def _plain_body(path, body: bytes) -> bytes | None:
         end = len(body) if end < 0 else end
         spans.append((body.rfind(b"\n", 0, at) + 1, end))
         at = marks.find(1, end)
-    pieces, done, lineno = [], 0, 2
+    rows, lineno, done = [], 2, 0
     try:
         odd_lines = b"\n".join(body[a:b] for a, b in spans).decode("utf-8").split("\n")
         reader = csv.reader(odd_lines, strict=True)
@@ -342,12 +342,14 @@ def _plain_body(path, body: bytes) -> bytes | None:
             if reader.line_num != n:
                 return None
             lineno += body.count(b"\n", done, start)
-            r = _parse_row(path, lineno, row)
-            line = f"{r.timestamp},{r.detector_index},{r.lane},{r.speed!r},{r.volume!r}"
-            pieces += [body[done:start], line.encode()]
+            rows.append(_parse_row(path, lineno, row))
             done = end
     except (csv.Error, DataError, ValueError):  # ValueError: not UTF-8, or fewer rows than lines
         return None
+    pieces, done = [], 0
+    for (start, end), line in zip(spans, _csv_rows(_as_records(rows)).split(b"\n")):
+        pieces += [body[done:start], line]
+        done = end
     return b"".join([*pieces, body[done:]])
 
 
@@ -361,13 +363,15 @@ def _load_columns(body: bytes) -> Records | None:
     except (ValueError, Warning):
         return None
     records = Records(*(np.ascontiguousarray(rows[name]) for name in _ROW.names))
-    if not (
-        (records.detector_index >= 1).all() and (records.lane >= 1).all()
-        and (np.isfinite(records.speed) & (records.speed >= 0.0)).all()
-        and (np.isfinite(records.volume) & (records.volume >= 0.0)).all()
-    ):
-        return None
-    return records
+    return records if _readable(records).all() else None
+
+
+def _readable(records: Records) -> np.ndarray:
+    """Per row, whether read_records accepts it: 1-based detector and lane
+    indices, finite non-negative speed and volume."""
+    return ((records.detector_index >= 1) & (records.lane >= 1)
+            & np.isfinite(records.speed) & (records.speed >= 0.0)
+            & np.isfinite(records.volume) & (records.volume >= 0.0))
 
 
 def _parse_lines(path, raw: bytes) -> Records:
@@ -421,10 +425,25 @@ def _parse_row(path, lineno: int, row: list[str]) -> LoopRecord:
 
 
 def write_records(path, records) -> None:
+    """Write the record CSV that read_records reads back exactly.
+
+    A record read_records would reject raises DataError, and nothing is
+    written.
+    """
     records = _as_records(records)
-    columns = (getattr(records, name).tolist() for name in _ROW.names)
-    lines = [f"{t},{d},{l},{s!r},{v!r}" for t, d, l, s, v in zip(*columns)]
-    atomic_write_text(path, "\n".join([",".join(CSV_HEADER), *lines]) + "\n")
+    bad = np.flatnonzero(~_readable(records))
+    if bad.size:
+        raise DataError(
+            f"record {bad[0]} ({records[bad[0]]}) cannot be read back: detector and lane "
+            "indices are 1-based, speed and volume must be finite and >= 0"
+        )
+    atomic_write_text(path, ",".join(CSV_HEADER).encode() + b"\n" + _csv_rows(records))
+
+
+def _csv_rows(records: Records) -> bytes:
+    """The records as CSV lines, each ending in a newline: integers as
+    `str` writes them, speed and volume as `repr`, which reads back exactly."""
+    return format_rows([getattr(records, name) for name in _ROW.names], b",", b"\n")
 
 
 # -- window construction ---------------------------------------------------------

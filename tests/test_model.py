@@ -1,13 +1,19 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lanecast.errors import ConfigError, DataError, ShapeError
 from lanecast.gradcheck import gradient_check
 from lanecast.losses import composite_loss
 from lanecast.model import (
+    BUNDLE_FORMAT,
+    BUNDLE_SCHEMA_VERSION,
     ArchitectureConfig,
     ConvForecaster,
     PersistenceModel,
@@ -271,9 +277,65 @@ class TestPersistence:
         assert np.array_equal(pred_q, xq[:, :, -1, :].reshape(2, -1))
 
 
+def json_bundle(model, norm) -> bytes:
+    """The bundle as save_bundle wrote it with one json.dumps of the document."""
+    doc = {
+        "format": BUNDLE_FORMAT,
+        "schema_version": BUNDLE_SCHEMA_VERSION,
+        "kind": model.kind,
+        "corridor": asdict(model.config.shape),
+        "architecture": {k: v for k, v in asdict(model.config).items() if k != "shape"},
+        "normalization": asdict(norm),
+        "params": {
+            name: {"shape": list(array.shape), "data": array.reshape(-1).tolist()}
+            for name, array in model.param_arrays().items()
+        },
+    }
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+# every finite double, and the ones a decimal writer gets wrong most easily
+PARAMETER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-323, 2.2250738585072014e-308, 1e-300, -1e300,
+                     1e300, 1.7976931348623157e308, 2.0**-1022, 2.0**-30, 2.0**52, -2.0**60]),
+)
+
+
 class TestBundle:
     def norm(self):
         return NormalizationParams(0.5, 75.0, 0.0, 260.0)
+
+    @pytest.mark.parametrize("kind", ["two_stream", "single_stream"])
+    def test_bytes_match_json_dumps_at_corridor_shape(self, tmp_path, kind):
+        model = ConvForecaster(corridor_config(seed=30), kind)
+        path = tmp_path / "model.json"
+        save_bundle(path, model, self.norm())
+        assert path.read_bytes() == json_bundle(model, self.norm())
+
+    def test_non_finite_parameter_refused_before_writing(self, tmp_path):
+        model = ConvForecaster(toy_config(seed=31))
+        model.param_arrays()["fusion.weights"][2, 3] = np.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(DataError, match="parameter 'fusion.weights' has non-finite values"):
+            save_bundle(path, model, self.norm())
+        assert not path.exists()
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=arrays(np.float64, 280, elements=PARAMETER))
+    def test_save_load_round_trip_is_exact(self, tmp_path, values):
+        # toy_config has 280 parameters in the fusion layer's weights alone
+        model = ConvForecaster(toy_config(seed=32))
+        for array in model.param_arrays().values():
+            array.reshape(-1)[:] = np.resize(values, array.size)
+        path = tmp_path / "model.json"
+        save_bundle(path, model, self.norm())
+        assert path.read_bytes() == json_bundle(model, self.norm())
+        loaded, _ = load_bundle(path)
+        for name, array in model.param_arrays().items():
+            restored = loaded.param_arrays()[name]
+            assert restored.view(np.uint64).tolist() == array.view(np.uint64).tolist()
 
     def test_saved_bytes_are_pinned(self, tmp_path):
         # digest recorded before the architecture block was built from the

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lanecast.errors import ConfigError, DataError, ShapeError
 from lanecast import pipeline
@@ -412,6 +414,68 @@ class TestRecords:
         rows = [LoopRecord(2**63, 1, 1, 1.0, 1.0)]
         with pytest.raises(DataError, match="64-bit"):
             group_records(rows, CorridorShape(2, 2, 1))
+
+
+def fstring_csv(records) -> bytes:
+    """The record CSV as write_records wrote it with one f-string per row."""
+    columns = (getattr(records, name).tolist() for name in CSV_HEADER)
+    lines = [f"{t},{d},{l},{s!r},{v!r}" for t, d, l, s, v in zip(*columns)]
+    return ("\n".join([",".join(CSV_HEADER), *lines]) + "\n").encode()
+
+
+INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+INDEX = st.integers(1, np.iinfo(np.int64).max)
+READING = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 0.5, 2.0**-30, 2.0**60, 1e16, 1e-4]),
+)
+
+
+class TestCsvWriter:
+    def test_bytes_match_fstring_writer_at_corridor_shape(self, tmp_path):
+        records = generate(SynthConfig(shape=CorridorShape(10, 8, 4), days=3, seed=12))
+        path = tmp_path / "corridor.csv"
+        write_records(path, records)
+        assert path.read_bytes() == fstring_csv(records)
+
+    def test_bytes_match_fstring_writer_for_odd_values(self, tmp_path):
+        records = Records(
+            np.array([-5, 0, 2**62, np.iinfo(np.int64).min], np.int64),
+            np.array([1, 10, np.iinfo(np.int64).max, 3], np.int64),
+            np.array([1, 2, 3, 10000], np.int64),
+            np.array([0.0, -0.0, 1e-7, 1.7976931348623157e308]),
+            np.array([5e-324, 2.0**-1074 * 3, 1e16, 123.456]),
+        )
+        path = tmp_path / "odd.csv"
+        write_records(path, records)
+        assert path.read_bytes() == fstring_csv(records)
+        assert read_records(path) == records
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("speed", np.nan), ("speed", -0.5), ("speed", np.inf), ("volume", -np.inf),
+         ("volume", -1e-9), ("volume", np.nan), ("detector_index", 0), ("lane", -3)],
+    )
+    def test_unreadable_record_refused_before_writing(self, tmp_path, field, value):
+        records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
+        getattr(records, field)[5] = value
+        path = tmp_path / "bad.csv"
+        with pytest.raises(DataError, match=r"record 5 \(LoopRecord\(.*cannot be read back"):
+            write_records(path, records)
+        assert not path.exists()
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(INT64, INDEX, INDEX, READING, READING), min_size=1, max_size=40))
+    def test_write_read_round_trip_is_exact(self, tmp_path, rows):
+        records = pipeline._as_records([LoopRecord(*row) for row in rows])
+        path = tmp_path / "records.csv"
+        write_records(path, records)
+        back = read_records(path)
+        for name in CSV_HEADER:
+            column = getattr(back, name)
+            assert column.dtype == pipeline._ROW[name]
+            assert column.view(np.uint64).tolist() == getattr(records, name).view(np.uint64).tolist()
 
 
 class TestCsv:
