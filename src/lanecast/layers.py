@@ -16,7 +16,9 @@ import numpy as np
 from .errors import ShapeError
 
 Array = np.ndarray
-_CONV_CHUNK = 64  # windows per conv forward patch matrix: one train batch
+# output positions (windows x rows x cols) per conv forward patch matrix: a
+# 64-window train batch's first layer at the 10x8x4 corridor, 64 x 9 x 7
+_CONV_POSITIONS = 4032
 
 
 def _as_f64(x) -> Array:
@@ -143,12 +145,15 @@ def _conv_forward(x: Array, bank: FilterBank) -> Array:
     # stops numpy copying the broadcast weights through it (3x on layer 3).
     # One set of flat buffers serves every chunk: a new set per chunk, allocated
     # while the last one was still alive, raised the train workload's peak RSS.
-    columns = min(len(x), _CONV_CHUNK) * out_rows * out_cols
+    # Chunks hold whole windows, as many as fit in _CONV_POSITIONS output
+    # positions, and at least one.
+    span = max(1, _CONV_POSITIONS // (out_rows * out_cols))
+    columns = min(len(x), span) * out_rows * out_cols
     patch_buf, acc_buf, tmp_buf = (np.empty(n * columns) for n in (w.shape[1], filters, filters))
     bufsize = np.setbufsize(16)
     try:
-        for start in range(0, len(x), _CONV_CHUNK):
-            view = _taps(x[start:start + _CONV_CHUNK], bank).transpose(3, 4, 5, 0, 1, 2)
+        for start in range(0, len(x), span):
+            view = _taps(x[start:start + span], bank).transpose(3, 4, 5, 0, 1, 2)
             patches = patch_buf[:view.size].reshape(view.shape)
             patches[...] = view
             patches = patches.reshape(w.shape[1], -1)
@@ -158,7 +163,7 @@ def _conv_forward(x: Array, bank: FilterBank) -> Array:
             for k, row in enumerate(patches):
                 acc += np.multiply(w[:, k, np.newaxis], row, out=tmp)
             acc += bank.biases[:, np.newaxis]
-            out[start:start + _CONV_CHUNK] = acc.T.reshape(-1, out_rows, out_cols, filters)
+            out[start:start + span] = acc.T.reshape(-1, out_rows, out_cols, filters)
     finally:
         np.setbufsize(bufsize)
     return out

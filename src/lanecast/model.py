@@ -37,6 +37,9 @@ BUNDLE_FORMAT = "lane-speed-model"
 BUNDLE_SCHEMA_VERSION = 1
 
 NUM_CONV_LAYERS = 3
+# windows per shared-column segment of an infer-mode batch's chronological
+# runs; shorter runs are convolved window by window
+_SEGMENT = 64
 
 
 @dataclass(frozen=True)
@@ -169,12 +172,90 @@ class _ModelCache:
         return {"fusion": self.fusion_mask, **{name: c.mask for name, c in self.streams.items()}}
 
 
-def _stream_forward(x, banks, ratio, mode, rng, mask):
+def _segment_plan(x):
+    """The shared-column segments of the chronological runs in batch x.
+
+    Window i+1 continues window i when its columns 0..steps-2 are, bit for
+    bit, window i's columns 1..steps-1 (compared as int64, so -0.0 and 0.0
+    differ). A run of at least _SEGMENT windows is cut into segments of
+    _SEGMENT windows, the last one right-aligned to the run's end. Returns
+    None when no run is that long, else (starts, covered, segment, offset):
+    each segment's first window, the windows the segments cover in
+    increasing order, and each such window's segment and column offset in it.
+    """
+    if len(x) < _SEGMENT:
+        return None
+    bits = x.view(np.int64)
+    follows = (bits[1:, :, :-1] == bits[:-1, :, 1:]).all(axis=(1, 2, 3))
+    bounds = np.concatenate(([0], np.flatnonzero(~follows) + 1, [len(x)]))
+    long_runs = np.flatnonzero(np.diff(bounds) >= _SEGMENT)
+    if not long_runs.size:
+        return None
+    starts, covered, segment, offset = [], [], [], []
+    for run in long_runs:
+        first, end = bounds[run], bounds[run + 1]
+        run_starts = np.append(np.arange(first, end - _SEGMENT, _SEGMENT), end - _SEGMENT)
+        windows = np.arange(first, end)
+        local = np.minimum((windows - first) // _SEGMENT, len(run_starts) - 1)
+        segment.append(local + sum(map(len, starts)))
+        offset.append(windows - run_starts[local])
+        starts.append(run_starts)
+        covered.append(windows)
+    return tuple(np.concatenate(parts) for parts in (starts, covered, segment, offset))
+
+
+def _segmented_acts(x, banks, plan):
+    """x, then each conv layer's Relu output, with every segment of `plan`
+    convolved once as one wide input: its first window followed by the
+    newest column of each later window. A window's activations are the
+    segment outputs' columns from its offset on. Every element gets the
+    taps, in the same order, and the bias of the per-window pass, so the
+    activations are bitwise those of convolving each window on its own."""
+    starts, covered, segment, offset = plan
+    steps = x.shape[2]
+    wide = np.empty((len(starts), x.shape[1], steps + _SEGMENT - 1, x.shape[3]))
+    wide[:, :, :steps] = x[starts]
+    later = starts[:, np.newaxis] + np.arange(1, _SEGMENT)
+    wide[:, :, steps:] = x[:, :, -1][later].transpose(0, 2, 1, 3)
+    # not np.setdiff1d: it imports numpy.ma, 1 MB more resident memory
+    outside = np.ones(len(x), dtype=bool)
+    outside[covered] = False
+    rest = np.flatnonzero(outside)
+    part = x[rest]
     acts = [x]
+    # one wide layer at a time, each sliced into windows before the next
     for bank in banks:
-        z = conv2d_valid(acts[-1], bank)
+        # through the module: perfbench names a traced layer by its
+        # per-window input shape, which a segment does not have
+        z = layers.conv2d_valid(wide, bank)
+        wide = np.maximum(z, 0.0, out=z)
+        cols = wide.shape[2] - _SEGMENT + 1
+        # (segment, offset, rows, cols, channels) views, one gather
+        columns = np.lib.stride_tricks.sliding_window_view(wide, cols, axis=2)
+        picked = columns.transpose(0, 2, 1, 4, 3)[segment, offset]
+        if not rest.size:
+            acts.append(np.ascontiguousarray(picked))
+            continue
+        z = conv2d_valid(part, bank)
         # in place: nothing else reads the pre-activation
-        acts.append(np.maximum(z, 0.0, out=z))
+        part = np.maximum(z, 0.0, out=z)
+        full = np.empty((len(x), *picked.shape[1:]))
+        full[covered] = picked
+        full[rest] = part
+        acts.append(full)
+    return acts
+
+
+def _stream_forward(x, banks, ratio, mode, rng, mask):
+    plan = _segment_plan(x) if mode == "infer" else None
+    if plan is not None:
+        acts = _segmented_acts(x, banks, plan)
+    else:
+        acts = [x]
+        for bank in banks:
+            z = conv2d_valid(acts[-1], bank)
+            # in place: nothing else reads the pre-activation
+            acts.append(np.maximum(z, 0.0, out=z))
     flat = acts[-1].reshape(x.shape[0], -1)
     dropped, mask = dropout_forward(flat, ratio, mode, rng, mask)
     return dropped, _StreamCache(acts=acts, mask=mask)
@@ -426,6 +507,24 @@ def _require(doc: dict, key: str, path):
     return doc[key]
 
 
+def _stored_values(spec, name: str, shape: tuple[int, ...], path) -> list:
+    """The flat "data" list of one stored parameter, checked against its
+    expected shape before anything of that size is allocated. Only JSON
+    numbers pass: a bool, a string or a nested list is refused, not coerced."""
+    if not isinstance(spec, dict) or "shape" not in spec or "data" not in spec:
+        raise DataError(f"bundle {path}: parameter {name!r} needs 'shape' and 'data'")
+    stored = spec["shape"]
+    if (not isinstance(stored, list) or not all(type(d) is int for d in stored)
+            or tuple(stored) != shape):
+        raise DataError(f"bundle {path}: parameter {name!r} has shape {stored}, expected {shape}")
+    data = spec["data"]
+    if not isinstance(data, list) or not set(map(type, data)) <= {float, int}:
+        raise DataError(f"bundle {path}: parameter {name!r} data must be a flat list of numbers")
+    if len(data) != math.prod(shape):
+        raise DataError(f"bundle {path}: parameter {name!r} data length mismatch")
+    return data
+
+
 def load_bundle(path):
     """Read a bundle back; returns (model, normalization)."""
     try:
@@ -433,9 +532,11 @@ def load_bundle(path):
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read bundle {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"bundle {path} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
         raise DataError(f"corrupt bundle {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT:
         raise DataError(f"bundle {path} is not a {BUNDLE_FORMAT!r} document")
@@ -452,32 +553,24 @@ def load_bundle(path):
         config = ArchitectureConfig(shape=corridor, **_require(doc, "architecture", path))
         norm_doc = _require(doc, "normalization", path)
         norm = NormalizationParams(**norm_doc)
-        model = ConvForecaster(config, kind)
     except (ConfigError, DataError, TypeError, ValueError) as exc:
         raise DataError(f"bundle {path} has invalid configuration: {exc}") from exc
-    params = model.param_arrays()  # named and shaped by param_shapes(config, kind)
+    shapes = param_shapes(config, kind)
     stored = _require(doc, "params", path)
     if not isinstance(stored, dict):
         raise DataError(f"bundle {path}: params must be an object, got {type(stored).__name__}")
-    if set(stored) != set(params):
-        missing = sorted(set(params) - set(stored))
-        extra = sorted(set(stored) - set(params))
+    if set(stored) != set(shapes):
+        missing = sorted(set(shapes) - set(stored))
+        extra = sorted(set(stored) - set(shapes))
         raise DataError(f"bundle {path} parameter mismatch: missing {missing}, unexpected {extra}")
-    for name, target in params.items():
-        spec = stored[name]
-        if not isinstance(spec, dict) or "shape" not in spec or "data" not in spec:
-            raise DataError(f"bundle {path}: parameter {name!r} needs 'shape' and 'data'")
-        shape = spec["shape"]
-        if not isinstance(shape, list) or tuple(shape) != target.shape:
-            raise DataError(
-                f"bundle {path}: parameter {name!r} has shape {shape}, expected {target.shape}"
-            )
+    data = {name: _stored_values(stored[name], name, shape, path) for name, shape in shapes.items()}
+    # every array's size is now that of a list in the document
+    model = ConvForecaster(config, kind)
+    for name, target in model.param_arrays().items():
         try:
-            values = np.asarray(spec["data"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"bundle {path}: parameter {name!r} data is not numeric: {exc}") from exc
-        if values.size != target.size:
-            raise DataError(f"bundle {path}: parameter {name!r} data length mismatch")
+            values = np.asarray(data[name], dtype=np.float64)
+        except OverflowError as exc:
+            raise DataError(f"bundle {path}: parameter {name!r} has a value out of range: {exc}") from exc
         if not np.isfinite(values).all():
             raise DataError(f"bundle {path}: parameter {name!r} has non-finite values")
         target[...] = values.reshape(target.shape)

@@ -212,6 +212,19 @@ class TestEvaluateCommand:
         bundle.write_text(json.dumps(doc))
         assert main(["evaluate", "--bundle", str(bundle), "--data", data]) == 2
 
+    @pytest.mark.parametrize("poison", ["non_utf8", "bool_value", "huge_integer"])
+    def test_malformed_bundle_data_is_data_error(self, corpus, tmp_path, poison):
+        config, data = corpus
+        bundle = tmp_path / "m.json"
+        assert main(["train", "--config", config, "--data", data, "--bundle", str(bundle)]) == 0
+        if poison == "non_utf8":
+            bundle.write_bytes(b"\xff" + bundle.read_bytes())
+        else:
+            doc = json.loads(bundle.read_text())
+            doc["params"]["output.biases"]["data"][0] = True if poison == "bool_value" else 10**400
+            bundle.write_text(json.dumps(doc))
+        assert main(["evaluate", "--bundle", str(bundle), "--data", data]) == 2
+
     def test_non_numeric_bundle_bounds_are_data_error(self, corpus, tmp_path):
         config, data = corpus
         bundle = tmp_path / "m.json"

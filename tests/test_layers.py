@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lanecast.layers
 from lanecast.errors import ShapeError
 from lanecast.gradcheck import gradient_check
 from lanecast.layers import (
@@ -136,7 +137,7 @@ class TestConvForward:
         with pytest.raises(ShapeError, match="does not fit"):
             conv2d_valid(np.zeros((4, 4, 1)), bank)
 
-    # batches on both sides of the forward's 64-window chunks
+    # batches on both sides of a 64-window chunk at the corridor input
     @pytest.mark.parametrize("batch", [1, 63, 64, 65, 128, 575])
     @pytest.mark.parametrize("shape", [(10, 8, 4), (9, 7, 32), (8, 6, 32)])
     def test_matches_tap_loop_at_corridor_shapes(self, shape, batch):
@@ -146,6 +147,43 @@ class TestConvForward:
         got = conv2d_valid(x, bank)
         assert got.flags.c_contiguous
         assert np.array_equal(got, tap_loop_conv_forward(x, bank))
+
+    # Chunks hold 4032 // (out_rows * out_cols) whole windows: 64 of the
+    # corridor input, 84 and 115 of the deeper layers' inputs, 6 of a
+    # 64-window segment, 1 of an input wider than a chunk. The batches leave
+    # a short last chunk.
+    @pytest.mark.parametrize(
+        "shape, batch",
+        [((10, 8, 4), 130), ((9, 7, 32), 575), ((8, 6, 32), 300), ((10, 71, 4), 9),
+         ((9, 70, 32), 13), ((70, 70, 2), 3), ((10, 2, 4), 1000)],
+    )
+    def test_position_chunks_split_batches_unevenly(self, shape, batch):
+        rng = np.random.default_rng(sum(shape) * batch)
+        x = rng.standard_normal((batch, *shape))
+        bank = FilterBank(rng.standard_normal((5, 2, 2, shape[2])), rng.standard_normal(5))
+        assert np.array_equal(conv2d_valid(x, bank), tap_loop_conv_forward(x, bank))
+
+    def test_chunk_bound_in_positions(self, monkeypatch):
+        # 7 positions per window and a 20-position bound: chunks of 2 windows
+        seen = []
+        taps = lanecast.layers._taps
+        monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", 20)
+        monkeypatch.setattr(lanecast.layers, "_taps", lambda x, bank: seen.append(len(x)) or taps(x, bank))
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((5, 2, 8, 3))
+        bank = FilterBank(rng.standard_normal((4, 2, 2, 3)), rng.standard_normal(4))
+        assert np.array_equal(conv2d_valid(x, bank), tap_loop_conv_forward(x, bank))
+        assert seen == [2, 2, 1]
+
+    def test_train_batch_is_one_chunk_at_every_corridor_layer(self, monkeypatch):
+        seen = []
+        taps = lanecast.layers._taps
+        monkeypatch.setattr(lanecast.layers, "_taps", lambda x, bank: seen.append(len(x)) or taps(x, bank))
+        rng = np.random.default_rng(4)
+        for shape in ((10, 8, 4), (9, 7, 32), (8, 6, 32)):
+            bank = FilterBank(rng.standard_normal((32, 2, 2, shape[2])), rng.standard_normal(32))
+            conv2d_valid(rng.standard_normal((64, *shape)), bank)
+        assert seen == [64, 64, 64]
 
     def test_matches_tap_loop_on_strided_input(self):
         rng = np.random.default_rng(12)

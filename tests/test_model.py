@@ -8,8 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import lanecast.layers
+import lanecast.model
 from lanecast.errors import ConfigError, DataError, ShapeError
 from lanecast.gradcheck import gradient_check
+from lanecast.layers import conv2d_valid
 from lanecast.losses import composite_loss
 from lanecast.model import (
     BUNDLE_FORMAT,
@@ -22,7 +25,16 @@ from lanecast.model import (
     persistence_baseline,
     save_bundle,
 )
-from lanecast.pipeline import CorridorShape, NormalizationParams, SampleSet
+from lanecast.pipeline import (
+    CorridorShape,
+    NormalizationParams,
+    Records,
+    SampleSet,
+    fit_normalization,
+    grid_windows,
+    group_records,
+)
+from lanecast.synth import SynthConfig, generate
 from lanecast.training import TrainConfig, train
 
 
@@ -141,6 +153,165 @@ class TestForward:
         xu, xq = random_batch(config)
         with pytest.raises(ValueError):
             model.forward_batch(xu, xq, mode="train")
+
+
+SEGMENT = 64  # lanecast.model._SEGMENT: windows per shared-column segment
+
+
+def biased_model(config, kind="two_stream", seed=0):
+    """A fresh model whose biases are non-zero, so every bias add shows."""
+    model = ConvForecaster(config, kind)
+    rng = np.random.default_rng(seed)
+    for name, array in model.param_arrays().items():
+        if name.endswith(".biases"):
+            array[...] = rng.normal(0.0, 0.2, array.shape)
+    return model
+
+
+def per_window_pass(model, speed_x, volume_x):
+    """The oracle of the infer-mode forward: every window convolved on its
+    own, as before chronological runs shared their columns. Returns
+    (pred_speed, pred_volume, {stream: [input, relu outputs...]})."""
+    given = {"speed": speed_x, "volume": volume_x}
+    acts = {}
+    for stream in model.streams:
+        stream_acts = [given[stream]]
+        for bank in model._banks[stream]:
+            stream_acts.append(np.maximum(conv2d_valid(stream_acts[-1], bank), 0.0))
+        acts[stream] = stream_acts
+    flats = [acts[s][-1].reshape(len(speed_x), -1) for s in model.streams]
+    pred_u, pred_q, _ = model._head(flats, {})
+    return pred_u, pred_q, acts
+
+
+def assert_matches_per_window(model, speed_x, volume_x):
+    pred_u, pred_q, cache = model.forward_batch(speed_x, volume_x)
+    want_u, want_q, want_acts = per_window_pass(model, speed_x, volume_x)
+    assert pred_u.tobytes() == want_u.tobytes()
+    assert (pred_q is None and want_q is None) or pred_q.tobytes() == want_q.tobytes()
+    for stream, want in want_acts.items():
+        got = cache.streams[stream].acts
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert all(a.flags.c_contiguous for a in got[1:])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def run_lengths(samples):
+    """Lengths of the batch's runs of windows one interval apart."""
+    steps = np.diff(samples.origin_timestamps)
+    breaks = np.flatnonzero(steps != steps.min()) + 1
+    return np.diff(np.concatenate(([0], breaks, [len(samples)]))).tolist()
+
+
+def chronological_windows(shape, seed):
+    """Windows from grid_windows on a two-day synth corpus with one
+    timestamp's records removed, picked in order so that the batch holds runs
+    of 2S+3, 1, S-1, S+1, S and 5 windows: skipped windows end the first
+    three, the removed timestamp ends the fourth, one skipped window the fifth."""
+    records = generate(SynthConfig(shape=shape, days=2, seed=seed))
+    keep = records.timestamp != 300 * shape.interval
+    records = Records(*(getattr(records, name)[keep] for name in
+                        ("timestamp", "detector_index", "lane", "speed", "volume")))
+    samples = grid_windows(group_records(records, shape), shape, fit_normalization(records))
+    gap = int(np.flatnonzero(np.diff(samples.origin_timestamps) != shape.interval)[0]) + 1
+    picks = [range(0, 2 * SEGMENT + 3), range(2 * SEGMENT + 5, 2 * SEGMENT + 6),
+             range(2 * SEGMENT + 8, 3 * SEGMENT + 7), range(gap - SEGMENT - 1, gap + SEGMENT),
+             range(gap + SEGMENT + 1, gap + SEGMENT + 6)]
+    batch = samples[np.concatenate([np.arange(r.start, r.stop) for r in picks])]
+    assert run_lengths(batch) == [2 * SEGMENT + 3, 1, SEGMENT - 1, SEGMENT + 1, SEGMENT, 5]
+    return batch
+
+
+SHARED_COLUMN_CASES = [
+    (CorridorShape(4, 8, 2), (3, 4, 5), (2, 1)),
+    (CorridorShape(4, 8, 2), (3, 4, 5), (1, 3)),
+    (CorridorShape(4, 8, 2), (3, 4, 5), (2, 2)),
+    (CorridorShape(10, 8, 4), (32, 32, 32), (2, 2)),  # the paper's corridor
+]
+
+
+class TestSharedColumns:
+    @pytest.mark.parametrize("order", ["chronological", "shuffled", "reversed"])
+    @pytest.mark.parametrize("kind", ["two_stream", "single_stream"])
+    @pytest.mark.parametrize("shape, filters, filter_size", SHARED_COLUMN_CASES,
+                             ids=["filter-2x1", "filter-1x3", "filter-2x2", "corridor"])
+    def test_matches_per_window_pass(self, shape, filters, filter_size, kind, order):
+        config = ArchitectureConfig(shape=shape, filters_per_layer=filters,
+                                    filter_size=filter_size, fc_hidden=16, seed=40)
+        model = biased_model(config, kind, seed=41)
+        batch = chronological_windows(shape, seed=42)
+        if order == "shuffled":
+            batch = batch[np.random.default_rng(43).permutation(len(batch))]
+        elif order == "reversed":
+            batch = batch[::-1]
+        assert_matches_per_window(model, batch.speed_history, batch.volume_history)
+
+    def test_segments_cover_exactly_the_long_runs(self):
+        batch = chronological_windows(CorridorShape(4, 8, 2), seed=44)
+        starts, covered, segment, offset = lanecast.model._segment_plan(batch.speed_history)
+        # batch positions of the runs of S+1 and S windows on either side of
+        # the removed timestamp, after runs of 2S+3, 1 and S-1 windows
+        before, after = 3 * SEGMENT + 3, 4 * SEGMENT + 4
+        assert starts.tolist() == [0, SEGMENT, SEGMENT + 3, before, before + 1, after]
+        assert covered.tolist() == [*range(0, 2 * SEGMENT + 3), *range(before, after + SEGMENT)]
+        windows = batch.speed_history[covered]
+        for i, window in enumerate(windows):
+            # each window is its segment's columns from its offset on
+            head = batch.speed_history[starts[segment[i]]]
+            later = batch.speed_history[starts[segment[i]] + 1:starts[segment[i]] + SEGMENT, :, -1]
+            wide = np.concatenate([head, later.transpose(1, 0, 2)], axis=1)
+            assert np.array_equal(window, wide[:, offset[i]:offset[i] + window.shape[1]])
+
+    def test_zero_of_the_other_sign_ends_a_run(self):
+        # window 5 repeats window 4's columns but writes one shared 0.0 as -0.0
+        config = ArchitectureConfig(shape=CorridorShape(4, 6, 2), filters_per_layer=(3, 3, 3),
+                                    fc_hidden=8, seed=45)
+        model = biased_model(config, seed=46)
+        rng = np.random.default_rng(47)
+        series = rng.random((2, 4, SEGMENT + 15, 2))
+        series[:, 1, 5, 0] = 0.0
+        windows = np.stack([series[:, :, i:i + 6] for i in range(SEGMENT + 10)], axis=1)
+        windows[:, 5, 1, 0, 0] = -0.0
+        speed_x, volume_x = windows
+        starts, covered, _, _ = lanecast.model._segment_plan(speed_x)
+        assert starts.tolist() == [5, 10] and covered.tolist() == list(range(5, SEGMENT + 10))
+        assert_matches_per_window(model, speed_x, volume_x)
+
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_shuffled_batch_convolves_window_by_window(self, monkeypatch, mode):
+        calls = []
+
+        def recorder(route, conv):
+            def record(x, bank):
+                calls.append((route, x.shape))
+                return conv(x, bank)
+            return record
+
+        monkeypatch.setattr(lanecast.model, "conv2d_valid", recorder("model", conv2d_valid))
+        monkeypatch.setattr(lanecast.layers, "conv2d_valid", recorder("layers", conv2d_valid))
+        batch = chronological_windows(CorridorShape(10, 8, 4), seed=48)[:SEGMENT * 2]
+        order = np.random.default_rng(49).permutation(len(batch))[:SEGMENT]
+        batch = batch[order]
+        model = ConvForecaster(corridor_config(seed=50))
+        model.forward_batch(batch.speed_history, batch.volume_history, mode=mode,
+                            rng=np.random.default_rng(51))
+        per_stream = [("model", (64, 10, 8, 4)), ("model", (64, 9, 7, 32)), ("model", (64, 8, 6, 32))]
+        assert calls == per_stream * 2
+
+    def test_chronological_batch_convolves_segments(self, monkeypatch):
+        calls = []
+
+        def record(x, bank):
+            calls.append(x.shape)
+            return conv2d_valid(x, bank)
+
+        monkeypatch.setattr(lanecast.layers, "conv2d_valid", record)
+        batch = chronological_windows(CorridorShape(10, 8, 4), seed=52)[:SEGMENT + 1]
+        model = ConvForecaster(corridor_config(seed=53))
+        model.predict_batch(batch.speed_history, batch.volume_history)
+        wide = SEGMENT + 7  # steps + S - 1 columns
+        per_stream = [(2, 10, wide, 4), (2, 9, wide - 1, 32), (2, 8, wide - 2, 32)]
+        assert calls == per_stream * 2
 
 
 class TestBackward:
@@ -449,6 +620,56 @@ class TestBundle:
         doc["schema_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="schema"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [
+            (10**400, "out of range"),
+            (True, "flat list of numbers"),
+            ([0.5], "flat list of numbers"),
+            ("1.5", "flat list of numbers"),
+        ],
+        ids=["400-digit-int", "true", "nested", "string"],
+    )
+    def test_data_that_is_not_a_flat_list_of_numbers_rejected(self, tmp_path, value, match):
+        model = ConvForecaster(toy_config(seed=25))
+        path = tmp_path / "model.json"
+        save_bundle(path, model, self.norm())
+        doc = json.loads(path.read_text())
+        data = doc["params"]["fusion.weights"]["data"]
+        if isinstance(value, list):  # every value its own one-element list
+            doc["params"]["fusion.weights"]["data"] = [[v] for v in data]
+        else:
+            data[7] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=match):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"format": ' + "1" * 5000 + "}"],
+                             ids=["deeply-nested", "5000-digit-int"])
+    def test_json_the_parser_refuses_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="corrupt bundle"):
+            load_bundle(path)
+
+    def test_non_utf8_bundle_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_bundle(path, ConvForecaster(toy_config(seed=26)), self.norm())
+        text = path.read_bytes()
+        path.write_bytes(text[:40] + b"\xff" + text[40:])
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_bundle(path)
+
+    def test_huge_layer_rejected_before_allocation(self, tmp_path):
+        # a model of these filter counts would need 116 TiB of parameters
+        path = tmp_path / "model.json"
+        save_bundle(path, ConvForecaster(toy_config(seed=33)), self.norm())
+        doc = json.loads(path.read_text())
+        doc["architecture"]["filters_per_layer"] = [4, 4, 10**12]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"'speed_conv3.weights' has shape \[4, 2, 2, 4\]"):
             load_bundle(path)
 
     @pytest.mark.parametrize(

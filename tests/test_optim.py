@@ -64,3 +64,34 @@ def test_deterministic_across_instances():
             opt.step(params, {"w": g})
         runs.append(params["w"].copy())
     assert np.array_equal(runs[0], runs[1])
+
+
+def whole_array_step(opt, params, grads):
+    """The step as whole-array numpy expressions, with their temporaries:
+    the oracle of RmsProp.step."""
+    for name, value in params.items():
+        grad = grads[name]
+        acc = opt.accumulators.setdefault(name, np.zeros_like(value))
+        acc *= opt.rho
+        acc += (1.0 - opt.rho) * np.square(grad)
+        value -= opt.learning_rate * grad / (np.sqrt(acc) + opt.epsilon)
+
+
+def test_matches_whole_array_step_bitwise():
+    # arrays below, at and across the scratch chunk length, a transposed
+    # (non-contiguous) parameter and a 0-d one, over several steps
+    rng = np.random.default_rng(7)
+    shapes = {"a": (40_000,), "b": (3, 16_384), "c": (5,), "d": (256, 70), "e": ()}
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    params["t"] = rng.standard_normal((90, 300)).T
+    expected = {name: value.copy() for name, value in params.items()}
+    opt, oracle = RmsProp(1e-3, rho=0.9, epsilon=1e-8), RmsProp(1e-3, rho=0.9, epsilon=1e-8)
+    for _ in range(6):
+        grads = {name: rng.standard_normal(value.shape) * 10.0 ** rng.integers(-8, 3)
+                 for name, value in params.items()}
+        grads["d"][3, :5] = 0.0
+        opt.step(params, grads)
+        whole_array_step(oracle, expected, grads)
+        for name in params:
+            assert params[name].tobytes() == expected[name].tobytes(), name
+            assert opt.accumulators[name].tobytes() == oracle.accumulators[name].tobytes(), name

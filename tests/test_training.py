@@ -8,8 +8,17 @@ from lanecast.model import (
     ArchitectureConfig,
     ConvForecaster,
     PersistenceModel,
+    _segment_plan,
 )
-from lanecast.pipeline import CorridorShape, NormalizationParams, SampleSet
+from lanecast.pipeline import (
+    CorridorShape,
+    NormalizationParams,
+    SampleSet,
+    fit_normalization,
+    grid_windows,
+    group_records,
+)
+from lanecast.synth import SynthConfig, generate
 from lanecast.training import (
     TrainConfig,
     _rollout,
@@ -314,6 +323,32 @@ def test_incremental_rollout_matches_concatenate_oracle(kind, shape, filters, fi
             assert pred_q is None and want_q is None
         else:
             assert pred_q.tobytes() == want_q.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["two_stream", "single_stream"])
+@pytest.mark.parametrize(
+    "shape, filters, filter_size",
+    [(CorridorShape(4, 8, 2), (3, 4, 5), (1, 3)), (CorridorShape(10, 8, 4), (32, 32, 32), (2, 2))],
+    ids=["filter-cols3", "corridor"],
+)
+def test_rollout_on_chronological_windows_matches_concatenate_oracle(kind, shape, filters, filter_size):
+    # The full pass convolves shared-column segments, whose activations the
+    # later steps then shift in place. The oracle runs on the reversed batch,
+    # which has no chronological run, so every window is convolved on its own.
+    records = generate(SynthConfig(shape=shape, days=1, seed=5))
+    samples = grid_windows(group_records(records, shape), shape, fit_normalization(records))
+    samples = samples[np.r_[0:150, 152:230]]  # runs of 150 and 78 windows
+    model = _biased_model(shape, filters, filter_size, kind, seed=6)
+    assert _segment_plan(samples.speed_history[::-1]) is None
+    expected = _concatenate_rollout(model, samples.speed_history[::-1], samples.volume_history[::-1], 5)
+    steps = list(_rollout(model, samples.speed_history, samples.volume_history, 5))
+    assert len(steps) == 5
+    for (pred_u, pred_q), (want_u, want_q) in zip(steps, expected):
+        assert pred_u.tobytes() == want_u[::-1].tobytes()
+        if kind == "single_stream":
+            assert pred_q is None and want_q is None
+        else:
+            assert pred_q.tobytes() == want_q[::-1].tobytes()
 
 
 def test_rollout_leaves_the_samples_untouched():
