@@ -24,6 +24,7 @@ from .pipeline import (
     denormalize,
     fit_normalization,
     normalize,
+    prepare_dataset,
     read_records,
     split_dataset,
     write_records,

@@ -7,35 +7,29 @@ Every command is deterministic given its config and seed. Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from .config import load_run_config
 from .errors import ConfigError, DataError, NumericError
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, atomic_write_text, format_rows
 from .model import ConvForecaster, load_bundle, save_bundle
 from .pipeline import (
-    _valid_starts,
     build_samples,
-    fit_normalization,
     grid_windows,
     group_records,
+    prepare_dataset,
     read_records,
-    split_dataset,
-    train_count,
     write_records,
 )
-from .synth import generate
-from .training import SWEEP_AXES, evaluate, sweep, train
+from .synth import DAY_SECONDS, generate
+from .training import SWEEP_AXES, check_predictions, evaluate, sweep, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-DAY_SECONDS = 86400
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,13 +107,6 @@ def _required(value, flag):
     return value
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal; blank for NaN so CSV consumers notice."""
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(float(x)) if isinstance(x, float) else str(x)
-
-
 def _parse_values(text, flag, kind=float):
     items = [v for v in text.split(",") if v.strip()]
     if not items:
@@ -130,21 +117,12 @@ def _parse_values(text, flag, kind=float):
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
-def _prepare_dataset(records, config):
-    """Fit normalization on the training range, build and split samples."""
-    shape = config.corridor
-    grid = group_records(records, shape)
-    timestamps, _, _, complete = grid
-    starts, _ = _valid_starts(timestamps, complete, shape)
-    if not len(starts):
-        raise DataError("no complete windows in the input data")
-    n_train = train_count(len(starts), config.split_fraction)
-    # one interval past the newest history column of the last training window
-    boundary = int(timestamps[starts[n_train - 1] + shape.steps - 1]) + shape.interval
-    norm = fit_normalization(records, end=boundary)
-    samples = grid_windows(grid, shape, norm)
-    train_set, test_set = split_dataset(samples, config.split_fraction)
-    return norm, train_set, test_set
+def _write_csv(path, header, columns) -> None:
+    """The header names, then a row per entry of the aligned columns,
+    numbers as `format_rows` writes them and NaN as a blank cell."""
+    # format_rows writes "nan" only for a NaN float; no text cell holds it
+    body = format_rows(columns, b",", b"\n").replace(b"nan", b"")
+    atomic_write_text(path, ",".join(map(str, header)).encode() + b"\n" + body)
 
 
 # -- commands -----------------------------------------------------------------
@@ -163,16 +141,15 @@ def cmd_train(args) -> int:
     data_path = _required(args.data or config.data, "--data")
     bundle_path = _required(args.bundle or config.bundle, "--bundle")
     records = read_records(data_path)
-    norm, train_set, test_set = _prepare_dataset(records, config)
+    norm, train_set, test_set = prepare_dataset(records, config.corridor, config.split_fraction)
     model = ConvForecaster(config.architecture, config.model)
     curve = train(model, train_set, config.training, eval_samples=test_set)
     save_bundle(bundle_path, model, norm)
     loss_path = f"{bundle_path}.loss.csv"
-    lines = ["epoch,train_loss,test_loss"]
-    for row in curve:
-        test = _fmt(row.test_loss) if row.test_loss is not None else ""
-        lines.append(f"{row.epoch},{_fmt(row.train_loss)},{test}")
-    atomic_write_text(loss_path, "\n".join(lines) + "\n")
+    _write_csv(loss_path, ["epoch", "train_loss", "test_loss"], [
+        [row.epoch for row in curve], [row.train_loss for row in curve],
+        np.array([row.test_loss for row in curve], float),  # None is NaN, a blank cell
+    ])
     final = curve[-1] if curve else None
     summary = (
         f"trained {model.kind} on {len(train_set)} samples ({len(test_set)} held out); "
@@ -195,28 +172,19 @@ def cmd_evaluate(args) -> int:
     report = evaluate(model, samples, horizons, norm, shape)
     out_prefix = args.out or f"{args.bundle}.eval"
 
-    lines = ["horizon,accuracy_percent,samples_evaluated,samples_skipped,values_excluded"]
-    for h in report.horizons:
-        lines.append(
-            f"{h},{_fmt(report.accuracy[h])},{report.evaluated[h]},"
-            f"{report.skipped[h]},{report.excluded[h]}"
-        )
-    atomic_write_text(f"{out_prefix}_report.csv", "\n".join(lines) + "\n")
+    hs = report.horizons
+    _write_csv(f"{out_prefix}_report.csv",
+               ["horizon", "accuracy_percent", "samples_evaluated", "samples_skipped", "values_excluded"],
+               [hs] + [[table[h] for h in hs] for table in
+                       (report.accuracy, report.evaluated, report.skipped, report.excluded)])
+    for name, breakdown, count in (("lane", report.per_lane, shape.lanes),
+                                   ("detector", report.per_detector, shape.detectors)):
+        _write_csv(f"{out_prefix}_{name}s.csv", ["horizon", name, "accuracy_percent"],
+                   [np.repeat(hs, count), np.tile(np.arange(1, count + 1), len(hs)),
+                    np.concatenate([breakdown[h] for h in hs])])
 
-    lane_lines = ["horizon,lane,accuracy_percent"]
-    for h in report.horizons:
-        for lane, value in enumerate(report.per_lane[h], start=1):
-            lane_lines.append(f"{h},{lane},{_fmt(value)}")
-    atomic_write_text(f"{out_prefix}_lanes.csv", "\n".join(lane_lines) + "\n")
-
-    det_lines = ["horizon,detector,accuracy_percent"]
-    for h in report.horizons:
-        for det, value in enumerate(report.per_detector[h], start=1):
-            det_lines.append(f"{h},{det},{_fmt(value)}")
-    atomic_write_text(f"{out_prefix}_detectors.csv", "\n".join(det_lines) + "\n")
-
-    header = "horizon    " + "".join(f"{h:>10d}" for h in report.horizons)
-    row = "accuracy % " + "".join(f"{report.accuracy[h]:>10.2f}" for h in report.horizons)
+    header = "horizon    " + "".join(f"{h:>10d}" for h in hs)
+    row = "accuracy % " + "".join(f"{report.accuracy[h]:>10.2f}" for h in hs)
     print(header)
     print(row)
     print(f"reports written with prefix {out_prefix}")
@@ -229,17 +197,18 @@ def cmd_sweep(args) -> int:
     out_path = _required(args.out or config.out, "--out")
     values = _parse_values(args.values, "--values")
     records = read_records(data_path)
-    norm, train_set, test_set = _prepare_dataset(records, config)
+    norm, train_set, test_set = prepare_dataset(records, config.corridor, config.split_fraction)
     rows = sweep(
         args.axis, values, lambda: ConvForecaster(config.architecture, config.model),
         train_set, test_set, config.training, norm, config.corridor,
     )
-    lines = ["value,accuracy_h1,final_train_loss,status"]
     for row in rows:
-        lines.append(f"{_fmt(row.value)},{_fmt(row.accuracy_h1)},{_fmt(row.final_train_loss)},{row.status}")
         print(f"{args.axis}={row.value:g}: accuracy_h1={row.accuracy_h1:.3f} "
               f"final_train_loss={row.final_train_loss:.6g} [{row.status}]")
-    atomic_write_text(out_path, "\n".join(lines) + "\n")
+    _write_csv(out_path, ["value", "accuracy_h1", "final_train_loss", "status"], [
+        [row.value for row in rows], [row.accuracy_h1 for row in rows],
+        [row.final_train_loss for row in rows], np.array([row.status for row in rows], "S"),
+    ])
     print(f"sweep table written to {out_path}")
     return EXIT_OK
 
@@ -251,11 +220,14 @@ def _pgm_bytes(grid, vmax: float) -> bytes:
     return header + scaled.tobytes()
 
 
-def _grid_csv(path, grid, timestamps) -> None:
-    lines = ["detector," + ",".join(str(t) for t in timestamps)]
-    for i in range(grid.shape[0]):
-        lines.append(f"{i + 1}," + ",".join(_fmt(float(v)) for v in grid[i]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _write_grid(path, grid, timestamps) -> None:
+    """A row per detector: its index, then its value at each timestamp."""
+    # formatted as one flat column, then cut into rows (one column per
+    # timestamp costs a format_rows pass per column)
+    cells = format_rows([grid.ravel()], b"", b",").split(b",")
+    t = grid.shape[1]
+    rows = [b",".join(cells[i * t:(i + 1) * t]) for i in range(grid.shape[0])]
+    _write_csv(path, ["detector", *timestamps], [np.arange(1, grid.shape[0] + 1), np.array(rows)])
 
 
 def cmd_heatmap(args) -> int:
@@ -295,22 +267,21 @@ def cmd_heatmap(args) -> int:
 
     truth = speed[np.searchsorted(timestamps, grid_ts)]  # (time, detectors, lanes)
     windows = windows[np.searchsorted(windows.origin_timestamps, origins)]
-    pred_n, _ = model.predict_batch(windows.speed_history, windows.volume_history)
+    pred_n, pred_q = model.predict_batch(windows.speed_history, windows.volume_history)
     pred = norm.denormalize_speed(pred_n).reshape(len(grid_ts), shape.detectors, shape.lanes)
+    check_predictions(pred, pred_q, "heatmap")
 
     for lane in range(shape.lanes):
         truth_grid = truth[:, :, lane].T  # (detectors, time)
         pred_grid = pred[:, :, lane].T
         tag = f"{args.out}_lane{lane + 1}"
-        _grid_csv(f"{tag}_truth.csv", truth_grid, grid_ts)
-        _grid_csv(f"{tag}_pred.csv", pred_grid, grid_ts)
+        _write_grid(f"{tag}_truth.csv", truth_grid, grid_ts)
+        _write_grid(f"{tag}_pred.csv", pred_grid, grid_ts)
         atomic_write_bytes(f"{tag}_truth.pgm", _pgm_bytes(truth_grid, norm.speed_max))
         atomic_write_bytes(f"{tag}_pred.pgm", _pgm_bytes(pred_grid, norm.speed_max))
         for det in range(shape.detectors):
-            lines = ["timestamp,truth,prediction"]
-            for ti, t in enumerate(grid_ts):
-                lines.append(f"{t},{_fmt(float(truth_grid[det, ti]))},{_fmt(float(pred_grid[det, ti]))}")
-            atomic_write_text(f"{tag}_detector{det + 1}.csv", "\n".join(lines) + "\n")
+            _write_csv(f"{tag}_detector{det + 1}.csv", ["timestamp", "truth", "prediction"],
+                       [grid_ts, truth_grid[det], pred_grid[det]])
 
     print(
         f"wrote {shape.lanes} lane grids ({shape.detectors}x{len(grid_ts)}) "

@@ -87,13 +87,15 @@ def format_rows(columns, separator: bytes, terminator: bytes) -> bytes:
 
     Row i is the i-th value of every column joined by `separator` and
     followed by `terminator`. An integer column's values are written as
-    `str(int(v))`, a float column's as `repr(float(v))`, byte for byte.
+    `str(int(v))`, a float column's as `repr(float(v))`, byte for byte. A
+    bytes (`S`) column is already its NUL-padded cells and is written as is.
     """
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
     if any(c.ndim != 1 or len(c) != n for c in columns):
         raise ValueError("format_rows needs 1-D columns of one length")
-    widths = [_int_width(c) if c.dtype.kind in "iu" else _float_width(c) for c in columns]
+    widths = [c.itemsize if c.dtype.kind == "S" else _int_width(c) if c.dtype.kind in "iu"
+              else _float_width(c) for c in columns]
     seps = [separator] * (len(columns) - 1) + [terminator]
     starts, at = [], 0
     for width, sep in zip(widths, seps):
@@ -108,7 +110,9 @@ def format_rows(columns, separator: bytes, terminator: bytes) -> bytes:
         for column, start, width in zip(columns, starts, widths):
             cells = block[:, start:start + width]
             values = column[lo:lo + len(block)]
-            if column.dtype.kind in "iu":
+            if column.dtype.kind == "S":
+                cells[...] = np.ascontiguousarray(values).view(np.uint8).reshape(len(block), width)
+            elif column.dtype.kind in "iu":
                 _int_cells(values.astype(np.int64), cells)
             else:
                 _float_cells(values.astype(np.float64), cells)

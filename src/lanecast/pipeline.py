@@ -560,3 +560,20 @@ def split_dataset(samples, train_fraction: float):
         samples = samples[np.argsort(origins, kind="stable")]
     n = train_count(len(samples), train_fraction)
     return samples[:n], samples[n:]
+
+
+def prepare_dataset(records, shape: CorridorShape, split_fraction: float):
+    """(norm, train_set, test_set) of the records' windows, split
+    chronologically, with the normalization fitted on the training range
+    only: up to one interval past the newest history column of the last
+    training window."""
+    grid = group_records(records, shape)
+    timestamps, _, _, complete = grid
+    starts, _ = _valid_starts(timestamps, complete, shape)
+    if not len(starts):
+        raise DataError("no complete windows in the input data")
+    n_train = train_count(len(starts), split_fraction)
+    boundary = int(timestamps[starts[n_train - 1] + shape.steps - 1]) + shape.interval
+    norm = fit_normalization(records, end=boundary)
+    train_set, test_set = split_dataset(grid_windows(grid, shape, norm), split_fraction)
+    return norm, train_set, test_set

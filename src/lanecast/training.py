@@ -79,7 +79,8 @@ def _loss_and_grads(model, batch, volume_weight, rng):
     return loss, model.backward_batch(cache, grad_u, grad_q)
 
 
-def _check_predictions(pred_u, pred_q, where):
+def check_predictions(pred_u, pred_q, where):
+    """NumericError if a speed or volume prediction is not finite."""
     for name, pred in (("speed", pred_u), ("volume", pred_q)):
         if pred is not None and not np.isfinite(pred).all():
             raise NumericError(f"{where}: the model predicted non-finite {name} values")
@@ -94,7 +95,7 @@ def dataset_loss(model, samples, volume_weight) -> float:
     for start in range(0, len(samples), LOSS_CHUNK):
         batch = samples[start:start + LOSS_CHUNK]
         pred_u, pred_q = model.predict_batch(batch.speed_history, batch.volume_history)
-        _check_predictions(pred_u, pred_q, "dataset loss")
+        check_predictions(pred_u, pred_q, "dataset loss")
         du = pred_u - batch.speed_target
         sum_u += float(np.sum(du * du))
         count_u += du.size
@@ -281,7 +282,7 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     kept = {}  # horizon -> speed predictions of its source samples
     steps = _rollout(model, samples.speed_history, samples.volume_history, horizons[-1])
     for h, (pred_u, pred_q) in enumerate(steps, start=1):
-        _check_predictions(pred_u, pred_q, f"evaluate, step {h}")
+        check_predictions(pred_u, pred_q, f"evaluate, step {h}")
         if h in pairs:
             kept[h] = pred_u[pairs[h][0]]
     report = EvalReport(

@@ -18,12 +18,7 @@ from lanecast.gradcheck import gradient_check
 from lanecast.layers import FilterBank, conv2d_valid
 from lanecast.losses import composite_loss
 from lanecast.model import ArchitectureConfig, ConvForecaster, PersistenceModel
-from lanecast.pipeline import (
-    CorridorShape,
-    fit_normalization,
-    train_count,
-    window_origins,
-)
+from lanecast.pipeline import CorridorShape, fit_normalization
 from lanecast.synth import SynthConfig
 from lanecast.training import TrainConfig
 
@@ -44,20 +39,11 @@ def report(criterion, ok, detail=""):
     return ok
 
 
-def _prepare(records, shape, fraction=0.8):
-    origins, _ = window_origins(records, shape)
-    n_train = train_count(len(origins), fraction)
-    norm = fit_normalization(records, end=origins[n_train - 1] + shape.interval)
-    samples = lc.build_samples(records, shape, norm)
-    train_set, test_set = lc.split_dataset(samples, fraction)
-    return norm, train_set, test_set
-
-
 @pytest.fixture(scope="module")
 def default_corpus():
     """The default synthetic corpus: 30 days at the corridor scale."""
     records = lc.generate(SynthConfig(shape=CORRIDOR, days=30, seed=ACC_SEED))
-    norm, train_set, test_set = _prepare(records, CORRIDOR)
+    norm, train_set, test_set = lc.prepare_dataset(records, CORRIDOR, 0.8)
     return records, norm, train_set, test_set
 
 

@@ -1,14 +1,17 @@
+import ast
 import copy
 import hashlib
 import json
 import math
 import os
+import pathlib
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lanecast import cli
 from lanecast.cli import main
 from lanecast.config import default_run_config, load_run_config, parse_run_config
 from lanecast.errors import ConfigError
@@ -40,6 +43,16 @@ def corpus(tmp_path):
     data = str(tmp_path / "data.csv")
     assert main(["synth", "--config", config, "--out", data]) == 0
     return config, data
+
+
+def overflow_bundle(path):
+    """A bundle of finite weights, all 1e200, that overflow in the forward pass."""
+    model = ConvForecaster(ArchitectureConfig(shape=CorridorShape(4, 4, 2),
+                                              filters_per_layer=(4, 4, 4), fc_hidden=8))
+    for array in model.param_arrays().values():
+        array[...] = 1e200
+    save_bundle(path, model, NormalizationParams(0.0, 60.0, 0.0, 240.0))
+    return str(path)
 
 
 class TestConfig:
@@ -134,14 +147,13 @@ class TestTrainCommand:
 
     def test_reload_reproduces_test_loss(self, corpus, tmp_path):
         import lanecast as lc
-        from lanecast.cli import _prepare_dataset
 
         config_path, data = corpus
         bundle = tmp_path / "m.json"
         assert main(["train", "--config", config_path, "--data", data, "--bundle", str(bundle)]) == 0
         run_config = load_run_config(config_path)
         records = read_records(data)
-        norm, _, test_set = _prepare_dataset(records, run_config)
+        norm, _, test_set = lc.prepare_dataset(records, run_config.corridor, run_config.split_fraction)
         model, bundle_norm = load_bundle(bundle)
         assert bundle_norm == norm
         reloaded_loss = lc.dataset_loss(model, test_set, run_config.training.volume_weight)
@@ -251,15 +263,9 @@ class TestEvaluateCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_bundle_is_numeric_failure(self, corpus, tmp_path, capsys):
-        # finite weights of 1e200 overflow in the forward pass
         _, data = corpus
-        model = ConvForecaster(ArchitectureConfig(shape=CorridorShape(4, 4, 2),
-                                                  filters_per_layer=(4, 4, 4), fc_hidden=8))
-        for array in model.param_arrays().values():
-            array[...] = 1e200
-        bundle = tmp_path / "overflow.json"
-        save_bundle(bundle, model, NormalizationParams(0.0, 60.0, 0.0, 240.0))
-        assert main(["evaluate", "--bundle", str(bundle), "--data", data]) == 3
+        bundle = overflow_bundle(tmp_path / "overflow.json")
+        assert main(["evaluate", "--bundle", bundle, "--data", data]) == 3
         assert "non-finite" in capsys.readouterr().err
 
     def test_non_integer_horizons_are_usage_error(self, corpus, tmp_path):
@@ -403,6 +409,17 @@ class TestHeatmapCommand:
             ])
             assert code == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_bundle_is_numeric_failure(self, corpus, tmp_path, capsys):
+        # the bundle loads, but no grid of non-finite predictions is written
+        _, data = corpus
+        bundle = overflow_bundle(tmp_path / "overflow.json")
+        code = main(["heatmap", "--bundle", bundle, "--data", data, "--days", "1:2",
+                     "--out", str(tmp_path / "heat")])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert list(tmp_path.glob("heat_*")) == []
+
     def test_day_zero_needs_history_from_before(self, corpus, tmp_path):
         config, data = corpus
         bundle = tmp_path / "m.json"
@@ -412,6 +429,139 @@ class TestHeatmapCommand:
             "--days", "0:1", "--out", str(tmp_path / "h"),
         ])
         assert code == 2
+
+
+def _fmt(x) -> str:
+    """The per-value cell writer the tables below once used: repr, and
+    blank for NaN."""
+    if isinstance(x, float) and math.isnan(x):
+        return ""
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def text_of(lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
+def capture(monkeypatch, name):
+    """(args, result) of every call the cli makes to its `name`."""
+    calls = []
+    original = getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+def slow_lane_corpus(data, path):
+    """The corpus with every lane-2 speed at 0.5 mph, below the accuracy floor."""
+    lines = open(data).read().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    path.write_text("\n".join([lines[0]] + [
+        ",".join(row[:3] + ["0.5" if row[2] == "2" else row[3], row[4]]) for row in rows
+    ]) + "\n")
+    return str(path)
+
+
+class TestTableBytes:
+    """Every table the CLI writes, byte for byte as the per-value f-string
+    writers wrote it before the tables went through format_rows."""
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_loss_curve(self, corpus, tmp_path, monkeypatch, epochs):
+        _, data = corpus
+        config = small_config_doc(tmp_path, training={"epochs": epochs, "seed": 3, "batch_size": 32})
+        bundle = tmp_path / "m.json"
+        calls = capture(monkeypatch, "train")
+        assert main(["train", "--config", config, "--data", data, "--bundle", str(bundle)]) == 0
+        [(_, curve)] = calls
+        assert len(curve) == epochs
+        lines = ["epoch,train_loss,test_loss"]
+        for row in curve:
+            test = _fmt(row.test_loss) if row.test_loss is not None else ""
+            lines.append(f"{row.epoch},{_fmt(row.train_loss)},{test}")
+        assert (tmp_path / "m.json.loss.csv").read_bytes() == text_of(lines)
+
+    def test_evaluate_reports_with_blank_lane_cells(self, corpus, tmp_path, monkeypatch):
+        config, data = corpus
+        slow = slow_lane_corpus(data, tmp_path / "slow.csv")
+        bundle = tmp_path / "m.json"
+        assert main(["train", "--config", config, "--data", slow, "--bundle", str(bundle)]) == 0
+        calls = capture(monkeypatch, "evaluate")
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--bundle", str(bundle), "--data", slow,
+                     "--horizons", "1,2,3,12", "--out", str(out)]) == 0
+        [(_, report)] = calls
+        lines = ["horizon,accuracy_percent,samples_evaluated,samples_skipped,values_excluded"]
+        for h in report.horizons:
+            lines.append(
+                f"{h},{_fmt(report.accuracy[h])},{report.evaluated[h]},"
+                f"{report.skipped[h]},{report.excluded[h]}"
+            )
+        assert (tmp_path / "ev_report.csv").read_bytes() == text_of(lines)
+        for name, breakdown in (("lane", report.per_lane), ("detector", report.per_detector)):
+            lines = [f"horizon,{name},accuracy_percent"]
+            for h in report.horizons:
+                for index, value in enumerate(breakdown[h], start=1):
+                    lines.append(f"{h},{index},{_fmt(value)}")
+            assert (tmp_path / f"ev_{name}s.csv").read_bytes() == text_of(lines)
+        assert b"\n12,2,\n" in (tmp_path / "ev_lanes.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_table_with_diverged_row(self, corpus, tmp_path, monkeypatch):
+        config, data = corpus
+        out = tmp_path / "sweep.csv"
+        calls = capture(monkeypatch, "sweep")
+        assert main(["sweep", "--config", config, "--data", data,
+                     "--axis", "lr", "--values", "1e30,1e-3", "--out", str(out)]) == 0
+        [(_, rows)] = calls
+        assert [row.status for row in rows] == ["diverged", "ok"]
+        lines = ["value,accuracy_h1,final_train_loss,status"]
+        for row in rows:
+            lines.append(f"{_fmt(row.value)},{_fmt(row.accuracy_h1)},{_fmt(row.final_train_loss)},{row.status}")
+        assert out.read_bytes() == text_of(lines)
+
+    def test_heatmap_grids_and_detector_curves(self, corpus, tmp_path, monkeypatch):
+        config, data = corpus
+        bundle = tmp_path / "m.json"
+        assert main(["train", "--config", config, "--data", data, "--bundle", str(bundle)]) == 0
+        calls = capture(monkeypatch, "_pgm_bytes")  # (truth, pred) grids of each lane in turn
+        assert main(["heatmap", "--bundle", str(bundle), "--data", data,
+                     "--days", "1:2", "--out", str(tmp_path / "h")]) == 0
+        base = int(read_records(data).timestamp.min())
+        grid_ts = range(base + 86400, base + 2 * 86400, 300)
+        assert len(calls) == 2 * 2
+        for lane in (1, 2):
+            grids = {kind: calls[2 * (lane - 1) + k][0][0] for k, kind in enumerate(("truth", "pred"))}
+            for kind, grid in grids.items():
+                lines = ["detector," + ",".join(str(t) for t in grid_ts)]
+                for i in range(grid.shape[0]):
+                    lines.append(f"{i + 1}," + ",".join(_fmt(float(v)) for v in grid[i]))
+                assert (tmp_path / f"h_lane{lane}_{kind}.csv").read_bytes() == text_of(lines)
+            for det in range(4):
+                lines = ["timestamp,truth,prediction"]
+                for ti, t in enumerate(grid_ts):
+                    lines.append(f"{t},{_fmt(float(grids['truth'][det, ti]))},"
+                                 f"{_fmt(float(grids['pred'][det, ti]))}")
+                assert (tmp_path / f"h_lane{lane}_detector{det + 1}.csv").read_bytes() == text_of(lines)
+
+
+class TestStructure:
+    def test_cli_imports_no_private_name_of_the_package(self):
+        # the cli is command glue: what it needs of another module is public
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+        private = [
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "lanecast")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
 
 
 # Each value once made a run end in a traceback, a silent truncation, NaN

@@ -101,6 +101,10 @@ class TestRows:
     def test_columns_separator_and_terminator(self):
         rows = format_rows([np.array([1, -20]), np.array([0.5, -3.25]), np.array([7, 8])], b", ", b"|")
         assert rows == b"1, 0.5, 7|-20, -3.25, 8|"
+        # a bytes column is its own cells, NUL padding dropped
+        rows = format_rows([np.array([1, -20]), np.array(["ok", "diverged"], "S"), np.array([0.5, 7.0])],
+                           b",", b"\n")
+        assert rows == b"1,ok,0.5\n-20,diverged,7.0\n"
 
     def test_empty_columns(self):
         assert format_rows([np.array([], np.int64), np.array([])], b",", b"\n") == b""

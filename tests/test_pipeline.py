@@ -19,6 +19,7 @@ from lanecast.pipeline import (
     fit_normalization,
     group_records,
     normalize,
+    prepare_dataset,
     read_records,
     split_dataset,
     train_count,
@@ -340,6 +341,44 @@ class TestSplit:
             train_count(10, 1.0)
         with pytest.raises(ConfigError):
             train_count(10, 0.0)
+
+
+def reference_prepare(records, shape, fraction):
+    """The split as derived from `window_origins`, before `prepare_dataset`."""
+    origins, _ = window_origins(records, shape)
+    n_train = train_count(len(origins), fraction)
+    norm = fit_normalization(records, end=origins[n_train - 1] + shape.interval)
+    samples = build_samples(records, shape, norm)
+    train_set, test_set = split_dataset(samples, fraction)
+    return norm, train_set, test_set
+
+
+class TestPrepareDataset:
+    @pytest.mark.parametrize("fraction", [0.5, 0.8])
+    def test_matches_reference_derivation(self, fraction):
+        shape = CorridorShape(3, 3, 2)
+        rng = np.random.default_rng(21)
+        # speeds rise with time, so the fitted maximum pins the boundary
+        records = make_records(shape, {t: 20.0 + t + rng.random((3, 2)) for t in range(40)})
+        # step 9 is dropped and step 25 is incomplete, so the boundary is
+        # not the n-th timestamp
+        records = [r for r in records if r.timestamp != 9 * 300
+                   and not (r.timestamp == 25 * 300 and r.lane == 2)]
+        assert window_origins(records, shape)[1] > 0
+        norm, train_set, test_set = prepare_dataset(records, shape, fraction)
+        want_norm, want_train, want_test = reference_prepare(records, shape, fraction)
+        assert norm == want_norm
+        assert norm != fit_normalization(records)
+        for got, want in ((train_set, want_train), (test_set, want_test)):
+            for field in ("speed_history", "volume_history", "speed_target",
+                          "volume_target", "origin_timestamps"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_no_complete_windows_is_data_error(self):
+        shape = CorridorShape(2, 2, 1)
+        records, _ = dense_corpus(shape, 2, seed=2)
+        with pytest.raises(DataError, match="no complete windows"):
+            prepare_dataset(records, shape, 0.8)
 
 
 class TestRecords:
