@@ -2,10 +2,12 @@
 
 Numbers are written as Python writes them: an integer as `str(int(v))`, a
 float as `repr(float(v))`, the shortest decimal that reads back as the same
-double. `format_rows` produces that text for whole numpy columns at once.
+double. `format_rows` produces that text for whole numpy columns at once, and
+`parse_rows` reads it back, as `int()` and `float()` would.
 """
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -17,8 +19,8 @@ _NUL, _MINUS = 0, ord("-")
 # 1e-4 .. 1e16: each negative power rounds up, so for any double x,
 # x >= _DECADES[i] exactly when x >= 10**(i - 4).
 _DECADES = np.array([float(f"1e{e}") for e in range(-4, 17)])
-# 10**k, as exact doubles for k = 0..21 and as int64 for k = 0..17
-_POW10 = np.array([float(10**k) for k in range(22)])
+# 10**k, as exact doubles for k = 0..22 and as int64 for k = 0..17
+_POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_INT = 10 ** np.arange(18, dtype=np.int64)
 _SPLITTER = 134217729.0  # 2**27 + 1
 
@@ -237,3 +239,236 @@ def _float_cells(x, out) -> None:
         text = repr(float(x[i])).encode()
         out[i] = _NUL
         out[i, :len(text)] = np.frombuffer(text, np.uint8)
+
+
+# -- reading: the inverse of format_rows -----------------------------------------
+
+# body bytes parsed per pass: bounds the buffers of one call
+_BLOCK = 1 << 20
+# bytes before a block in its buffer, so that the loads of every digit run's
+# three 8-byte chunks start inside the buffer
+_PAD = 24
+_COMMA, _NEWLINE, _POINT = ord(","), ord("\n"), ord(".")
+# _DIGIT_BITS[n]: the digit value bits of the last n bytes of a little-endian word
+_DIGIT_BITS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - n) << 8 * (8 - n) for n in range(9)], np.uint64)
+# 10**p modulo 2**64; exact for p <= 19
+_POW10_U64 = np.array([10**p % 2**64 for p in range(23)], np.uint64)
+# repr's exponent form: one digit, perhaps a point and more, then e, a sign and 2 or 3 digits
+_EXPONENT_FORM = re.compile(rb"-?[1-9](?:\.[0-9]+)?e[-+][0-9]{2,3}")
+
+
+def parse_rows(body: bytes, dtypes) -> list | None:
+    """The columns of `body`, rows as format_rows(columns, b",", b"\n")
+    writes them, or None when it holds any other text.
+
+    Column j has `dtypes[j]`, int64 or float64. Its cells must read
+    `-?digits` (at most 19, within int64) or `-?digits.digits`, or else
+    repr's exponent form. Every value is what `int()` or `float()` gives for
+    its cell: a float with mantissa m <= 2**53 and k <= 22 fraction digits is
+    m / 10**k, one correctly rounded division (Clinger); any other is a
+    candidate corrected by at most one ulp, tested exactly. An exact tie,
+    and a cell in exponent form, is read by `float()` itself. None for
+    anything else: an empty body or a last line without a newline, other
+    bytes (spaces, `+`, CR), empty cells, a wrong cell count, more digits or
+    a larger mantissa than that (2**61), a line longer than a block (1 MB).
+    """
+    if not body.endswith(b"\n"):
+        return None
+    is_float = [np.dtype(t) == np.float64 for t in dtypes]
+    # the marks of a row without signs: a point in each float cell, a comma
+    # after each cell but the last, which ends in a newline
+    row = np.array([mark for f in is_float for mark in ([_POINT] if f else []) + [_COMMA]], np.uint8)
+    row[-1] = _NEWLINE
+    buf = np.full(_PAD + min(len(body), _BLOCK), _NEWLINE, np.uint8)
+    # the 8 bytes from each index, as one little-endian word
+    words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+    parts, at = [], 0
+    while at < len(body):
+        end = body.rfind(b"\n", at, at + _BLOCK) + 1
+        if end <= at:  # a line longer than a block
+            return None
+        buf[_PAD:_PAD + end - at] = np.frombuffer(body, np.uint8, end - at, at)
+        part = _parse_block(buf[:_PAD + end - at], words, is_float, row)
+        if part is None:
+            return None
+        parts.append(part)
+        at = end
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _parse_block(buf, words, is_float, row) -> list | None:
+    """The columns of the whole lines in buf[_PAD:], or None."""
+    text = buf[_PAD:]
+    exponents = _exponent_cells(buf) if text.max() > ord("9") else []
+    if exponents is None:
+        return None
+    # separators, signs and points, and any other byte below the digits
+    marks = np.flatnonzero(text < ord("0")) + _PAD
+    kinds = buf[marks]
+    signs = marks[kinds == ord("-")]
+    if signs.size:  # each must open its cell
+        before = buf[signs - 1]
+        if not ((before == _COMMA) | (before == _NEWLINE)).all():
+            return None
+        unsigned = kinds != ord("-")
+        marks, kinds = marks[unsigned], kinds[unsigned]
+    rows = len(marks) // len(row)
+    if len(marks) != rows * len(row) or not (kinds.reshape(rows, -1) == row).all():
+        return None
+    # one row per column: the cells' ends (their separators), their points
+    marks = marks.reshape(rows, -1).T
+    ends, points = marks[(row == _COMMA) | (row == _NEWLINE)], marks[row == _POINT]
+    first = np.empty_like(ends)
+    first[1:] = ends[:-1] + 1
+    first[0, 1:] = ends[-1, :-1] + 1
+    first[0, 0] = _PAD
+    negative = np.zeros(ends.shape, bool)
+    negative[_cells(ends, signs)] = True
+    first += negative
+    columns = []
+    for j, f in enumerate(is_float):
+        if f:
+            column = _float_column(buf, words, first[j], points[sum(is_float[:j])], ends[j], negative[j])
+        else:
+            column = _int_column(words, first[j], ends[j], negative[j])
+        if column is None:
+            return None
+        columns.append(column)
+    if exponents:
+        starts, values = zip(*exponents)
+        for j, r, value in zip(*_cells(ends, starts), values):
+            columns[j][r] = value
+    return columns
+
+
+def _cells(ends, positions):
+    """(column, row) indices of the cells holding the buffer `positions`."""
+    rows = np.searchsorted(ends[-1], positions)
+    return (ends[:, rows] < positions).sum(axis=0), rows
+
+
+def _exponent_cells(buf) -> list | None:
+    """(its start, its value) for each cell of buf[_PAD:] that holds a
+    letter, or None unless each is in repr's exponent form. Each is read by
+    `float()`, then overwritten in buf by zeros of its own width after its
+    sign ('0.000'), which parse as a float cell."""
+    data = buf.tobytes()
+    cells = []
+    for letter in np.flatnonzero(buf[_PAD:] > ord("9")) + _PAD:
+        start = max(data.rfind(b",", 0, letter), data.rfind(b"\n", 0, letter)) + 1
+        end = data.find(b"\n", letter)
+        comma = data.find(b",", letter, end)
+        end = end if comma < 0 else comma
+        text = data[start:end]
+        if not _EXPONENT_FORM.fullmatch(text):
+            return None
+        cells.append((start, float(text)))
+        digits = start + text.startswith(b"-")
+        buf[digits:end] = ord("0")
+        buf[digits + 1] = _POINT
+    return cells
+
+
+def _int_column(words, first, ends, negative) -> np.ndarray | None:
+    """The int64 cells whose digits span [first, ends), or None."""
+    count = ends - first
+    if not ((count >= 1) & (count <= 19)).all():
+        return None
+    value = _digit_run(words, ends, count)
+    # int64 holds -2**63 .. 2**63 - 1
+    if (value > np.uint64(2**63 - 1) + negative).any():
+        return None
+    np.negative(value, out=value, where=negative)  # two's complement
+    return value.view(np.int64)
+
+
+def _float_column(buf, words, first, points, ends, negative) -> np.ndarray | None:
+    """The float64 cells whose digits 'digits.digits' span [first, ends)
+    with the point at `points`, negated where `negative`, or None."""
+    whole, k = points - first, ends - points - 1
+    if not ((whole >= 1) & (whole <= 24) & (k >= 1) & (k <= 22)).all():
+        return None
+    integer, fraction = _digit_run(words, points, whole), _digit_run(words, ends, k)
+    if integer is None or fraction is None:
+        return None
+    scale = _POW10[k]
+    # the mantissa is exact in uint64 below 2**61: 18 digits always are, and
+    # a longer cell is estimated in float64 and refused at 2**61 or above
+    long = np.flatnonzero(whole + k > 18)
+    if long.size and (integer[long] * scale[long] + fraction[long].astype(np.float64) >= 2.0**61).any():
+        return None
+    mantissa = integer * _POW10_U64[k] + fraction
+    values = mantissa.astype(np.float64) / scale
+    slow = np.flatnonzero(mantissa > 2**53)
+    if slow.size:
+        values[slow], unsure = _nearest(mantissa[slow], k[slow])
+        for i in slow[unsure]:
+            values[i] = float(buf[first[i]:ends[i]].tobytes())
+    np.negative(values, out=values, where=negative)
+    return values
+
+
+def _digit_run(words, ends, count) -> np.ndarray | None:
+    """The uint64 value of the `count` (1..24) digits before each index
+    `ends` of the buffer, or None if one could reach 2**64."""
+    value = _eight_digits(words, ends, np.minimum(count, 8))
+    for j in (1, 2):
+        if not (count > 8 * j).any():
+            break
+        chunk = _eight_digits(words, ends - 8 * j, np.clip(count - 8 * j, 0, 8))
+        if j == 2 and (chunk >= 1844).any():  # 1844 * 10**16 + 10**16 > 2**64
+            return None
+        chunk *= _POW10_U64[8 * j]
+        value += chunk
+    return value
+
+
+def _eight_digits(words, ends, count) -> np.ndarray:
+    """The `count` (0..8) digits before each index `ends`, as integers: the
+    8 bytes up to it in one little-endian load, bytes before the digits
+    cleared, then three multiply-shifts that join digit pairs, quads and
+    octets (Langdale & Lemire's SWAR conversion)."""
+    w = words[ends - 8]
+    w &= _DIGIT_BITS[count]
+    w *= 2561  # 10 * 2**8 + 1
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 6553601  # 100 * 2**16 + 1
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 42949672960001  # 10000 * 2**32 + 1
+    w >>= 32
+    return w
+
+
+def _nearest(mantissa, k):
+    """(m / 10**k correctly rounded, whether it is unsure) for each uint64
+    m in (2**53, 2**62) and k <= 22. m is split exactly into hi + lo, and
+    hi / 10**k + lo / 10**k, rounded, is within an ulp and a hair of the
+    quotient; the exact test moves it one ulp where it must. Unsure are
+    exact ties and what one step did not settle, for the caller to read."""
+    scale = _POW10[k]
+    hi = mantissa.astype(np.float64)
+    lo = (mantissa - hi.astype(np.uint64)).view(np.int64).astype(np.float64)
+    x = hi / scale + lo / scale
+    excess, limit = _error(x, mantissa, k)
+    beyond = np.flatnonzero(np.abs(excess) > limit)
+    x[beyond] = np.nextafter(x[beyond], np.where(excess[beyond] > 0, -np.inf, np.inf))
+    excess[beyond], limit[beyond] = _error(x[beyond], mantissa[beyond], k[beyond])
+    return x, np.abs(excess) >= limit
+
+
+def _error(x, mantissa, k):
+    """(x * 10**k - m, half the gap from x to its neighbour on that side,
+    times 10**k), both exact. x * 10**k is hi + lo exactly (TwoProduct), hi
+    an integer near m; the difference is an exact double, since x is within
+    an ulp or two of m / 10**k, which is above 2**53 / 10**22."""
+    hi = x * _POW10[k]
+    x_hi, x_lo = _split(x)
+    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((x_hi * s_hi - hi) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
+    excess = (hi.astype(np.int64) - mantissa.view(np.int64)).astype(np.float64) + lo
+    fraction, exponent = np.frexp(x)
+    half = np.ldexp(_POW10[k], exponent - 54)  # half an ulp of x, times 10**k
+    # below a power of two, the neighbour is half as far
+    return excess, np.where((excess > 0) & (fraction == 0.5), half / 2, half)

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ShapeError
-from .fileio import atomic_write_text, format_rows
+from .fileio import atomic_write_text, format_rows, parse_rows
 
 logger = logging.getLogger(__name__)
 
@@ -286,33 +286,55 @@ def fit_normalization(records, start: int | None = None, end: int | None = None)
 def read_records(path) -> Records:
     """Parse the record CSV; malformed lines raise with their line number.
 
-    The body is parsed as columns in one pass, after any line of other than
-    plain numeric bytes is read with the line loop's rules and written back
-    plainly. Whatever that cannot take, or takes but breaks a rule, is parsed
-    again as a whole file with the csv line loop, which gives the error and
-    its line.
+    A body in write_records' own form is parsed as columns by `parse_rows`.
+    Any other body is parsed as columns in one `np.loadtxt` pass, after any
+    line of other than plain numeric bytes is read with the line loop's rules
+    and written back plainly. Whatever that cannot take, or takes but breaks
+    a rule, is parsed again as a whole file with the csv line loop, which
+    gives the error and its line.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            header, body = fh.readline(), fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    records = _parse_columns(path, raw)
-    return records if records is not None else _parse_lines(path, raw)
+    records = _parse_columns(path, header, body)
+    return records if records is not None else _parse_lines(path, header + body)
 
 
-def _parse_columns(path, raw: bytes) -> Records | None:
-    """The records of a file with the exact header, or None to parse by lines."""
-    header, newline, body = raw.partition(b"\n")
-    if header.removesuffix(b"\r") != ",".join(CSV_HEADER).encode() or not newline:
+def _parse_columns(path, header: bytes, body: bytes) -> Records | None:
+    """The records of a file with the exact header line, or None to parse by lines."""
+    line = header.removesuffix(b"\n")
+    if line == header or line.removesuffix(b"\r") != ",".join(CSV_HEADER).encode():
         return None
+    columns = parse_rows(body, [_ROW[name] for name in _ROW.names])
+    if columns is None:
+        columns = _load_columns(path, body)
+    if columns is None:
+        return None
+    records = Records(*columns)
+    return records if _readable(records).all() else None
+
+
+def _load_columns(path, body: bytes) -> list | None:
+    """The columns of a body of numeric lines by `np.loadtxt`, after odd
+    lines are written plainly, or None if any line fails."""
     # csv rejects a field longer than its limit, which loadtxt would parse
     breaks = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
     if np.diff(breaks, prepend=-1, append=len(body)).max() > csv.field_size_limit():
         return None
     if body.translate(None, _COLUMN_BYTES):
         body = _plain_body(path, body)
-    return _load_columns(body) if body is not None else None
+        if body is None:
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body only warns
+            rows = np.loadtxt(io.BytesIO(body), dtype=_ROW, delimiter=",", comments=None,
+                              ndmin=1, encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    return [np.ascontiguousarray(rows[name]) for name in _ROW.names]
 
 
 def _plain_body(path, body: bytes) -> bytes | None:
@@ -351,19 +373,6 @@ def _plain_body(path, body: bytes) -> bytes | None:
         pieces += [body[done:start], line]
         done = end
     return b"".join([*pieces, body[done:]])
-
-
-def _load_columns(body: bytes) -> Records | None:
-    """A body of plain numeric lines as columns, or None if any line fails."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty body only warns
-            rows = np.loadtxt(io.BytesIO(body), dtype=_ROW, delimiter=",", comments=None,
-                              ndmin=1, encoding="ascii")
-    except (ValueError, Warning):
-        return None
-    records = Records(*(np.ascontiguousarray(rows[name]) for name in _ROW.names))
-    return records if _readable(records).all() else None
 
 
 def _readable(records: Records) -> np.ndarray:

@@ -96,13 +96,15 @@ def dataset_loss(model, samples, volume_weight) -> float:
         batch = samples[start:start + LOSS_CHUNK]
         pred_u, pred_q = model.predict_batch(batch.speed_history, batch.volume_history)
         check_predictions(pred_u, pred_q, "dataset loss")
-        du = pred_u - batch.speed_target
-        sum_u += float(np.sum(du * du))
-        count_u += du.size
-        if pred_q is not None:
-            dq = pred_q - batch.volume_target
-            sum_q += float(np.sum(dq * dq))
-            count_q += dq.size
+        # finite predictions can still overflow when squared: the loss is then inf
+        with np.errstate(over="ignore"):
+            du = pred_u - batch.speed_target
+            sum_u += float(np.sum(du * du))
+            count_u += du.size
+            if pred_q is not None:
+                dq = pred_q - batch.volume_target
+                sum_q += float(np.sum(dq * dq))
+                count_q += dq.size
     loss = sum_u / count_u
     if count_q:
         loss += volume_weight * (sum_q / count_q)
@@ -127,7 +129,9 @@ def train(model, samples, config: TrainConfig, eval_samples=None) -> list[EpochS
         weighted = 0.0
         for batch_num, start in enumerate(range(0, total, config.batch_size), start=1):
             batch = samples[order[start:start + config.batch_size]]
-            loss, grads = _loss_and_grads(model, batch, config.volume_weight, rng)
+            # an overflow gives a non-finite loss or gradient, refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grads = _loss_and_grads(model, batch, config.volume_weight, rng)
             if not math.isfinite(loss):
                 raise NumericError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {batch_num}"

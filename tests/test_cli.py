@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -322,6 +324,22 @@ class TestSweepCommand:
             value, acc, loss, status = line.split(",")
             assert status == "ok"
             float(value), float(acc), float(loss)
+
+    def test_diverged_run_prints_no_numpy_warning(self, corpus, tmp_path):
+        # a separate process: pytest would capture the warnings itself
+        config, data = corpus
+        out = tmp_path / "sweep.csv"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-W", "default", "-c", "import sys; from lanecast.cli import main; sys.exit(main())",
+             "sweep", "--config", config, "--data", data, "--axis", "lr", "--values", "1e30,1e-3",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "RuntimeWarning" not in run.stderr
+        assert [line.split(",")[-1] for line in out.read_text().splitlines()[1:]] == ["diverged", "ok"]
 
     def test_empty_values_is_usage_error(self, corpus, tmp_path):
         config, data = corpus

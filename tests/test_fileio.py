@@ -1,13 +1,15 @@
 """format_rows against the reference it must reproduce: `repr` for floats,
-`str` for integers, byte for byte."""
+`str` for integers, byte for byte; parse_rows against `float()` and `int()`,
+bit for bit."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from lanecast import fileio
-from lanecast.fileio import format_rows
+from lanecast.fileio import format_rows, parse_rows
 from lanecast.pipeline import CorridorShape
 from lanecast.synth import SynthConfig, generate
 
@@ -112,3 +114,150 @@ class TestRows:
     def test_misaligned_columns_rejected(self):
         with pytest.raises(ValueError, match="one length"):
             format_rows([np.array([1, 2]), np.array([1.0])], b",", b"\n")
+
+
+def parsed(texts, dtype=np.float64):
+    """parse_rows of `texts`, one cell per row, or None."""
+    columns = parse_rows("".join(t + "\n" for t in texts).encode(), [dtype])
+    return None if columns is None else columns[0]
+
+
+def unparsed(values, dtype=np.float64):
+    """The cells mismatched by parse_rows reading back what format_rows
+    wrote, against float() or int() of each cell's text: (text, got)."""
+    values = np.asarray(values, dtype)
+    texts = format_rows([values], b"", b"\n").decode("ascii").split("\n")[:-1]
+    got = parsed(texts, dtype)
+    assert got is not None and got.dtype == dtype
+    want = np.array([(float if dtype == np.float64 else int)(t) for t in texts], dtype)
+    return [(t, g) for t, g, w in zip(texts, got.tolist(), (got.view(np.int64) == want.view(np.int64)))
+            if not w]
+
+
+def midpoints(top_binade, count, seed):
+    """Exact decimal midpoints between neighbouring doubles in the binades
+    [2**b, 2**(b+1)) up to `top_binade`, with the decimals one unit of their
+    last digit either side: those whose digits make a mantissa below 2**61."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for b in range(50, top_binade + 1):
+        doubles = np.ldexp(1.0 + rng.integers(0, 2**52, count) / 2**52, b)
+        for d in [*doubles.tolist(), 2.0**b, float(np.nextafter(2.0**(b + 1), 0.0))]:
+            mid = (Decimal(d) + Decimal(float(np.nextafter(d, np.inf)))) / 2
+            unit = Decimal(1).scaleb(min(mid.as_tuple().exponent, -1))
+            for near in (mid - unit, mid, mid + unit):
+                text = f"{near:f}" if near != near.to_integral() else f"{near:f}.0"
+                if int(text.replace(".", "")) < 2**61:
+                    texts.append(text)
+    return texts
+
+
+def near_powers_of_two(count, seed):
+    """Decimals of 1 to 3 fraction digits within two ulps below and one
+    above 2**b, where the neighbour below is half as far as the one above."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for b in range(50, 58):
+        for t in rng.uniform(-2, 1, count):
+            near = Decimal(2) ** b + Decimal(float(t)) * Decimal(2) ** (b - 53)
+            for places in (1, 2, 3):
+                text = f"{near.quantize(Decimal(1).scaleb(-places)):f}"
+                if int(text.replace(".", "")) < 2**61:
+                    texts.append(text)
+    return texts
+
+
+NON_REPR = [
+    "9007199254740993.0", "9007199254740995.0", "9007199254740991.5", "18014398509481983.0",
+    "18014398509481986.0", "90071992547409931.0", "0.30000000000000004", "0.30000000000000005",
+    "12345678901234567.0", "98765432109876543.0", "0.12345678901234567", "1.2345678901234567",
+    "007.50", "000.000", "0.0000000000000000000001", "000000000000000000000001.5",
+    "2.000000000000000000", "1.999999999999999999", "4503599627370496.5",
+    *(f"{2**53 + j}.{d}" for j in range(0, 40, 3) for d in (0, 5, 25)),
+]
+
+
+class TestParse:
+    def test_edge_values_read_as_float(self):
+        values = [v for v in EDGE + [-v for v in EDGE] if math.isfinite(v)]
+        assert unparsed(values + [-0.0]) == []
+        assert np.signbit(parsed(["-0.0", "0.0"])).tolist() == [True, False]
+
+    def test_random_bit_patterns_read_as_float(self):
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        assert unparsed(values[np.isfinite(values)]) == []
+
+    def test_data_and_weight_values_read_as_float(self):
+        rng = np.random.default_rng(6)
+        records = generate(SynthConfig(shape=CorridorShape(10, 8, 4), days=2, seed=7))
+        sets = [
+            records.speed, records.volume,
+            rng.standard_normal(40_000) * math.sqrt(2 / 288),
+            rng.uniform(-1e6, 1e6, 40_000),
+            10 ** rng.uniform(-6, 17, 40_000),
+            np.round(rng.uniform(0, 100, 40_000), 2),
+            np.round(rng.uniform(0, 100, 40_000), 1),
+        ]
+        for values in sets:
+            assert unparsed(values) == []
+
+    @pytest.mark.parametrize("texts", [NON_REPR, midpoints(57, 40, 11), near_powers_of_two(30, 3)],
+                             ids=["listed", "midpoints", "near_powers_of_two"])
+    def test_decimals_repr_never_writes(self, texts):
+        texts = texts + ["-" + t for t in texts]
+        got = parsed(texts)
+        assert got is not None
+        want = np.array([float(t) for t in texts])
+        assert [t for t, ok in zip(texts, got.view(np.int64) == want.view(np.int64)) if not ok] == []
+
+    def test_one_step_settles_all_but_ties(self):
+        # the corpus's 16- and 17-digit decimals above 2**53: each candidate
+        # is right or one ulp off, so none is left for float() to read
+        records = generate(SynthConfig(shape=CorridorShape(10, 8, 4), days=2, seed=7))
+        texts = [repr(v) for v in np.concatenate([records.speed, records.volume]).tolist()]
+        cells = [(int(t.replace(".", "")), len(t) - t.index(".") - 1, t) for t in texts if "e" not in t]
+        cells = [c for c in cells if c[0] > 2**53]
+        mantissa = np.array([m for m, _, _ in cells], np.uint64)
+        values, unsure = fileio._nearest(mantissa, np.array([k for _, k, _ in cells]))
+        assert len(cells) > 10_000 and not unsure.any()
+        assert values.tolist() == [float(t) for _, _, t in cells]
+
+    def test_integers_read_as_int(self):
+        info = np.iinfo(np.int64)
+        values = [0, 1, -1, 2**53 - 1, 2**53, 2**53 + 1, -(2**53 - 1), -(2**53 + 1),
+                  info.max, info.min, info.max - 1, info.min + 1, 10**18, -(10**18)]
+        assert unparsed(values, np.int64) == []
+        rng = np.random.default_rng(9)
+        assert unparsed(rng.integers(info.min, info.max, 20_000, endpoint=True), np.int64) == []
+        texts = ["0007", "-0", "-0007", "0000000000000000007"]
+        assert parsed(texts, np.int64).tolist() == [7, 0, -7, 7]
+
+    @pytest.mark.parametrize("text", ["9223372036854775808", "-9223372036854775809",
+                                      "99999999999999999999", "00000000000000000001"])
+    def test_integers_beyond_int64_or_19_digits_refused(self, text):
+        assert parsed([text], np.int64) is None
+
+    def test_columns_across_blocks(self, monkeypatch):
+        # blocks of 64 bytes: most lines straddle a block boundary, and
+        # each block's first cells load bytes before it
+        monkeypatch.setattr(fileio, "_BLOCK", 64)
+        rng = np.random.default_rng(12)
+        columns = [rng.integers(-10**12, 10**12, 500), rng.uniform(0, 100, 500),
+                   rng.integers(0, 9, 500), 10 ** rng.uniform(-7, 18, 500)]
+        got = parse_rows(format_rows(columns, b",", b"\n"), [c.dtype for c in columns])
+        assert [g.tobytes() for g in got] == [c.tobytes() for c in columns]
+        assert parse_rows(b"1," + b"0" * 70 + b".5\n", [np.int64, np.float64]) is None
+
+    REFUSED = [
+        b"", b"1,2.5", b"1,2.5\n\n", b" 1,2.5\n", b"+1,2.5\n", b"1,+2.5\n", b"1,2.5\r\n",
+        b"1,,2.5\n", b",2.5\n", b"1,\n", b"1,2.5,3\n", b"1\n", b"1.0,2.5\n", b"1,25\n",
+        b"1,2.5.5\n", b"1,.5\n", b"1,5.\n", b"1,-.5\n", b"1-2,2.5\n", b"1,2-5.0\n", b"--1,2.5\n",
+        b"1,2.5-\n", b"1,nan\n", b"1,inf\n", b"1,1e5\n", b"1,1E+05\n", b"1e+05,2.5\n",
+        b"1,1.0e+5\n", b'"1",2.5\n', b"1;2.5\n", b"1,2/5\n", b"1,0.00000000000000000000001\n",
+        b"1,2305843009213693952.0\n", b"1,0.18446744073709551617\n", b"1,2.00000000000000000000\n", b"1,0000000000000000000000001.5\n",
+    ]
+
+    @pytest.mark.parametrize("body", REFUSED)
+    def test_other_text_refused(self, body):
+        assert parse_rows(body, [np.int64, np.float64]) is None

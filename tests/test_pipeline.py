@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lanecast.errors import ConfigError, DataError, ShapeError
+from lanecast.fileio import parse_rows
 from lanecast import pipeline
 from lanecast.pipeline import (
     CSV_HEADER,
@@ -667,6 +668,62 @@ class TestCsv:
         back = read_records(path)
         assert back == records
         assert all(getattr(back, n).flags.c_contiguous for n in CSV_HEADER)
+
+    def test_exponent_and_negative_zero_cells_skip_loadtxt(self, tmp_path, monkeypatch):
+        # one exponent-form value must not send the whole file to loadtxt
+        records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
+        records.speed[[3, 70, 500]] = [5.324195449348997e-05, 1e16, -0.0]
+        records.volume[[4, 900]] = [1.0055973119660206e-06, 2.5e-300]
+        path = tmp_path / "records.csv"
+        write_records(path, records)
+        text = path.read_text()
+        assert all(cell in text for cell in (",5.324195449348997e-05,", ",1e+16,", ",-0.0,",
+                                             ",1.0055973119660206e-06\n", ",2.5e-300\n"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read_records fell back from the column parser")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        monkeypatch.setattr(pipeline, "_parse_lines", refuse)
+        back = read_records(path)
+        for name in CSV_HEADER:
+            assert getattr(back, name).view(np.int64).tolist() == getattr(records, name).view(np.int64).tolist()
+
+    # bodies of only digits, commas, newlines, signs and points that are
+    # not write_records' form: the column parser refuses them, and
+    # read_records gives what the loadtxt and line-loop chain gives
+    FAST_BYTES_MALFORMED = {
+        "empty_cell": "0,1,1,,4.0\n",
+        "two_points": "0,1,1,1.2.3,4.0\n",
+        "inner_minus": "0,1,1,1-2,4.0\n",
+        "point_in_int": "0,1.0,1,3.5,4.0\n",
+        "four_fields": "0,1,1,3.5\n",
+        "six_fields": "0,1,1,3.5,4.0,5.0\n",
+        "bare_fraction": "0,1,1,.5,4.0\n",
+        "bare_point": "0,1,1,5.,4.0\n",
+        "integral_float": "0,1,1,5,4.0\n",
+        "no_final_newline": "600,1,1,3.5,4.0",
+        "int_beyond_int64": "9223372036854775808,1,1,3.5,4.0\n",
+        "negative_speed": "0,1,1,-3.5,4.0\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAST_BYTES_MALFORMED))
+    def test_fast_bytes_malformed_match_loadtxt_chain(self, tmp_path, monkeypatch, name):
+        body = self.GOOD + self.FAST_BYTES_MALFORMED[name]
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + body)
+        if name != "negative_speed":
+            assert parse_rows(body.encode(), [pipeline._ROW[n] for n in CSV_HEADER]) is None
+
+        def outcome():
+            try:
+                return read_records(path)
+            except DataError as exc:
+                return str(exc)
+
+        got = outcome()
+        monkeypatch.setattr(pipeline, "parse_rows", lambda body, dtypes: None)
+        assert got == outcome()
 
     # each message and line number as the line loop alone reported them
     GOOD = "0,1,1,3.5,4.0\n300,1,2,4.25,5.0\n"
