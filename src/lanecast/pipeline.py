@@ -14,7 +14,6 @@ import io
 import logging
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import NamedTuple
@@ -33,11 +32,6 @@ _ROW = np.dtype([("timestamp", np.int64), ("detector_index", np.int64), ("lane",
                  ("speed", np.float64), ("volume", np.float64)])
 # the int64 values; `in` tests a Python int against a range in constant time
 _INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
-# the bytes a body may hold to be parsed as columns: loadtxt strips more
-# kinds of whitespace than int() and float() do
-_COLUMN_BYTES = b"0123456789+-.eE, \r\n"
-# a bytes.translate table: 1 for a byte outside _COLUMN_BYTES, else 0
-_ODD_BYTES = bytes(b not in _COLUMN_BYTES for b in range(256))
 
 
 def _is_integer(value) -> bool:
@@ -286,93 +280,30 @@ def fit_normalization(records, start: int | None = None, end: int | None = None)
 def read_records(path) -> Records:
     """Parse the record CSV; malformed lines raise with their line number.
 
-    A body in write_records' own form is parsed as columns by `parse_rows`.
-    Any other body is parsed as columns in one `np.loadtxt` pass, after any
-    line of other than plain numeric bytes is read with the line loop's rules
-    and written back plainly. Whatever that cannot take, or takes but breaks
-    a rule, is parsed again as a whole file with the csv line loop, which
-    gives the error and its line.
+    A file in write_records' own form (the exact header line, then rows as
+    `fileio.format_rows` writes them) is parsed as columns by `parse_rows`.
+    Any other file, valid or not, is read by the csv line loop, which gives
+    the same records for every file both take, and names the line of an
+    error.
     """
     try:
         with open(path, "rb") as fh:
             header, body = fh.readline(), fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    records = _parse_columns(path, header, body)
+    records = _parse_columns(header, body)
     return records if records is not None else _parse_lines(path, header + body)
 
 
-def _parse_columns(path, header: bytes, body: bytes) -> Records | None:
-    """The records of a file with the exact header line, or None to parse by lines."""
-    line = header.removesuffix(b"\n")
-    if line == header or line.removesuffix(b"\r") != ",".join(CSV_HEADER).encode():
+def _parse_columns(header: bytes, body: bytes) -> Records | None:
+    """The records of a file in write_records' form, or None to parse by lines."""
+    if header != ",".join(CSV_HEADER).encode() + b"\n":
         return None
     columns = parse_rows(body, [_ROW[name] for name in _ROW.names])
-    if columns is None:
-        columns = _load_columns(path, body)
     if columns is None:
         return None
     records = Records(*columns)
     return records if _readable(records).all() else None
-
-
-def _load_columns(path, body: bytes) -> list | None:
-    """The columns of a body of numeric lines by `np.loadtxt`, after odd
-    lines are written plainly, or None if any line fails."""
-    # csv rejects a field longer than its limit, which loadtxt would parse
-    breaks = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
-    if np.diff(breaks, prepend=-1, append=len(body)).max() > csv.field_size_limit():
-        return None
-    if body.translate(None, _COLUMN_BYTES):
-        body = _plain_body(path, body)
-        if body is None:
-            return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty body only warns
-            rows = np.loadtxt(io.BytesIO(body), dtype=_ROW, delimiter=",", comments=None,
-                              ndmin=1, encoding="ascii")
-    except (ValueError, Warning):
-        return None
-    return [np.ascontiguousarray(rows[name]) for name in _ROW.names]
-
-
-def _plain_body(path, body: bytes) -> bytes | None:
-    """The body with each line outside _COLUMN_BYTES written plainly, or None.
-
-    Those lines are read by one csv reader with the line loop's rules, and
-    each is replaced by its record as write_records writes it, which loadtxt
-    reads back exactly. None when one breaks a rule or is not one csv row of
-    its own: strict mode fails a line that leaves a quoted field open, which
-    the line loop reads on into the next line.
-    """
-    lines = body.count(b"\n") + 1
-    marks = body.translate(_ODD_BYTES)
-    spans, at = [], marks.find(1)
-    while at >= 0:
-        if 2 * len(spans) > lines:  # mostly odd lines: the line loop is faster
-            return None
-        end = body.find(b"\n", at)
-        end = len(body) if end < 0 else end
-        spans.append((body.rfind(b"\n", 0, at) + 1, end))
-        at = marks.find(1, end)
-    rows, lineno, done = [], 2, 0
-    try:
-        odd_lines = b"\n".join(body[a:b] for a, b in spans).decode("utf-8").split("\n")
-        reader = csv.reader(odd_lines, strict=True)
-        for n, ((start, end), row) in enumerate(zip(spans, reader, strict=True), start=1):
-            if reader.line_num != n:
-                return None
-            lineno += body.count(b"\n", done, start)
-            rows.append(_parse_row(path, lineno, row))
-            done = end
-    except (csv.Error, DataError, ValueError):  # ValueError: not UTF-8, or fewer rows than lines
-        return None
-    pieces, done = [], 0
-    for (start, end), line in zip(spans, _csv_rows(_as_records(rows)).split(b"\n")):
-        pieces += [body[done:start], line]
-        done = end
-    return b"".join([*pieces, body[done:]])
 
 
 def _readable(records: Records) -> np.ndarray:
@@ -446,13 +377,9 @@ def write_records(path, records) -> None:
             f"record {bad[0]} ({records[bad[0]]}) cannot be read back: detector and lane "
             "indices are 1-based, speed and volume must be finite and >= 0"
         )
-    atomic_write_text(path, ",".join(CSV_HEADER).encode() + b"\n" + _csv_rows(records))
-
-
-def _csv_rows(records: Records) -> bytes:
-    """The records as CSV lines, each ending in a newline: integers as
-    `str` writes them, speed and volume as `repr`, which reads back exactly."""
-    return format_rows([getattr(records, name) for name in _ROW.names], b",", b"\n")
+    # integers as `str` writes them, speed and volume as `repr`, which reads back exactly
+    rows = format_rows([getattr(records, name) for name in _ROW.names], b",", b"\n")
+    atomic_write_text(path, ",".join(CSV_HEADER).encode() + b"\n" + rows)
 
 
 # -- window construction ---------------------------------------------------------

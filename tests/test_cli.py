@@ -177,6 +177,23 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
 
+    def test_warning_is_one_line_without_source(self, tmp_path):
+        # a separate process: pytest would capture the warning itself
+        training = {"epochs": 1, "seed": 3, "batch_size": 32, "volume_weight": 4.5}
+        config = small_config_doc(tmp_path, training=training, synth={"days": 1, "seed": 3})
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--config", config, "--out", str(data)]) == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from lanecast.cli import main; sys.exit(main())",
+             "train", "--config", config, "--data", str(data), "--bundle", str(tmp_path / "m.json")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "warning: volume_weight 4.5 is outside the suggested [0, 1] range\n" in run.stderr
+        assert ".py:" not in run.stderr
+
     def test_missing_data_flag_is_usage_error(self, tmp_path):
         config = small_config_doc(tmp_path)
         assert main(["train", "--config", config, "--bundle", str(tmp_path / "m.json")]) == 1

@@ -463,6 +463,25 @@ def fstring_csv(records) -> bytes:
     return ("\n".join([",".join(CSV_HEADER), *lines]) + "\n").encode()
 
 
+def outcome(parse, *args):
+    """What parse(*args) gives: its columns as int64 views, or its DataError's text."""
+    try:
+        records = parse(*args)
+    except DataError as exc:
+        return str(exc)
+    return [getattr(records, name).view(np.int64).tolist() for name in CSV_HEADER]
+
+
+def mutation_corpus() -> bytes:
+    """A small synth corpus as write_records writes it, with cells in
+    repr's exponent form and a negative zero."""
+    records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
+    records = Records(*(getattr(records, name)[:96] for name in CSV_HEADER))
+    records.speed[[3, 50, 61]] = [5.324195449348997e-05, 1e16, -0.0]
+    records.volume[7] = 2.5e-300
+    return fstring_csv(records)
+
+
 INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
 INDEX = st.integers(1, np.iinfo(np.int64).max)
 READING = st.one_of(
@@ -579,7 +598,7 @@ class TestCsv:
     @pytest.mark.parametrize("name", sorted(VALID))
     def test_mixed_body_matches_line_loop(self, tmp_path, name, crlf):
         # each case between plain lines and quoted lines, first and last:
-        # the plain lines are parsed as columns and the others alone
+        # one odd line sends the whole file to the line loop
         body, rows = self.VALID[name]
         text = HEADER + '"7",1,2,"3.5",4\n' + self.GOOD + body + "\n" + self.GOOD + '900,1,1,"2.5",1'
         if crlf:
@@ -592,49 +611,6 @@ class TestCsv:
                            *(LoopRecord(*row) for row in rows), *good, LoopRecord(900, 1, 1, 2.5, 1.0)]
         assert records == pipeline._parse_lines(path, text.encode())
         assert all(getattr(records, n).dtype == pipeline._ROW[n] for n in CSV_HEADER)
-
-    def test_only_odd_lines_reach_line_parser(self, tmp_path, monkeypatch):
-        records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
-        path = tmp_path / "records.csv"
-        write_records(path, records)
-        lines = path.read_text().split("\n")
-        for i in (1, 40, 41, 300):
-            lines[i] = '"' + lines[i].replace(",", '","') + '"'
-        fields = lines[500].split(",")
-        lines[500] = ",".join([fields[0], "0_" + fields[1], *fields[2:]])
-        path.write_text("\n".join(lines))
-        calls = []
-
-        def parse_row(path, lineno, row):
-            calls.append(lineno)
-            return parse(path, lineno, row)
-
-        def line_loop(path, raw):
-            raise AssertionError("the mixed parse fell back to the line loop")
-
-        parse = pipeline._parse_row
-        monkeypatch.setattr(pipeline, "_parse_row", parse_row)
-        monkeypatch.setattr(pipeline, "_parse_lines", line_loop)
-        assert read_records(path) == records
-        assert calls == [2, 41, 42, 301, 501]
-
-    @pytest.mark.parametrize("quoted_share", [0.45, 1.0])
-    def test_mostly_quoted_body_goes_to_line_loop(self, tmp_path, monkeypatch, quoted_share):
-        # a spreadsheet export quotes every field: past half the lines, the
-        # whole-file loop is the faster parse and no line is parsed twice
-        records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
-        path = tmp_path / "records.csv"
-        write_records(path, records)
-        lines = path.read_text().split("\n")
-        quoted = int(quoted_share * (len(lines) - 2))
-        for i in range(1, 1 + quoted):
-            lines[i] = '"' + lines[i].replace(",", '","') + '"'
-        path.write_text("\n".join(lines))
-        loops = []
-        line_loop = pipeline._parse_lines
-        monkeypatch.setattr(pipeline, "_parse_lines", lambda *a: loops.append(1) or line_loop(*a))
-        assert read_records(path) == records
-        assert len(loops) == (quoted_share > 0.5)
 
     # a line the csv loop reads on into the next, or splits in two
     SPANNING = {
@@ -669,8 +645,8 @@ class TestCsv:
         assert back == records
         assert all(getattr(back, n).flags.c_contiguous for n in CSV_HEADER)
 
-    def test_exponent_and_negative_zero_cells_skip_loadtxt(self, tmp_path, monkeypatch):
-        # one exponent-form value must not send the whole file to loadtxt
+    def test_exponent_and_negative_zero_cells_skip_line_loop(self, tmp_path, monkeypatch):
+        # one exponent-form value must not send the whole file to the line loop
         records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
         records.speed[[3, 70, 500]] = [5.324195449348997e-05, 1e16, -0.0]
         records.volume[[4, 900]] = [1.0055973119660206e-06, 2.5e-300]
@@ -683,7 +659,6 @@ class TestCsv:
         def refuse(*args, **kwargs):
             raise AssertionError("read_records fell back from the column parser")
 
-        monkeypatch.setattr(np, "loadtxt", refuse)
         monkeypatch.setattr(pipeline, "_parse_lines", refuse)
         back = read_records(path)
         for name in CSV_HEADER:
@@ -691,7 +666,7 @@ class TestCsv:
 
     # bodies of only digits, commas, newlines, signs and points that are
     # not write_records' form: the column parser refuses them, and
-    # read_records gives what the loadtxt and line-loop chain gives
+    # read_records gives what the line loop gives
     FAST_BYTES_MALFORMED = {
         "empty_cell": "0,1,1,,4.0\n",
         "two_points": "0,1,1,1.2.3,4.0\n",
@@ -708,22 +683,44 @@ class TestCsv:
     }
 
     @pytest.mark.parametrize("name", sorted(FAST_BYTES_MALFORMED))
-    def test_fast_bytes_malformed_match_loadtxt_chain(self, tmp_path, monkeypatch, name):
+    def test_fast_bytes_malformed_match_loadtxt_chain(self, tmp_path, name):
+        # named for the np.loadtxt pass these bodies once reached
         body = self.GOOD + self.FAST_BYTES_MALFORMED[name]
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + body)
         if name != "negative_speed":
             assert parse_rows(body.encode(), [pipeline._ROW[n] for n in CSV_HEADER]) is None
+        assert outcome(read_records, path) == outcome(pipeline._parse_lines, path, path.read_bytes())
 
-        def outcome():
-            try:
-                return read_records(path)
-            except DataError as exc:
-                return str(exc)
+    MUTATION_CORPUS = mutation_corpus()
+    CELLS = ["nan", "inf", "abc", "", "9223372036854775808"]
 
-        got = outcome()
-        monkeypatch.setattr(pipeline, "parse_rows", lambda body, dtypes: None)
-        assert got == outcome()
+    @settings(max_examples=1500, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["drop", "duplicate", "cell", "truncate", "xff", "crlf", "quote", "pad"]),
+           line=st.integers(0, 96), field=st.integers(0, 4), cell=st.sampled_from(CELLS),
+           at=st.integers(0, len(MUTATION_CORPUS)))
+    def test_mutated_file_matches_line_loop(self, tmp_path, kind, line, field, cell, at):
+        # parse_rows must take no file that the line loop reads differently
+        raw = self.MUTATION_CORPUS
+        if kind == "truncate":
+            raw = raw[:at]
+        elif kind == "xff":
+            raw = raw[:at] + b"\xff" + raw[at:]
+        elif kind == "crlf":
+            raw = raw.replace(b"\n", b"\r\n")
+        else:
+            lines = raw.decode().split("\n")
+            cells = lines[line].split(",")
+            cells[field:field + 1] = {
+                "drop": [], "duplicate": [cells[field]] * 2, "cell": [cell],
+                "quote": [f'"{cells[field]}"'], "pad": [f" {cells[field]} "],
+            }[kind]
+            lines[line] = ",".join(cells)
+            raw = "\n".join(lines).encode()
+        path = tmp_path / "mutated.csv"
+        path.write_bytes(raw)
+        assert outcome(read_records, path) == outcome(pipeline._parse_lines, path, raw)
 
     # each message and line number as the line loop alone reported them
     GOOD = "0,1,1,3.5,4.0\n300,1,2,4.25,5.0\n"
@@ -780,14 +777,14 @@ class TestCsv:
         assert str(path) in str(info.value)
 
     def test_padded_over_long_field_is_not_parsed_as_columns(self, tmp_path):
-        # loadtxt strips the padding and would accept the field
+        # int() and float() strip the padding, but csv refuses the field first
         path = tmp_path / "long.csv"
         path.write_text(HEADER + self.GOOD + "600,1,1," + " " * 140_000 + "3.5,4\n")
         with pytest.raises(DataError, match="line 4: field larger than field limit"):
             read_records(path)
 
     def test_separator_float_fails_with_line_loop_message(self, tmp_path):
-        # loadtxt strips \x1f around a number, float() does not
+        # float() strips spaces around a number but not \x1f
         path = tmp_path / "unit_sep.csv"
         path.write_text(HEADER + self.GOOD + "600,1,1,\x1f3.5,4\n")
         with pytest.raises(DataError, match="line 4: could not convert string to float"):
