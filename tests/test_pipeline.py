@@ -684,7 +684,6 @@ class TestCsv:
 
     @pytest.mark.parametrize("name", sorted(FAST_BYTES_MALFORMED))
     def test_fast_bytes_malformed_match_loadtxt_chain(self, tmp_path, name):
-        # named for the np.loadtxt pass these bodies once reached
         body = self.GOOD + self.FAST_BYTES_MALFORMED[name]
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + body)
