@@ -16,7 +16,6 @@ from .model import (
 from .optim import RmsProp
 from .pipeline import (
     CorridorShape,
-    LoopRecord,
     NormalizationParams,
     Records,
     SampleSet,

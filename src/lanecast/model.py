@@ -66,6 +66,8 @@ class ArchitectureConfig:
             raise ConfigError(f"filter size must be two positive ints, got {self.filter_size}")
         if self.fc_hidden < 1:
             raise ConfigError(f"fc_hidden must be >= 1, got {self.fc_hidden}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name, ratio in (("dropout_conv", self.dropout_conv), ("dropout_fc", self.dropout_fc)):
             if not 0.0 <= ratio < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {ratio}")

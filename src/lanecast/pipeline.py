@@ -9,13 +9,14 @@ is dropped (and counted) rather than imputed.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import logging
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +31,6 @@ CSV_HEADER = ["timestamp", "detector_index", "lane", "speed", "volume"]
 # one CSV row, and the dtype of each Records column
 _ROW = np.dtype([("timestamp", np.int64), ("detector_index", np.int64), ("lane", np.int64),
                  ("speed", np.float64), ("volume", np.float64)])
-# the int64 values; `in` tests a Python int against a range in constant time
-_INT64 = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
 
 def _is_integer(value) -> bool:
@@ -39,7 +38,9 @@ def _is_integer(value) -> bool:
 
 
 def is_finite_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    # compared, not converted: an integer beyond the double range is False, not an OverflowError
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 # annotation -> (what it must be, test, conversion applied to the stored value)
@@ -90,30 +91,17 @@ class CorridorShape:
             raise ConfigError(f"need at least 2 history steps, got {self.steps}")
         if self.lanes < 1:
             raise ConfigError(f"need at least 1 lane, got {self.lanes}")
-        if self.interval <= 0:
-            raise ConfigError(f"interval must be positive seconds, got {self.interval}")
-
-
-@dataclass(frozen=True)
-class LoopRecord:
-    """One detector reading: per-lane speed (mph) and vehicle count per interval."""
-
-    timestamp: int
-    detector_index: int  # 1-based, milepost order
-    lane: int            # 1-based, 1 = shoulder
-    speed: float
-    volume: float
+        if not 0 < self.interval <= np.iinfo(np.int64).max:  # timestamps are int64
+            raise ConfigError(f"interval must be positive seconds below 2**63, got {self.interval}")
 
 
 @dataclass(frozen=True, eq=False)
 class Records:
     """Loop-detector readings as five aligned columns, one row per reading.
 
-    timestamp, detector_index and lane are int64 arrays, speed and volume
-    float64, all of one length. Indexing with an int gives that row as a
-    `LoopRecord` (negative indices count from the end), so iteration yields
-    LoopRecords. `==` against Records compares the columns exactly, against
-    a list of LoopRecords row by row.
+    timestamp, detector_index (1-based, milepost order) and lane (1-based,
+    1 = shoulder) are int64 arrays, speed (mph) and volume (vehicles per
+    interval) float64, all of one length. `==` compares the columns exactly.
     """
 
     timestamp: np.ndarray
@@ -135,34 +123,11 @@ class Records:
     def __len__(self) -> int:
         return len(self.timestamp)
 
-    def __getitem__(self, index: int) -> LoopRecord:
-        n = len(self)
-        if not -n <= index < n:
-            raise IndexError(f"record {index} out of range for {n} records")
-        return LoopRecord(
-            int(self.timestamp[index]), int(self.detector_index[index]), int(self.lane[index]),
-            float(self.speed[index]), float(self.volume[index]),
-        )
-
     def __eq__(self, other):
         if isinstance(other, Records):
             return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                        for f in fields(self))
-        if isinstance(other, list):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
-
-
-def _as_records(records) -> Records:
-    """`records` as columns: Records pass through, a LoopRecord list is copied."""
-    if isinstance(records, Records):
-        return records
-    n = len(records)
-    try:
-        columns = [np.fromiter(map(attrgetter(name), records), _ROW[name], n) for name in _ROW.names]
-    except OverflowError as exc:
-        raise DataError(f"record index or timestamp outside the 64-bit range: {exc}") from exc
-    return Records(*columns)
 
 
 @dataclass(frozen=True)
@@ -260,7 +225,6 @@ def fit_normalization(records, start: int | None = None, end: int | None = None)
     Fit this on the training range only so no test-time information leaks
     into the scaling; later out-of-range values clamp to [0, 1].
     """
-    records = _as_records(records)
     kept = np.ones(len(records), dtype=bool)
     if start is not None:
         kept &= records.timestamp >= start
@@ -315,12 +279,15 @@ def _readable(records: Records) -> np.ndarray:
 
 
 def _parse_lines(path, raw: bytes) -> Records:
+    """Parse every row with the csv module into typed columns; a malformed
+    row raises with its line number."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path} line {line}: not UTF-8 text: {exc}") from exc
-    rows = []
+    columns = [array.array("q"), array.array("q"), array.array("q"), array.array("d"), array.array("d")]
+    timestamps, detectors, lanes, speeds, volumes = columns
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -329,39 +296,36 @@ def _parse_lines(path, raw: bytes) -> Records:
                 f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
             )
         for lineno, row in enumerate(reader, start=2):
-            if row:
-                rows.append(_parse_row(path, lineno, row))
+            if not row:
+                continue
+            if len(row) != 5:
+                raise DataError(f"{path} line {lineno}: expected 5 fields, got {len(row)}")
+            try:
+                timestamp, detector, lane = int(row[0]), int(row[1]), int(row[2])
+                speed, volume = float(row[3]), float(row[4])
+            except ValueError as exc:
+                raise DataError(f"{path} line {lineno}: {exc}") from exc
+            try:
+                timestamps.append(timestamp)
+                detectors.append(detector)
+                lanes.append(lane)
+            except OverflowError as exc:
+                raise DataError(
+                    f"{path} line {lineno}: timestamp or index outside the 64-bit range"
+                ) from exc
+            if detector < 1 or lane < 1:
+                raise DataError(f"{path} line {lineno}: detector and lane indices are 1-based")
+            if not (math.isfinite(speed) and speed >= 0.0):
+                raise DataError(f"{path} line {lineno}: speed must be finite and >= 0")
+            if not (math.isfinite(volume) and volume >= 0.0):
+                raise DataError(f"{path} line {lineno}: volume must be finite and >= 0")
+            speeds.append(speed)
+            volumes.append(volume)
     except csv.Error as exc:
         raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
-    if not rows:
+    if not timestamps:
         raise DataError(f"{path}: no records")
-    return _as_records(rows)
-
-
-def _parse_row(path, lineno: int, row: list[str]) -> LoopRecord:
-    """One csv row as a record; a malformed row raises with its line."""
-    if len(row) != 5:
-        raise DataError(f"{path} line {lineno}: expected 5 fields, got {len(row)}")
-    try:
-        record = LoopRecord(
-            timestamp=int(row[0]),
-            detector_index=int(row[1]),
-            lane=int(row[2]),
-            speed=float(row[3]),
-            volume=float(row[4]),
-        )
-    except ValueError as exc:
-        raise DataError(f"{path} line {lineno}: {exc}") from exc
-    if not (record.timestamp in _INT64 and record.detector_index in _INT64
-            and record.lane in _INT64):
-        raise DataError(f"{path} line {lineno}: timestamp or index outside the 64-bit range")
-    if record.detector_index < 1 or record.lane < 1:
-        raise DataError(f"{path} line {lineno}: detector and lane indices are 1-based")
-    if not (math.isfinite(record.speed) and record.speed >= 0.0):
-        raise DataError(f"{path} line {lineno}: speed must be finite and >= 0")
-    if not (math.isfinite(record.volume) and record.volume >= 0.0):
-        raise DataError(f"{path} line {lineno}: volume must be finite and >= 0")
-    return record
+    return Records(*(np.frombuffer(column, _ROW[name]) for column, name in zip(columns, _ROW.names)))
 
 
 def write_records(path, records) -> None:
@@ -370,11 +334,11 @@ def write_records(path, records) -> None:
     A record read_records would reject raises DataError, and nothing is
     written.
     """
-    records = _as_records(records)
     bad = np.flatnonzero(~_readable(records))
     if bad.size:
+        row = ", ".join(f"{name}={getattr(records, name)[bad[0]]}" for name in _ROW.names)
         raise DataError(
-            f"record {bad[0]} ({records[bad[0]]}) cannot be read back: detector and lane "
+            f"record {bad[0]} ({row}) cannot be read back: detector and lane "
             "indices are 1-based, speed and volume must be finite and >= 0"
         )
     # integers as `str` writes them, speed and volume as `repr`, which reads back exactly
@@ -392,7 +356,6 @@ def group_records(records, shape: CorridorShape):
     speed / volume: (T, detectors, lanes), zero where a cell has no record.
     complete: (T,) bool, every detector/lane cell present.
     """
-    records = _as_records(records)
     if not len(records):
         raise DataError("no records to window")
     ts, det, lane = records.timestamp, records.detector_index, records.lane

@@ -51,6 +51,8 @@ class SynthConfig:
         check_fields(self, "synth")
         if self.days < 1:
             raise ConfigError(f"days must be >= 1, got {self.days}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if DAY_SECONDS % self.shape.interval:
             raise ConfigError(
                 f"interval {self.shape.interval}s must divide a day evenly"

@@ -18,7 +18,7 @@ from lanecast.gradcheck import gradient_check
 from lanecast.layers import FilterBank, conv2d_valid
 from lanecast.losses import composite_loss
 from lanecast.model import ArchitectureConfig, ConvForecaster, PersistenceModel
-from lanecast.pipeline import CorridorShape, fit_normalization
+from lanecast.pipeline import _ROW, CorridorShape, fit_normalization
 from lanecast.synth import SynthConfig
 from lanecast.training import TrainConfig
 
@@ -148,12 +148,13 @@ def test_criterion_03_layout_fidelity():
             t: 10.0 + 60.0 * rng.random((shape.detectors, shape.lanes))
             for t in range(total_steps)
         }
-        records = [
-            lc.LoopRecord(t * 300, i + 1, l + 1, float(g[i, l]), float(g[i, l]) * 3.0)
+        rows = np.array([
+            (t * 300, i + 1, l + 1, float(g[i, l]), float(g[i, l]) * 3.0)
             for t, g in grids.items()
             for i in range(shape.detectors)
             for l in range(shape.lanes)
-        ]
+        ], dtype=_ROW)
+        records = lc.Records(*(rows[name].copy() for name in _ROW.names))
         norm = fit_normalization(records)
         samples = lc.build_samples(records, shape, norm)
         assert len(samples) == total_steps - shape.steps

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 from lanecast import cli
 from lanecast.cli import main
 from lanecast.config import default_run_config, load_run_config, parse_run_config
-from lanecast.errors import ConfigError
+from lanecast.errors import ConfigError, DataError
 from lanecast.model import ArchitectureConfig, ConvForecaster, load_bundle, save_bundle
-from lanecast.pipeline import CorridorShape, NormalizationParams, read_records
+from lanecast.pipeline import CorridorShape, NormalizationParams, Records, read_records, write_records
 
 
 def small_doc(**extra):
@@ -605,17 +606,21 @@ class TestStructure:
 MALFORMED_CONFIG = [
     ("architecture.fc_hidden", 4.5, "train"),
     ("architecture.seed", 1.5, "train"),
+    ("architecture.seed", -1, "train"),
     ("architecture.filters_per_layer", [2.7, 2, 2], "train"),
     ("architecture.filter_size", [2.0, 2.9], "train"),
     ("training.batch_size", 2.5, "train"),
     ("training.epochs", 1.5, "train"),
     ("training.seed", 1.5, "train"),
+    ("training.seed", -1, "train"),
     ("training.shuffle", "no", "train"),
     ("training.epsilon", math.inf, "train"),
     ("training.learning_rate", math.nan, "train"),
     ("training.volume_weight", math.nan, "train"),
+    ("training.learning_rate", 10**400, "train"),
     ("synth.days", 1.5, "synth"),
     ("synth.seed", 1.5, "synth"),
+    ("synth.seed", -1, "synth"),
     ("synth.peaks", 5, "synth"),
     ("synth.peaks", [5], "synth"),
     ("synth.peaks", [[1, 2]], "synth"),
@@ -734,3 +739,97 @@ class TestConfigProperty:
         named = [key for key in leaf if isinstance(key, str)][-1]
         if named in LEAF_TYPES and type(value) not in LEAF_TYPES[named]:
             assert codes == [1, 1]
+
+
+def _tiny_bundle() -> dict:
+    """The document save_bundle writes for a one-filter model of a 4x4x1 corridor."""
+    config = ArchitectureConfig(shape=CorridorShape(4, 4, 1), filters_per_layer=(1, 1, 1),
+                                fc_hidden=2, seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bundle.json")
+        save_bundle(path, ConvForecaster(config), NormalizationParams(0.0, 80.0, 0.0, 300.0))
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON document, containers included; a
+    list's elements are represented by its first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node[:1])
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def tiny_records(tmp_path_factory):
+    """24 complete 5-minute steps of the 4x4x1 corridor."""
+    step, detector = np.meshgrid(np.arange(24), np.arange(1, 5), indexing="ij")
+    rng = np.random.default_rng(5)
+    speed = 20.0 + 40.0 * rng.random(step.size)
+    records = Records(300 * step.ravel(), detector.ravel(), np.ones(step.size, np.int64),
+                      speed, 5.0 * speed)
+    path = tmp_path_factory.mktemp("tiny") / "data.csv"
+    write_records(path, records)
+    return str(path)
+
+
+BUNDLE_DOC = _tiny_bundle()
+BUNDLE_TEXT = json.dumps(BUNDLE_DOC, sort_keys=True).encode()
+# one parameter stands for all ten: load_bundle checks each the same way
+DOC_PATHS = [path for path in _paths(BUNDLE_DOC)
+             if path[0] != "params" or path[1:2] in ((), ("fusion.biases",))]
+KEY_PATHS = [path for path in DOC_PATHS if isinstance(path[-1], str)]
+# swapped types, integers beyond int64 and the double range, and the NaN and
+# Infinity that json.dumps writes for non-finite floats
+BUNDLE_POOL = [None, True, "single_stream", [], {}, 0, -1, 0.5, 2**63, 10**400, math.nan, math.inf]
+
+
+def _mutated_bundle(kind, index, value, at) -> bytes:
+    """BUNDLE_DOC's text with one mutation applied."""
+    if kind == "truncate":
+        return BUNDLE_TEXT[:at]
+    if kind == "invalid_byte":
+        return BUNDLE_TEXT[:at] + b"\xff" + BUNDLE_TEXT[at:]
+    paths = KEY_PATHS if kind == "duplicate_key" else DOC_PATHS
+    *parents, key = paths[index % len(paths)]
+    doc = copy.deepcopy(BUNDLE_DOC)
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "extra":
+        if isinstance(parent, dict):
+            parent["extra"] = value
+        else:
+            parent.append(value)
+    elif kind == "replace":
+        parent[key] = value
+    else:  # duplicate_key: a second entry for key ends its object, and json.loads keeps it
+        parent["~duplicate"] = None
+    text = json.dumps(doc, sort_keys=True)
+    return text.replace('"~duplicate": null', f"{json.dumps(key)}: {json.dumps(value)}").encode()
+
+
+class TestBundleProperty:
+    @settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+    @given(kind=st.sampled_from(["drop", "extra", "replace", "duplicate_key", "truncate", "invalid_byte"]),
+           index=st.integers(0, len(DOC_PATHS) - 1), value=st.sampled_from(BUNDLE_POOL),
+           at=st.integers(0, len(BUNDLE_TEXT)))
+    def test_mutated_bundle_is_refused_or_evaluated(self, tiny_records, kind, index, value, at):
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = os.path.join(tmp, "bundle.json")
+            with open(bundle, "wb") as fh:
+                fh.write(_mutated_bundle(kind, index, value, at))
+            try:
+                load_bundle(bundle)
+                allowed = (0, 2, 3)  # the bundle may still not fit the data, or overflow
+            except ConfigError:
+                allowed = (1,)
+            except DataError:
+                allowed = (2,)
+            code = main(["evaluate", "--bundle", bundle, "--data", tiny_records,
+                         "--out", os.path.join(tmp, "eval")])
+        assert code in allowed

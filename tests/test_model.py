@@ -683,6 +683,10 @@ class TestBundle:
             ("shape_number", "shape"),
             ("fractional_detectors", "integer"),
             ("filter_string", "invalid configuration"),
+            ("negative_seed", "seed must be >= 0"),
+            ("interval_beyond_int64", "interval must be positive seconds below 2"),
+            ("bound_beyond_double", "speed_max must be a finite number"),
+            ("dropout_beyond_double", "dropout_fc must be a finite number"),
         ],
     )
     def test_poisoned_values_rejected(self, tmp_path, poison, match):
@@ -704,8 +708,16 @@ class TestBundle:
             doc["params"]["fusion.biases"]["shape"] = 5
         elif poison == "fractional_detectors":
             doc["corridor"]["detectors"] = 4.5
-        else:
+        elif poison == "filter_string":
             doc["architecture"]["filters_per_layer"] = "ab"
+        elif poison == "negative_seed":
+            doc["architecture"]["seed"] = -1
+        elif poison == "interval_beyond_int64":
+            doc["corridor"]["interval"] = 2**63
+        elif poison == "bound_beyond_double":
+            doc["normalization"]["speed_max"] = 10**400
+        else:
+            doc["architecture"]["dropout_fc"] = 10**400
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=match):
             load_bundle(path)

@@ -1,4 +1,6 @@
 import hashlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from lanecast import pipeline
 from lanecast.pipeline import (
     CSV_HEADER,
     CorridorShape,
-    LoopRecord,
     NormalizationParams,
     Records,
     SampleSet,
@@ -32,16 +33,32 @@ from lanecast.synth import SynthConfig, generate
 HEADER = "timestamp,detector_index,lane,speed,volume\n"
 
 
+def as_records(rows) -> Records:
+    """Records from (timestamp, detector_index, lane, speed, volume) tuples."""
+    table = np.array(rows, dtype=pipeline._ROW)
+    return Records(*(table[name].copy() for name in CSV_HEADER))
+
+
+def take(records, key) -> Records:
+    """The rows of `records` that a numpy index array or mask picks."""
+    return Records(*(getattr(records, name)[key] for name in CSV_HEADER))
+
+
+def join(*parts) -> Records:
+    """The rows of every part, in order."""
+    return Records(*(np.concatenate([getattr(part, name) for part in parts]) for name in CSV_HEADER))
+
+
 def make_records(shape, values, base_ts=0):
     """values: dict timestamp-step -> (detectors, lanes) speed array; volume = speed + 100."""
-    records = []
+    rows = []
     for step, grid in values.items():
         ts = base_ts + step * shape.interval
         for i in range(shape.detectors):
             for l in range(shape.lanes):
                 speed = float(grid[i][l])
-                records.append(LoopRecord(ts, i + 1, l + 1, speed, speed + 100.0))
-    return records
+                rows.append((ts, i + 1, l + 1, speed, speed + 100.0))
+    return as_records(rows)
 
 
 def dense_corpus(shape, num_steps, seed=0):
@@ -158,13 +175,13 @@ class TestBuildSamples:
         assert len(build_samples(records, shape, norm)) == 2
 
         # removing one cell at step 1 invalidates every window touching it
-        broken = [r for r in records if not (r.timestamp == 300 and r.detector_index == 1)]
+        broken = take(records, ~((records.timestamp == 300) & (records.detector_index == 1)))
         origins, dropped = window_origins(broken, shape)
         assert origins == []
         assert dropped == 2
 
         # a gap at the end only kills the last window
-        broken_tail = [r for r in records if not (r.timestamp == 900 and r.detector_index == 2)]
+        broken_tail = take(records, ~((records.timestamp == 900) & (records.detector_index == 2)))
         samples = build_samples(broken_tail, shape, norm)
         assert [s.origin_timestamp for s in samples] == [300]
 
@@ -197,21 +214,21 @@ class TestBuildSamples:
     def test_misaligned_timestamp_rejected(self):
         shape = CorridorShape(2, 2, 1)
         records, _ = dense_corpus(shape, 3)
-        records.append(LoopRecord(301, 1, 1, 10.0, 20.0))
+        records = join(records, as_records([(301, 1, 1, 10.0, 20.0)]))
         with pytest.raises(DataError, match="aligned"):
             build_samples(records, shape, fit_normalization(records))
 
     def test_duplicate_record_rejected(self):
         shape = CorridorShape(2, 2, 1)
         records, _ = dense_corpus(shape, 3)
-        records.append(records[0])
+        records = join(records, take(records, [0]))
         with pytest.raises(DataError, match="duplicate"):
             build_samples(records, shape, fit_normalization(records))
 
     def test_out_of_range_indices_rejected(self):
         shape = CorridorShape(2, 2, 1)
         records, _ = dense_corpus(shape, 3)
-        records.append(LoopRecord(0, 5, 1, 10.0, 20.0))
+        records = join(records, as_records([(0, 5, 1, 10.0, 20.0)]))
         with pytest.raises(DataError, match="detector"):
             build_samples(records, shape, fit_normalization(records))
 
@@ -230,9 +247,9 @@ class TestWindows:
 
     def test_golden_windows(self):
         shape = CorridorShape(10, 8, 4, 300)
-        records = list(generate(SynthConfig(shape=shape, days=2, seed=2024)))
-        for i in (23000, 12345, 3000):  # one cell at each of three timestamps
-            del records[i]
+        records = generate(SynthConfig(shape=shape, days=2, seed=2024))
+        # one cell at each of three timestamps
+        records = take(records, np.delete(np.arange(len(records)), [23000, 12345, 3000]))
         norm = fit_normalization(records)
         samples = build_samples(records, shape, norm)
         assert len(samples) == 549
@@ -251,7 +268,7 @@ class TestWindows:
         shape = CorridorShape(2, 2, 1)
         far = 300 * 10**9
         block = {t: [[20.0 + t], [30.0 + t]] for t in range(5)}
-        records = make_records(shape, block) + make_records(shape, block, base_ts=far)
+        records = join(make_records(shape, block), make_records(shape, block, base_ts=far))
         origins, dropped = window_origins(records, shape)
         assert origins == [300, 600, 900, far + 300, far + 600, far + 900]
         candidates = (far + 4 * 300) // 300 - shape.steps + 1
@@ -278,7 +295,7 @@ class TestWindows:
         norm = NormalizationParams(0.0, 1.0, 0.0, 1.0)
         for build in (group_records, window_origins, lambda r, s: build_samples(r, s, norm)):
             with pytest.raises(DataError, match="no records"):
-                build([], shape)
+                build(as_records([]), shape)
 
 
 class TestCorridorShape:
@@ -363,8 +380,8 @@ class TestPrepareDataset:
         records = make_records(shape, {t: 20.0 + t + rng.random((3, 2)) for t in range(40)})
         # step 9 is dropped and step 25 is incomplete, so the boundary is
         # not the n-th timestamp
-        records = [r for r in records if r.timestamp != 9 * 300
-                   and not (r.timestamp == 25 * 300 and r.lane == 2)]
+        records = take(records, (records.timestamp != 9 * 300)
+                       & ~((records.timestamp == 25 * 300) & (records.lane == 2)))
         assert window_origins(records, shape)[1] > 0
         norm, train_set, test_set = prepare_dataset(records, shape, fraction)
         want_norm, want_train, want_test = reference_prepare(records, shape, fraction)
@@ -389,27 +406,6 @@ class TestRecords:
     def test_length(self):
         assert len(self.small()) == 288 * 2 * 2
 
-    def test_index_gives_loop_record(self):
-        records = self.small()
-        row = records[5]
-        assert type(row) is LoopRecord
-        assert row == LoopRecord(300, 1, 2, float(records.speed[5]), float(records.volume[5]))
-        assert type(row.timestamp) is int and type(row.speed) is float
-
-    def test_negative_index(self):
-        records = self.small()
-        assert records[-1] == records[len(records) - 1]
-        assert records[-len(records)] == records[0]
-        with pytest.raises(IndexError):
-            records[-len(records) - 1]
-
-    def test_index_error_at_length_ends_iteration(self):
-        records = self.small()
-        with pytest.raises(IndexError):
-            records[len(records)]
-        rows = list(records)
-        assert len(rows) == len(records) and rows[-1] == records[-1]
-
     def test_equality_with_records_is_exact(self):
         a, b = self.small(), self.small()
         assert a == b and not a != b
@@ -419,14 +415,6 @@ class TestRecords:
         assert a != changed
         assert a != Records(*(getattr(b, name)[:-1] for name in CSV_HEADER))
 
-    def test_equality_with_list_is_row_by_row(self):
-        records = self.small()
-        rows = list(records)
-        assert records == rows and rows == records
-        rows[9] = LoopRecord(rows[9].timestamp, rows[9].detector_index, rows[9].lane, 1.0, 2.0)
-        assert records != rows
-        assert records != rows[:-1]
-
     def test_columns_must_align(self):
         records = self.small()
         columns = {name: getattr(records, name) for name in CSV_HEADER}
@@ -434,26 +422,6 @@ class TestRecords:
                           ("volume", records.volume.tolist()), ("timestamp", records.timestamp[:, None])):
             with pytest.raises(ShapeError, match=name):
                 Records(**{**columns, name: bad})
-
-    def test_list_and_records_give_identical_results(self, tmp_path):
-        shape = CorridorShape(2, 2, 2)
-        records = self.small()
-        rows = list(records)
-        for a, b in zip(group_records(records, shape), group_records(rows, shape)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert fit_normalization(records, end=3600) == fit_normalization(rows, end=3600)
-        norm = fit_normalization(records)
-        from_records, from_rows = build_samples(records, shape, norm), build_samples(rows, shape, norm)
-        for name in ("speed_history", "volume_history", "speed_target", "volume_target", "origin_timestamps"):
-            assert np.array_equal(getattr(from_records, name), getattr(from_rows, name))
-        write_records(tmp_path / "a.csv", records)
-        write_records(tmp_path / "b.csv", rows)
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    def test_index_beyond_64_bits_is_data_error(self):
-        rows = [LoopRecord(2**63, 1, 1, 1.0, 1.0)]
-        with pytest.raises(DataError, match="64-bit"):
-            group_records(rows, CorridorShape(2, 2, 1))
 
 
 def fstring_csv(records) -> bytes:
@@ -519,7 +487,8 @@ class TestCsvWriter:
         records = generate(SynthConfig(shape=CorridorShape(2, 2, 2), days=1, seed=4))
         getattr(records, field)[5] = value
         path = tmp_path / "bad.csv"
-        with pytest.raises(DataError, match=r"record 5 \(LoopRecord\(.*cannot be read back"):
+        named = rf"record 5 \(timestamp=300, .*\b{field}={re.escape(str(value))}[,)].* cannot be read back"
+        with pytest.raises(DataError, match=named):
             write_records(path, records)
         assert not path.exists()
 
@@ -527,7 +496,7 @@ class TestCsvWriter:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=st.lists(st.tuples(INT64, INDEX, INDEX, READING, READING), min_size=1, max_size=40))
     def test_write_read_round_trip_is_exact(self, tmp_path, rows):
-        records = pipeline._as_records([LoopRecord(*row) for row in rows])
+        records = as_records(rows)
         path = tmp_path / "records.csv"
         write_records(path, records)
         back = read_records(path)
@@ -590,7 +559,7 @@ class TestCsv:
         path = tmp_path / "odd.csv"
         path.write_bytes(text.encode())
         records = read_records(path)
-        assert records == [LoopRecord(*row) for row in rows]
+        assert records == as_records(rows)
         assert records == pipeline._parse_lines(path, text.encode())
         assert all(getattr(records, n).dtype == pipeline._ROW[n] for n in CSV_HEADER)
 
@@ -605,10 +574,9 @@ class TestCsv:
             text = text.replace("\n", "\r\n")
         path = tmp_path / "mixed.csv"
         path.write_bytes(text.encode())
-        good = [LoopRecord(0, 1, 1, 3.5, 4.0), LoopRecord(300, 1, 2, 4.25, 5.0)]
+        good = [(0, 1, 1, 3.5, 4.0), (300, 1, 2, 4.25, 5.0)]
         records = read_records(path)
-        assert records == [LoopRecord(7, 1, 2, 3.5, 4.0), *good,
-                           *(LoopRecord(*row) for row in rows), *good, LoopRecord(900, 1, 1, 2.5, 1.0)]
+        assert records == as_records([(7, 1, 2, 3.5, 4.0), *good, *rows, *good, (900, 1, 1, 2.5, 1.0)])
         assert records == pipeline._parse_lines(path, text.encode())
         assert all(getattr(records, n).dtype == pipeline._ROW[n] for n in CSV_HEADER)
 
@@ -628,8 +596,8 @@ class TestCsv:
         path = tmp_path / "span.csv"
         path.write_bytes((HEADER + self.GOOD + body).encode())
         records = read_records(path)
-        good = [LoopRecord(0, 1, 1, 3.5, 4.0), LoopRecord(300, 1, 2, 4.25, 5.0)]
-        assert records == [*good, *(LoopRecord(*row) for row in rows)]
+        good = [(0, 1, 1, 3.5, 4.0), (300, 1, 2, 4.25, 5.0)]
+        assert records == as_records([*good, *rows])
         assert records == pipeline._parse_lines(path, path.read_bytes())
 
     def test_canonical_file_skips_line_loop(self, tmp_path, monkeypatch):
@@ -683,7 +651,7 @@ class TestCsv:
     }
 
     @pytest.mark.parametrize("name", sorted(FAST_BYTES_MALFORMED))
-    def test_fast_bytes_malformed_match_loadtxt_chain(self, tmp_path, name):
+    def test_fast_bytes_malformed_match_line_loop(self, tmp_path, name):
         body = self.GOOD + self.FAST_BYTES_MALFORMED[name]
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + body)
@@ -767,6 +735,22 @@ class TestCsv:
         with pytest.raises(DataError, match="line 4: not UTF-8") as info:
             read_records(path)
         assert str(path) in str(info.value)
+
+    def test_line_loop_peak_memory_is_bounded(self, tmp_path):
+        # CRLF line ends send a 2-day corridor file (about 1 MB) to the line
+        # loop; its peak stays a fixed multiple of the file size, with no
+        # Python object per row
+        path = tmp_path / "crlf.csv"
+        write_records(path, generate(SynthConfig(shape=CorridorShape(10, 8, 4), days=2, seed=0)))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        tracemalloc.start()
+        try:
+            records = read_records(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 2 * 288 * 10 * 4
+        assert peak < 10 * path.stat().st_size
 
     def test_over_long_field(self, tmp_path):
         path = tmp_path / "long.csv"

@@ -14,10 +14,9 @@ def test_record_count_and_ordering():
     config = SynthConfig(shape=small_shape(), days=2, seed=1)
     records = generate(config)
     assert len(records) == 2 * 288 * 4 * 3
-    timestamps = [r.timestamp for r in records]
-    assert timestamps == sorted(timestamps)
-    assert records[0].timestamp == 0
-    assert records[-1].timestamp == 2 * 86400 - 300
+    assert (np.diff(records.timestamp) >= 0).all()
+    assert records.timestamp[0] == 0
+    assert records.timestamp[-1] == 2 * 86400 - 300
 
 
 def test_no_congestion_no_noise_gives_lane_constants():
@@ -25,9 +24,9 @@ def test_no_congestion_no_noise_gives_lane_constants():
         shape=small_shape(), days=1, peaks=(), noise_sd=0.0, volume_noise_sd=0.0,
         lane_bias=(0.9, 1.0, 1.05), seed=2,
     )
-    for record in generate(config):
-        expected = 60.0 * (0.9, 1.0, 1.05)[record.lane - 1]
-        assert record.speed == pytest.approx(expected, abs=1e-12)
+    records = generate(config)
+    expected = 60.0 * np.array((0.9, 1.0, 1.05))[records.lane - 1]
+    assert records.speed == pytest.approx(expected, abs=1e-12)
 
 
 def test_greenshields_closed_form():
@@ -44,11 +43,10 @@ def test_greenshields_closed_form():
         seed=3,
     )
     records = generate(config)
-    noon = [r for r in records if r.timestamp == 12 * 3600]
-    assert noon
-    for r in noon:
-        assert r.speed == pytest.approx(30.0, abs=1e-6)
-        assert r.volume == pytest.approx(250.0, abs=1e-3)
+    noon = records.timestamp == 12 * 3600
+    assert noon.any()
+    assert records.speed[noon] == pytest.approx(30.0, abs=1e-6)
+    assert records.volume[noon] == pytest.approx(250.0, abs=1e-3)
 
 
 def test_same_seed_is_bit_identical():
@@ -59,15 +57,15 @@ def test_same_seed_is_bit_identical():
 def test_different_seeds_differ():
     a = generate(SynthConfig(shape=small_shape(), days=1, seed=1))
     b = generate(SynthConfig(shape=small_shape(), days=1, seed=2))
-    assert any(x.speed != y.speed for x, y in zip(a, b))
+    assert (a.speed != b.speed).any()
 
 
 def test_bounds():
     config = SynthConfig(shape=small_shape(), days=1, seed=4)
     cap = 60.0 * max(config.lane_bias) + 5.0 * config.noise_sd
-    for r in generate(config):
-        assert 0.0 < r.speed <= cap
-        assert r.volume >= 0.0
+    records = generate(config)
+    assert ((records.speed > 0.0) & (records.speed <= cap)).all()
+    assert (records.volume >= 0.0).all()
 
 
 def test_cross_lane_speed_correlation_on_default_config():
@@ -75,8 +73,7 @@ def test_cross_lane_speed_correlation_on_default_config():
     records = generate(SynthConfig(shape=shape, days=1, seed=5))
     # per-detector lane time series over the day
     series = np.zeros((288, shape.detectors, shape.lanes))
-    for r in records:
-        series[r.timestamp // 300, r.detector_index - 1, r.lane - 1] = r.speed
+    series[records.timestamp // 300, records.detector_index - 1, records.lane - 1] = records.speed
     worst = 1.0
     for detector in range(shape.detectors):
         grid = series[:, detector, :]
@@ -93,8 +90,7 @@ def test_congestion_wave_moves_upstream():
     )
     records = generate(config)
     series = np.zeros((288, shape.detectors))
-    for r in records:
-        series[r.timestamp // 300, r.detector_index - 1] = r.speed
+    series[records.timestamp // 300, records.detector_index - 1] = records.speed
     # the downstream (last) detector reaches its minimum before the first one
     assert series[:, -1].argmin() < series[:, 0].argmin()
 
