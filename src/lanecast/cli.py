@@ -275,7 +275,7 @@ def cmd_heatmap(args) -> int:
 
     truth = speed[np.searchsorted(timestamps, grid_ts)]  # (time, detectors, lanes)
     windows = windows[np.searchsorted(windows.origin_timestamps, origins)]
-    pred_n, pred_q = model.predict_batch(windows.speed_history, windows.volume_history)
+    pred_n, pred_q = model.predict_batch(windows)
     pred = norm.denormalize_speed(pred_n).reshape(len(grid_ts), shape.detectors, shape.lanes)
     check_predictions(pred, pred_q, "heatmap")
 

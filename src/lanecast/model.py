@@ -31,14 +31,13 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .pipeline import CorridorShape, NormalizationParams, check_fields
+from .pipeline import CorridorShape, NormalizationParams, SampleSet, check_fields
 
 BUNDLE_FORMAT = "lane-speed-model"
 BUNDLE_SCHEMA_VERSION = 1
 
 NUM_CONV_LAYERS = 3
-# windows per shared-column segment of an infer-mode batch's chronological
-# runs; shorter runs are convolved window by window
+# windows per block of grid rows that an infer pass over a SampleSet convolves
 _SEGMENT = 64
 
 
@@ -174,84 +173,42 @@ class _ModelCache:
         return {"fusion": self.fusion_mask, **{name: c.mask for name, c in self.streams.items()}}
 
 
-def _segment_plan(x):
-    """The shared-column segments of the chronological runs in batch x.
-
-    Window i+1 continues window i when its columns 0..steps-2 are, bit for
-    bit, window i's columns 1..steps-1 (compared as int64, so -0.0 and 0.0
-    differ). A run of at least _SEGMENT windows is cut into segments of
-    _SEGMENT windows, the last one right-aligned to the run's end. Returns
-    None when no run is that long, else (starts, covered, segment, offset):
-    each segment's first window, the windows the segments cover in
-    increasing order, and each such window's segment and column offset in it.
-    """
-    if len(x) < _SEGMENT:
-        return None
-    bits = x.view(np.int64)
-    follows = (bits[1:, :, :-1] == bits[:-1, :, 1:]).all(axis=(1, 2, 3))
-    bounds = np.concatenate(([0], np.flatnonzero(~follows) + 1, [len(x)]))
-    long_runs = np.flatnonzero(np.diff(bounds) >= _SEGMENT)
-    if not long_runs.size:
-        return None
-    starts, covered, segment, offset = [], [], [], []
-    for run in long_runs:
-        first, end = bounds[run], bounds[run + 1]
-        run_starts = np.append(np.arange(first, end - _SEGMENT, _SEGMENT), end - _SEGMENT)
-        windows = np.arange(first, end)
-        local = np.minimum((windows - first) // _SEGMENT, len(run_starts) - 1)
-        segment.append(local + sum(map(len, starts)))
-        offset.append(windows - run_starts[local])
-        starts.append(run_starts)
-        covered.append(windows)
-    return tuple(np.concatenate(parts) for parts in (starts, covered, segment, offset))
-
-
-def _segmented_acts(x, banks, plan):
-    """x, then each conv layer's Relu output, with every segment of `plan`
-    convolved once as one wide input: its first window followed by the
-    newest column of each later window. A window's activations are the
-    segment outputs' columns from its offset on. Every element gets the
+def _block_acts(x, banks, grid, starts):
+    """x, then each conv layer's Relu output, for the windows of `grid` whose
+    first history rows are `starts` (x holds their histories). The span of
+    the rows is convolved in blocks of _SEGMENT windows, each one wide input
+    of the grid rows from the block's first window to past its last; blocks
+    that hold none of the windows are skipped. A window's activations are
+    its block outputs' columns from its offset on. Every element gets the
     taps, in the same order, and the bias of the per-window pass, so the
     activations are bitwise those of convolving each window on its own."""
-    starts, covered, segment, offset = plan
     steps = x.shape[2]
-    wide = np.empty((len(starts), x.shape[1], steps + _SEGMENT - 1, x.shape[3]))
-    wide[:, :, :steps] = x[starts]
-    later = starts[:, np.newaxis] + np.arange(1, _SEGMENT)
-    wide[:, :, steps:] = x[:, :, -1][later].transpose(0, 2, 1, 3)
-    # not np.setdiff1d: it imports numpy.ma, 1 MB more resident memory
-    outside = np.ones(len(x), dtype=bool)
-    outside[covered] = False
-    rest = np.flatnonzero(outside)
-    part = x[rest]
+    lo = starts.min()
+    used, block = np.unique((starts - lo) // _SEGMENT, return_inverse=True)
+    first = lo + used * _SEGMENT
+    offset = starts - first[block]
+    # rows past the grid's end only reach columns that no window reads
+    rows = np.minimum(first[:, np.newaxis] + np.arange(steps + _SEGMENT - 1), len(grid) - 1)
+    wide = grid[rows].transpose(0, 2, 1, 3)
     acts = [x]
     # one wide layer at a time, each sliced into windows before the next
     for bank in banks:
         # through the module: perfbench names a traced layer by its
-        # per-window input shape, which a segment does not have
+        # per-window input shape, which a block does not have
         z = layers.conv2d_valid(wide, bank)
         wide = np.maximum(z, 0.0, out=z)
         cols = wide.shape[2] - _SEGMENT + 1
-        # (segment, offset, rows, cols, channels) views, one gather
+        # (block, offset, rows, cols, channels) views, one gather
         columns = np.lib.stride_tricks.sliding_window_view(wide, cols, axis=2)
-        picked = columns.transpose(0, 2, 1, 4, 3)[segment, offset]
-        if not rest.size:
-            acts.append(np.ascontiguousarray(picked))
-            continue
-        z = conv2d_valid(part, bank)
-        # in place: nothing else reads the pre-activation
-        part = np.maximum(z, 0.0, out=z)
-        full = np.empty((len(x), *picked.shape[1:]))
-        full[covered] = picked
-        full[rest] = part
-        acts.append(full)
+        acts.append(np.ascontiguousarray(columns.transpose(0, 2, 1, 4, 3)[block, offset]))
     return acts
 
 
-def _stream_forward(x, banks, ratio, mode, rng, mask):
-    plan = _segment_plan(x) if mode == "infer" else None
-    if plan is not None:
-        acts = _segmented_acts(x, banks, plan)
+def _stream_forward(x, banks, ratio, mode, rng, mask, grid_rows=None):
+    """`grid_rows`, the (grid, starts) of a SampleSet's windows, takes the
+    block path (`_block_acts`); without it each window is convolved on its own."""
+    if grid_rows is not None:
+        acts = _block_acts(x, banks, *grid_rows)
     else:
         acts = [x]
         for bank in banks:
@@ -327,14 +284,21 @@ class ConvForecaster:
 
         Dropout draws from `rng` in train mode; pass `masks` (from a previous
         cache) instead to replay a pass with frozen drop patterns.
+
+        `speed_x` may instead be a SampleSet, whose histories are the inputs.
+        An infer pass over a non-empty one convolves its grids in blocks.
         """
-        given = {"speed": speed_x, "volume": volume_x}
+        samples = speed_x if isinstance(speed_x, SampleSet) else None
+        given = ({s: samples.history(s) for s in self.streams} if samples is not None
+                 else {"speed": speed_x, "volume": volume_x})
         inputs = [self._check_input(given[s], f"{s} input") for s in self.streams]
+        blocks = mode == "infer" and samples is not None and len(samples) > 0
         fixed = masks or {}
         outs, caches = [], {}
         for stream, x in zip(self.streams, inputs):
+            grid_rows = (getattr(samples, stream), samples.starts) if blocks else None
             out, caches[stream] = _stream_forward(
-                x, self._banks[stream], self.config.dropout_conv, mode, rng, fixed.get(stream)
+                x, self._banks[stream], self.config.dropout_conv, mode, rng, fixed.get(stream), grid_rows
             )
             outs.append(out)
         return self._head(outs, caches, mode, rng, fixed.get("fusion"))
@@ -460,7 +424,9 @@ class PersistenceModel:
 
     kind = "persistence"
 
-    def predict_batch(self, speed_x, volume_x):
+    def predict_batch(self, speed_x, volume_x=None):
+        if isinstance(speed_x, SampleSet):
+            speed_x, volume_x = speed_x.speed_history, speed_x.volume_history
         pred_q = persistence_baseline(volume_x) if volume_x is not None else None
         return persistence_baseline(speed_x), pred_q
 

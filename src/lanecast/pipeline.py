@@ -16,7 +16,7 @@ import logging
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -175,29 +175,54 @@ class Window(NamedTuple):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Windows in normalized units, stacked along a leading window axis.
+    """Windows in normalized units: rows of two (T, detectors, lanes) grids.
 
-    speed_history / volume_history: (N, detectors, steps, lanes), columns in
-    time order ending at the window's origin timestamp. speed_target /
-    volume_target: (N, detectors*lanes), detector-major lane-minor, one
-    interval after the origin. origin_timestamps: (N,) int64.
+    speed / volume: the normalized grids, a row per timestamp of `timestamps`
+    (T,) int64. starts: (N,) each window's first history row; its `steps`
+    history rows are followed by its target row.
 
-    Indexing applies one key to every field: an int gives that window as a
-    `Window`, a slice or index array gives a SampleSet of those windows.
+    The window fields are gathered on access into new arrays, stacked along
+    a leading window axis: speed_history / volume_history (N, detectors,
+    steps, lanes), columns in time order ending at the window's origin
+    timestamp; speed_target / volume_target (N, detectors*lanes),
+    detector-major lane-minor, one interval after the origin;
+    origin_timestamps (N,) int64. Indexing selects windows and shares the
+    grids: an int gives a `Window`, a slice or index array a SampleSet.
     """
 
-    speed_history: np.ndarray
-    volume_history: np.ndarray
-    speed_target: np.ndarray
-    volume_target: np.ndarray
-    origin_timestamps: np.ndarray
+    speed: np.ndarray
+    volume: np.ndarray
+    timestamps: np.ndarray
+    starts: np.ndarray
+    steps: int
 
     def __len__(self) -> int:
-        return len(self.origin_timestamps)
+        return len(self.starts)
 
     def __getitem__(self, key):
-        parts = [getattr(self, f.name)[key] for f in fields(self)]
-        return Window(*parts) if isinstance(key, numbers.Integral) else SampleSet(*parts)
+        if isinstance(key, numbers.Integral):
+            one = self[[key]]
+            return Window(one.speed_history[0], one.volume_history[0], one.speed_target[0],
+                          one.volume_target[0], one.origin_timestamps[0])
+        return replace(self, starts=self.starts[key])
+
+    def history(self, quantity: str) -> np.ndarray:
+        """The windows' "speed" or "volume" history, one column at a time."""
+        grid = getattr(self, quantity)
+        out = np.empty((len(self), grid.shape[1], self.steps, grid.shape[2]))
+        for col in range(self.steps):
+            out[:, :, col] = grid[self.starts + col]
+        return out
+
+    def _target(self, quantity: str) -> np.ndarray:
+        grid = getattr(self, quantity)
+        return grid[self.starts + self.steps].reshape(len(self), grid.shape[1] * grid.shape[2])
+
+    speed_history = property(lambda self: self.history("speed"))
+    volume_history = property(lambda self: self.history("volume"))
+    speed_target = property(lambda self: self._target("speed"))
+    volume_target = property(lambda self: self._target("volume"))
+    origin_timestamps = property(lambda self: self.timestamps[self.starts + self.steps - 1])
 
 
 # -- normalization -------------------------------------------------------------
@@ -282,13 +307,15 @@ def _parse_lines(path, raw: bytes) -> Records:
     """Parse every row with the csv module into typed columns; a malformed
     row raises with its line number."""
     try:
-        text = raw.decode("utf-8")
+        if not raw.isascii():
+            raw.decode("utf-8")  # checked before any row is read, not kept
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path} line {line}: not UTF-8 text: {exc}") from exc
     columns = [array.array("q"), array.array("q"), array.array("q"), array.array("d"), array.array("d")]
     timestamps, detectors, lanes, speeds, volumes = columns
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # decoded a chunk at a time: the whole text as a str takes up to 4 bytes a character
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     try:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != CSV_HEADER:
@@ -416,16 +443,8 @@ def grid_windows(grid, shape: CorridorShape, norm: NormalizationParams) -> Sampl
     starts, dropped = _valid_starts(timestamps, complete, shape)
     if dropped:
         logger.info("dropped %d of %d candidate windows (data gaps)", dropped, dropped + len(starts))
-    speed, volume = norm.normalize_speed(speed), norm.normalize_volume(volume)
-    # one history column at a time: no second window-sized array is allocated
-    history = np.empty((2, len(starts), shape.detectors, shape.steps, shape.lanes))
-    for col in range(shape.steps):
-        history[0, :, :, col, :] = speed[starts + col]
-        history[1, :, :, col, :] = volume[starts + col]
-    target = starts + shape.steps
-    flat = (len(starts), shape.detectors * shape.lanes)
-    return SampleSet(history[0], history[1], speed[target].reshape(flat),
-                     volume[target].reshape(flat), timestamps[target - 1])
+    return SampleSet(norm.normalize_speed(speed), norm.normalize_volume(volume), timestamps,
+                     starts, shape.steps)
 
 
 def build_samples(records, shape: CorridorShape, norm: NormalizationParams) -> SampleSet:

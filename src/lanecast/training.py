@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError, DataError, MetricError, NumericError, ShapeError
 from .losses import composite_loss
 from .optim import RmsProp
-from .pipeline import CorridorShape, NormalizationParams, check_fields, denormalize
+from .pipeline import CorridorShape, NormalizationParams, SampleSet, check_fields, denormalize
 
 DEFAULT_MIN_TARGET = 1.0  # mph; slower targets are excluded from percentage errors
 LOSS_CHUNK = 1024  # windows per forward pass in dataset_loss
@@ -96,7 +96,7 @@ def dataset_loss(model, samples, volume_weight) -> float:
     count_u = count_q = 0
     for start in range(0, len(samples), LOSS_CHUNK):
         batch = samples[start:start + LOSS_CHUNK]
-        pred_u, pred_q = model.predict_batch(batch.speed_history, batch.volume_history)
+        pred_u, pred_q = model.predict_batch(batch)
         check_predictions(pred_u, pred_q, "dataset loss")
         # finite predictions can still overflow when squared: the loss is then inf
         with np.errstate(over="ignore"):
@@ -213,18 +213,24 @@ def _rollout(model, speed_x, volume_x, horizon: int):
     A model with `forward_newest_column` makes one full pass and then
     computes only the newest column of each conv layer per later step; any
     other model sees every shifted window in full through `predict_batch`.
+    `speed_x` may instead be a SampleSet, with volume_x None: the full pass
+    then takes the set, and any other model its histories.
     """
-    batch, detectors, _, lanes = speed_x.shape
     incremental = hasattr(model, "forward_newest_column")
+    if isinstance(speed_x, SampleSet) and not incremental:
+        speed_x, volume_x = speed_x.speed_history, speed_x.volume_history
+    elif incremental and not isinstance(speed_x, SampleSet):
+        # the later steps shift the activations in place: the pass runs on
+        # copies, as a SampleSet's histories, gathered on access, already are
+        speed_x, volume_x = np.array(speed_x, order="C"), np.array(volume_x, order="C")
     if incremental:
-        # the later steps shift the activations in place: the pass runs on copies
-        pred_u, pred_q, cache = model.forward_batch(
-            np.array(speed_x, order="C"), np.array(volume_x, order="C")
-        )
+        pred_u, pred_q, cache = model.forward_batch(speed_x, volume_x)
         acts = {stream: c.acts for stream, c in cache.streams.items()}
         del cache  # only the conv activations are carried from step to step
+        batch, detectors, _, lanes = acts["speed"][0].shape
     else:
         pred_u, pred_q = model.predict_batch(speed_x, volume_x)
+        batch, detectors, _, lanes = speed_x.shape
     for h in range(1, horizon + 1):
         yield pred_u, pred_q
         if h == horizon:
@@ -286,7 +292,7 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     # only the requested horizons' source rows are kept, so memory does not
     # grow with the largest horizon; every step is still checked
     kept = {}  # horizon -> speed predictions of its source samples
-    steps = _rollout(model, samples.speed_history, samples.volume_history, horizons[-1])
+    steps = _rollout(model, samples, None, horizons[-1])
     for h, (pred_u, pred_q) in enumerate(steps, start=1):
         check_predictions(pred_u, pred_q, f"evaluate, step {h}")
         if h in pairs:
@@ -297,7 +303,7 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     )
     for h, (source, target) in pairs.items():
         pred = denormalize(kept[h], norm.speed_min, norm.speed_max)
-        truth = denormalize(samples.speed_target[target], norm.speed_min, norm.speed_max)
+        truth = denormalize(samples[target].speed_target, norm.speed_min, norm.speed_max)
         overall, used, excluded = _ape_stats(pred, truth, min_target)
         if used == 0:
             raise MetricError(f"horizon {h}: every target is below {min_target} mph")

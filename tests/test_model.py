@@ -29,13 +29,13 @@ from lanecast.pipeline import (
     CorridorShape,
     NormalizationParams,
     Records,
-    SampleSet,
     fit_normalization,
     grid_windows,
     group_records,
 )
 from lanecast.synth import SynthConfig, generate
 from lanecast.training import TrainConfig, train
+from sample_sets import sample_set
 
 
 def toy_config(seed=0, **overrides):
@@ -155,7 +155,7 @@ class TestForward:
             model.forward_batch(xu, xq, mode="train")
 
 
-SEGMENT = 64  # lanecast.model._SEGMENT: windows per shared-column segment
+SEGMENT = 64  # lanecast.model._SEGMENT: windows per block of grid rows
 
 
 def biased_model(config, kind="two_stream", seed=0):
@@ -170,7 +170,7 @@ def biased_model(config, kind="two_stream", seed=0):
 
 def per_window_pass(model, speed_x, volume_x):
     """The oracle of the infer-mode forward: every window convolved on its
-    own, as before chronological runs shared their columns. Returns
+    own, as the forward does for arrays. Returns
     (pred_speed, pred_volume, {stream: [input, relu outputs...]})."""
     given = {"speed": speed_x, "volume": volume_x}
     acts = {}
@@ -184,15 +184,15 @@ def per_window_pass(model, speed_x, volume_x):
     return pred_u, pred_q, acts
 
 
-def assert_matches_per_window(model, speed_x, volume_x):
-    pred_u, pred_q, cache = model.forward_batch(speed_x, volume_x)
-    want_u, want_q, want_acts = per_window_pass(model, speed_x, volume_x)
+def assert_matches_per_window(model, samples):
+    pred_u, pred_q, cache = model.forward_batch(samples)
+    want_u, want_q, want_acts = per_window_pass(model, samples.speed_history, samples.volume_history)
     assert pred_u.tobytes() == want_u.tobytes()
     assert (pred_q is None and want_q is None) or pred_q.tobytes() == want_q.tobytes()
     for stream, want in want_acts.items():
         got = cache.streams[stream].acts
         assert [a.shape for a in got] == [a.shape for a in want]
-        assert all(a.flags.c_contiguous for a in got[1:])
+        assert all(a.flags.c_contiguous for a in got)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
@@ -231,7 +231,7 @@ SHARED_COLUMN_CASES = [
 
 
 class TestSharedColumns:
-    @pytest.mark.parametrize("order", ["chronological", "shuffled", "reversed"])
+    @pytest.mark.parametrize("order", ["chronological", "shuffled", "reversed", "gapped"])
     @pytest.mark.parametrize("kind", ["two_stream", "single_stream"])
     @pytest.mark.parametrize("shape, filters, filter_size", SHARED_COLUMN_CASES,
                              ids=["filter-2x1", "filter-1x3", "filter-2x2", "corridor"])
@@ -244,38 +244,10 @@ class TestSharedColumns:
             batch = batch[np.random.default_rng(43).permutation(len(batch))]
         elif order == "reversed":
             batch = batch[::-1]
-        assert_matches_per_window(model, batch.speed_history, batch.volume_history)
-
-    def test_segments_cover_exactly_the_long_runs(self):
-        batch = chronological_windows(CorridorShape(4, 8, 2), seed=44)
-        starts, covered, segment, offset = lanecast.model._segment_plan(batch.speed_history)
-        # batch positions of the runs of S+1 and S windows on either side of
-        # the removed timestamp, after runs of 2S+3, 1 and S-1 windows
-        before, after = 3 * SEGMENT + 3, 4 * SEGMENT + 4
-        assert starts.tolist() == [0, SEGMENT, SEGMENT + 3, before, before + 1, after]
-        assert covered.tolist() == [*range(0, 2 * SEGMENT + 3), *range(before, after + SEGMENT)]
-        windows = batch.speed_history[covered]
-        for i, window in enumerate(windows):
-            # each window is its segment's columns from its offset on
-            head = batch.speed_history[starts[segment[i]]]
-            later = batch.speed_history[starts[segment[i]] + 1:starts[segment[i]] + SEGMENT, :, -1]
-            wide = np.concatenate([head, later.transpose(1, 0, 2)], axis=1)
-            assert np.array_equal(window, wide[:, offset[i]:offset[i] + window.shape[1]])
-
-    def test_zero_of_the_other_sign_ends_a_run(self):
-        # window 5 repeats window 4's columns but writes one shared 0.0 as -0.0
-        config = ArchitectureConfig(shape=CorridorShape(4, 6, 2), filters_per_layer=(3, 3, 3),
-                                    fc_hidden=8, seed=45)
-        model = biased_model(config, seed=46)
-        rng = np.random.default_rng(47)
-        series = rng.random((2, 4, SEGMENT + 15, 2))
-        series[:, 1, 5, 0] = 0.0
-        windows = np.stack([series[:, :, i:i + 6] for i in range(SEGMENT + 10)], axis=1)
-        windows[:, 5, 1, 0, 0] = -0.0
-        speed_x, volume_x = windows
-        starts, covered, _, _ = lanecast.model._segment_plan(speed_x)
-        assert starts.tolist() == [5, 10] and covered.tolist() == list(range(5, SEGMENT + 10))
-        assert_matches_per_window(model, speed_x, volume_x)
+        elif order == "gapped":
+            # no window starts in the second and third blocks of the span
+            batch = batch[np.r_[0:SEGMENT // 2, 3 * SEGMENT:len(batch)]]
+        assert_matches_per_window(model, batch)
 
     @pytest.mark.parametrize("mode", ["infer", "train"])
     def test_shuffled_batch_convolves_window_by_window(self, monkeypatch, mode):
@@ -306,12 +278,16 @@ class TestSharedColumns:
             return conv2d_valid(x, bank)
 
         monkeypatch.setattr(lanecast.layers, "conv2d_valid", record)
-        batch = chronological_windows(CorridorShape(10, 8, 4), seed=52)[:SEGMENT + 1]
+        samples = chronological_windows(CorridorShape(10, 8, 4), seed=52)
         model = ConvForecaster(corridor_config(seed=53))
-        model.predict_batch(batch.speed_history, batch.volume_history)
         wide = SEGMENT + 7  # steps + S - 1 columns
         per_stream = [(2, 10, wide, 4), (2, 9, wide - 1, 32), (2, 8, wide - 2, 32)]
-        assert calls == per_stream * 2
+        # S + 1 windows in a row fill two blocks; so do two windows 2S + 1
+        # rows apart, whose span's middle block holds none of them
+        for batch in (samples[:SEGMENT + 1], samples[[0, 2 * SEGMENT + 1]]):
+            calls.clear()
+            model.predict_batch(batch)
+            assert calls == per_stream * 2
 
 
 class TestBackward:
@@ -529,7 +505,7 @@ class TestBundle:
         config = toy_config(seed=27)
         k, n, c = config.shape.detectors, config.shape.steps, config.shape.lanes
         rng = np.random.default_rng(28)
-        samples = SampleSet(
+        samples = sample_set(
             rng.random((12, k, n, c)), rng.random((12, k, n, c)),
             rng.random((12, k * c)), rng.random((12, k * c)),
             np.arange(12, dtype=np.int64) * config.shape.interval,

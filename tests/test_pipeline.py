@@ -29,6 +29,7 @@ from lanecast.pipeline import (
     write_records,
 )
 from lanecast.synth import SynthConfig, generate
+from sample_sets import sample_set
 
 HEADER = "timestamp,detector_index,lane,speed,volume\n"
 
@@ -317,7 +318,7 @@ def origin_samples(origins):
     origins = np.asarray(origins, dtype=np.int64)
     values = origins.astype(np.float64)
     history = values.reshape(-1, 1, 1, 1)
-    return SampleSet(history, history, values[:, None], values[:, None], origins)
+    return sample_set(history, history, values[:, None], values[:, None], origins)
 
 
 class TestSplit:
@@ -344,8 +345,8 @@ class TestSplit:
         samples = origin_samples([i * 300 for i in range(10)])
         train, test = split_dataset(samples, 0.8)
         for part in (train, test):
-            assert np.shares_memory(part.speed_history, samples.speed_history)
-            assert np.shares_memory(part.origin_timestamps, samples.origin_timestamps)
+            assert part.speed is samples.speed and part.timestamps is samples.timestamps
+            assert np.shares_memory(part.starts, samples.starts)
 
     def test_empty_side_rejected(self):
         samples = origin_samples(range(10))
@@ -397,6 +398,21 @@ class TestPrepareDataset:
         records, _ = dense_corpus(shape, 2, seed=2)
         with pytest.raises(DataError, match="no complete windows"):
             prepare_dataset(records, shape, 0.8)
+
+    def test_peak_memory_is_that_of_the_records(self):
+        # the sets hold the two normalized grids, not a copy of each window's
+        # history: 30 days of the default corridor, 13.8 MB of records
+        shape = CorridorShape(10, 8, 4)
+        records = generate(SynthConfig(shape=shape, days=30, seed=0))
+        size = sum(getattr(records, name).nbytes for name in CSV_HEADER)
+        tracemalloc.start()
+        try:
+            _, train_set, test_set = prepare_dataset(records, shape, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(train_set) + len(test_set) == 30 * 288 - shape.steps
+        assert peak < 2 * size, (peak, size)
 
 
 class TestRecords:
@@ -750,7 +766,7 @@ class TestCsv:
         finally:
             tracemalloc.stop()
         assert len(records) == 2 * 288 * 10 * 4
-        assert peak < 10 * path.stat().st_size
+        assert peak < 4 * path.stat().st_size
 
     def test_over_long_field(self, tmp_path):
         path = tmp_path / "long.csv"

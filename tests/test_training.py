@@ -8,12 +8,10 @@ from lanecast.model import (
     ArchitectureConfig,
     ConvForecaster,
     PersistenceModel,
-    _segment_plan,
 )
 from lanecast.pipeline import (
     CorridorShape,
     NormalizationParams,
-    SampleSet,
     fit_normalization,
     grid_windows,
     group_records,
@@ -29,6 +27,7 @@ from lanecast.training import (
     sweep,
     train,
 )
+from sample_sets import sample_set
 
 
 def small_shape():
@@ -58,7 +57,7 @@ def make_samples(shape, count, seed=0, constant=None):
             yq = np.full(shape.detectors * shape.lanes, constant)
         windows.append((xu, xq, yu, yq))
     fields = [np.stack(column) for column in zip(*windows)]
-    return SampleSet(*fields, np.arange(count, dtype=np.int64) * shape.interval)
+    return sample_set(*fields, np.arange(count, dtype=np.int64) * shape.interval)
 
 
 NORM = NormalizationParams(0.0, 60.0, 0.0, 240.0)
@@ -116,7 +115,7 @@ class _CountingPersistence(PersistenceModel):
 
     calls = 0
 
-    def predict_batch(self, speed_x, volume_x):
+    def predict_batch(self, speed_x, volume_x=None):
         self.calls += 1
         return super().predict_batch(speed_x, volume_x)
 
@@ -127,7 +126,7 @@ class _PoisonedPredictions(PersistenceModel):
     def __init__(self, quantity, value):
         self.quantity, self.value = quantity, value
 
-    def predict_batch(self, speed_x, volume_x):
+    def predict_batch(self, speed_x, volume_x=None):
         preds = dict(zip(("speed", "volume"), super().predict_batch(speed_x, volume_x)))
         preds[self.quantity] = np.full_like(preds[self.quantity], self.value)
         return preds["speed"], preds["volume"]
@@ -284,6 +283,10 @@ def _concatenate_rollout(model, speed_x, volume_x, horizon):
     return steps
 
 
+def _rollout_bytes(steps):
+    return [(u.tobytes(), q.tobytes() if q is not None else None) for u, q in steps]
+
+
 def _biased_model(shape, filters, filter_size, kind, seed):
     """A fresh model whose biases are non-zero, so every bias add shows."""
     config = ArchitectureConfig(
@@ -316,6 +319,8 @@ def test_incremental_rollout_matches_concatenate_oracle(kind, shape, filters, fi
     samples = make_samples(shape, batch, seed=horizon)
     expected = _concatenate_rollout(model, samples.speed_history, samples.volume_history, horizon)
     steps = list(_rollout(model, samples.speed_history, samples.volume_history, horizon))
+    # the set's windows each have their own grid rows, so each block holds a few
+    assert _rollout_bytes(_rollout(model, samples, None, horizon)) == _rollout_bytes(steps)
     assert len(steps) == horizon
     for (pred_u, pred_q), (want_u, want_q) in zip(steps, expected):
         assert pred_u.tobytes() == want_u.tobytes()
@@ -332,23 +337,22 @@ def test_incremental_rollout_matches_concatenate_oracle(kind, shape, filters, fi
     ids=["filter-cols3", "corridor"],
 )
 def test_rollout_on_chronological_windows_matches_concatenate_oracle(kind, shape, filters, filter_size):
-    # The full pass convolves shared-column segments, whose activations the
-    # later steps then shift in place. The oracle runs on the reversed batch,
-    # which has no chronological run, so every window is convolved on its own.
+    # The full pass convolves the set's grid in blocks, whose activations the
+    # later steps then shift in place. The oracle gets the histories as
+    # arrays, so every window is convolved on its own.
     records = generate(SynthConfig(shape=shape, days=1, seed=5))
     samples = grid_windows(group_records(records, shape), shape, fit_normalization(records))
     samples = samples[np.r_[0:150, 152:230]]  # runs of 150 and 78 windows
     model = _biased_model(shape, filters, filter_size, kind, seed=6)
-    assert _segment_plan(samples.speed_history[::-1]) is None
-    expected = _concatenate_rollout(model, samples.speed_history[::-1], samples.volume_history[::-1], 5)
-    steps = list(_rollout(model, samples.speed_history, samples.volume_history, 5))
+    expected = _concatenate_rollout(model, samples.speed_history, samples.volume_history, 5)
+    steps = list(_rollout(model, samples, None, 5))
     assert len(steps) == 5
     for (pred_u, pred_q), (want_u, want_q) in zip(steps, expected):
-        assert pred_u.tobytes() == want_u[::-1].tobytes()
+        assert pred_u.tobytes() == want_u.tobytes()
         if kind == "single_stream":
             assert pred_q is None and want_q is None
         else:
-            assert pred_q.tobytes() == want_q[::-1].tobytes()
+            assert pred_q.tobytes() == want_q.tobytes()
 
 
 def test_rollout_leaves_the_samples_untouched():
