@@ -1,7 +1,9 @@
 """Command line interface: synthesize data, train, evaluate, sweep, heatmap.
 
-Every command is deterministic given its config and seed. Exit codes:
-0 success, 1 usage/config error, 2 data error, 3 numeric failure.
+Every command is deterministic given its config, its seed and the BLAS
+thread count: `train` at different `OPENBLAS_NUM_THREADS` can give bundles
+that differ in their last bits (ROADMAP item 4). Exit codes: 0 success,
+1 usage/config error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -163,17 +162,7 @@ class NormalizationParams:
         return denormalize(value, self.volume_min, self.volume_max)
 
 
-class Window(NamedTuple):
-    """One window of a SampleSet, fields without the leading window axis."""
-
-    speed_history: np.ndarray
-    volume_history: np.ndarray
-    speed_target: np.ndarray
-    volume_target: np.ndarray
-    origin_timestamp: np.int64
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Windows in normalized units: rows of two (T, detectors, lanes) grids.
 
@@ -187,7 +176,8 @@ class SampleSet:
     timestamp; speed_target / volume_target (N, detectors*lanes),
     detector-major lane-minor, one interval after the origin;
     origin_timestamps (N,) int64. Indexing selects windows and shares the
-    grids: an int gives a `Window`, a slice or index array a SampleSet.
+    grids: a slice or index array gives a SampleSet of those windows, an
+    int `i` the one-window set `samples[[i]]`. `==` is identity.
     """
 
     speed: np.ndarray
@@ -201,9 +191,7 @@ class SampleSet:
 
     def __getitem__(self, key):
         if isinstance(key, numbers.Integral):
-            one = self[[key]]
-            return Window(one.speed_history[0], one.volume_history[0], one.speed_target[0],
-                          one.volume_target[0], one.origin_timestamps[0])
+            key = [key]
         return replace(self, starts=self.starts[key])
 
     def history(self, quantity: str) -> np.ndarray:
@@ -358,9 +346,11 @@ def _parse_lines(path, raw: bytes) -> Records:
 def write_records(path, records) -> None:
     """Write the record CSV that read_records reads back exactly.
 
-    A record read_records would reject raises DataError, and nothing is
-    written.
+    No records, or a record read_records would reject, raises DataError,
+    and nothing is written.
     """
+    if not len(records):
+        raise DataError(f"no records to write to {path}: read_records refuses a file without any")
     bad = np.flatnonzero(~_readable(records))
     if bad.size:
         row = ", ".join(f"{name}={getattr(records, name)[bad[0]]}" for name in _ROW.names)

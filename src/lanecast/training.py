@@ -156,9 +156,9 @@ def train(model, samples, config: TrainConfig, eval_samples=None) -> list[EpochS
 # -- accuracy ---------------------------------------------------------------------
 
 
-def _ape_stats(predicted, actual, min_target):
+def _ape_stats(predicted, actual):
     """(accuracy-or-NaN, values used, values excluded)."""
-    mask = actual >= min_target
+    mask = actual >= DEFAULT_MIN_TARGET
     used = int(mask.sum())
     excluded = actual.size - used
     if used == 0:
@@ -167,14 +167,14 @@ def _ape_stats(predicted, actual, min_target):
     return 100.0 * (1.0 - float(np.mean(ape))), used, excluded
 
 
-def accuracy(predicted, actual, *, min_target: float = DEFAULT_MIN_TARGET,
-             metric: str = "mape_complement") -> float:
+def accuracy(predicted, actual, *, metric: str = "mape_complement") -> float:
     """Percent accuracy of denormalized speed predictions.
 
     mape_complement (default): 100 * (1 - mean(|p - a| / a)), the complement
     of the mean absolute percentage error. rmse_complement:
-    100 * (1 - rmse / mean(a)). Targets below min_target (mph) are excluded
-    from either mean; if that excludes everything, the metric is undefined.
+    100 * (1 - rmse / mean(a)). Targets below DEFAULT_MIN_TARGET (mph) are
+    excluded from either mean; if that excludes everything, the metric is
+    undefined.
     """
     predicted = np.asarray(predicted, dtype=np.float64).reshape(-1)
     actual = np.asarray(actual, dtype=np.float64).reshape(-1)
@@ -182,13 +182,13 @@ def accuracy(predicted, actual, *, min_target: float = DEFAULT_MIN_TARGET,
         raise ShapeError(
             f"prediction shape {predicted.shape} != target shape {actual.shape}"
         )
-    mask = actual >= min_target
+    mask = actual >= DEFAULT_MIN_TARGET
     if not mask.any():
         raise MetricError(
-            f"every target is below {min_target}; the percentage metric is undefined"
+            f"every target is below {DEFAULT_MIN_TARGET}; the percentage metric is undefined"
         )
     if metric == "mape_complement":
-        return _ape_stats(predicted, actual, min_target)[0]
+        return _ape_stats(predicted, actual)[0]
     if metric == "rmse_complement":
         diff = predicted[mask] - actual[mask]
         return 100.0 * (1.0 - math.sqrt(float(np.mean(diff * diff))) / float(np.mean(actual[mask])))
@@ -205,32 +205,26 @@ class PredictionPair(NamedTuple):
     volume: np.ndarray | None
 
 
-def _rollout(model, speed_x, volume_x, horizon: int):
-    """Recursive forecast, yielding each step's (speed, volume) predictions:
-    each later step feeds the previous predictions back as the newest input
-    column (both quantities, clipped to [0, 1]).
+def _rollout(model, samples: SampleSet, horizon: int):
+    """Recursive forecast over a SampleSet, yielding each step's (speed,
+    volume) predictions: each later step feeds the previous predictions
+    back as the newest input column (both quantities, clipped to [0, 1]).
 
-    A model with `forward_newest_column` makes one full pass and then
-    computes only the newest column of each conv layer per later step; any
-    other model sees every shifted window in full through `predict_batch`.
-    `speed_x` may instead be a SampleSet, with volume_x None: the full pass
-    then takes the set, and any other model its histories.
+    A model with `forward_newest_column` makes one full pass over the set,
+    which convolves its grid blocks, and then computes only the newest
+    column of each conv layer per later step, in place on the pass's
+    activations; any other model sees every shifted window's histories in
+    full through `predict_batch`.
     """
+    batch, detectors, lanes = len(samples), *samples.speed.shape[1:]
     incremental = hasattr(model, "forward_newest_column")
-    if isinstance(speed_x, SampleSet) and not incremental:
-        speed_x, volume_x = speed_x.speed_history, speed_x.volume_history
-    elif incremental and not isinstance(speed_x, SampleSet):
-        # the later steps shift the activations in place: the pass runs on
-        # copies, as a SampleSet's histories, gathered on access, already are
-        speed_x, volume_x = np.array(speed_x, order="C"), np.array(volume_x, order="C")
     if incremental:
-        pred_u, pred_q, cache = model.forward_batch(speed_x, volume_x)
+        pred_u, pred_q, cache = model.forward_batch(samples)
         acts = {stream: c.acts for stream, c in cache.streams.items()}
         del cache  # only the conv activations are carried from step to step
-        batch, detectors, _, lanes = acts["speed"][0].shape
     else:
+        speed_x, volume_x = samples.speed_history, samples.volume_history
         pred_u, pred_q = model.predict_batch(speed_x, volume_x)
-        batch, detectors, _, lanes = speed_x.shape
     for h in range(1, horizon + 1):
         yield pred_u, pred_q
         if h == horizon:
@@ -248,24 +242,24 @@ def _rollout(model, speed_x, volume_x, horizon: int):
             pred_u, pred_q = model.predict_batch(speed_x, volume_x)
 
 
-def predict_multistep(model, sample, horizon: int) -> list[PredictionPair]:
-    """Forecast `horizon` steps ahead from one window, e.g. `samples[i]`
-    (inference mode)."""
+def predict_multistep(model, samples: SampleSet, horizon: int) -> list[PredictionPair]:
+    """Forecast `horizon` steps ahead from every window of a SampleSet, e.g.
+    the one-window `samples[i]` (inference mode): one PredictionPair of
+    (windows, targets) arrays per step. A window's rows can differ in the
+    last bits between a one-window set and a larger one: numpy multiplies a
+    one-row batch by the dense weights through GEMV, not GEMM."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    steps = _rollout(
-        model, sample.speed_history[np.newaxis], sample.volume_history[np.newaxis], horizon
-    )
-    return [
-        PredictionPair(pu[0], pq[0] if pq is not None else None) for pu, pq in steps
-    ]
+    if not samples:
+        raise DataError("cannot forecast from an empty sample set")
+    return [PredictionPair(pu, pq) for pu, pq in _rollout(model, samples, horizon)]
 
 
 # -- evaluation ---------------------------------------------------------------------
 
 
 def evaluate(model, samples, horizons, norm: NormalizationParams,
-             shape: CorridorShape, *, min_target: float = DEFAULT_MIN_TARGET) -> EvalReport:
+             shape: CorridorShape) -> EvalReport:
     """Score step-h rollouts against the true targets h steps ahead.
 
     The horizon-h truth for a sample is the target of the sample whose
@@ -292,7 +286,7 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     # only the requested horizons' source rows are kept, so memory does not
     # grow with the largest horizon; every step is still checked
     kept = {}  # horizon -> speed predictions of its source samples
-    steps = _rollout(model, samples, None, horizons[-1])
+    steps = _rollout(model, samples, horizons[-1])
     for h, (pred_u, pred_q) in enumerate(steps, start=1):
         check_predictions(pred_u, pred_q, f"evaluate, step {h}")
         if h in pairs:
@@ -304,18 +298,18 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     for h, (source, target) in pairs.items():
         pred = denormalize(kept[h], norm.speed_min, norm.speed_max)
         truth = denormalize(samples[target].speed_target, norm.speed_min, norm.speed_max)
-        overall, used, excluded = _ape_stats(pred, truth, min_target)
+        overall, used, excluded = _ape_stats(pred, truth)
         if used == 0:
-            raise MetricError(f"horizon {h}: every target is below {min_target} mph")
+            raise MetricError(f"horizon {h}: every target is below {DEFAULT_MIN_TARGET} mph")
         pred_grid = pred.reshape(-1, shape.detectors, shape.lanes)
         truth_grid = truth.reshape(-1, shape.detectors, shape.lanes)
         report.accuracy[h] = overall
         report.per_lane[h] = [
-            _ape_stats(pred_grid[:, :, l], truth_grid[:, :, l], min_target)[0]
+            _ape_stats(pred_grid[:, :, l], truth_grid[:, :, l])[0]
             for l in range(shape.lanes)
         ]
         report.per_detector[h] = [
-            _ape_stats(pred_grid[:, i, :], truth_grid[:, i, :], min_target)[0]
+            _ape_stats(pred_grid[:, i, :], truth_grid[:, i, :])[0]
             for i in range(shape.detectors)
         ]
         report.evaluated[h] = source.size

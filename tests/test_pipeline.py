@@ -133,14 +133,14 @@ class TestBuildSamples:
         samples = build_samples(records, shape, norm)
         assert len(samples) == 1
         s = samples[0]
-        assert s.origin_timestamp == 300
+        assert s.origin_timestamps[0] == 300
         # columns in time order, rows in milepost order, channel = lane
-        assert s.speed_history[0, 0, 0] == norm.normalize_speed(10.0)
-        assert s.speed_history[0, 1, 0] == norm.normalize_speed(20.0)
-        assert s.speed_history[1, 0, 0] == norm.normalize_speed(40.0)
-        assert s.speed_history[1, 1, 0] == norm.normalize_speed(50.0)
+        assert s.speed_history[0, 0, 0, 0] == norm.normalize_speed(10.0)
+        assert s.speed_history[0, 0, 1, 0] == norm.normalize_speed(20.0)
+        assert s.speed_history[0, 1, 0, 0] == norm.normalize_speed(40.0)
+        assert s.speed_history[0, 1, 1, 0] == norm.normalize_speed(50.0)
         assert np.array_equal(
-            s.speed_target, [norm.normalize_speed(30.0), norm.normalize_speed(60.0)]
+            s.speed_target[0], [norm.normalize_speed(30.0), norm.normalize_speed(60.0)]
         )
 
     def test_constant_field_normalizes_uniformly(self):
@@ -184,7 +184,7 @@ class TestBuildSamples:
         # a gap at the end only kills the last window
         broken_tail = take(records, ~((records.timestamp == 900) & (records.detector_index == 2)))
         samples = build_samples(broken_tail, shape, norm)
-        assert [s.origin_timestamp for s in samples] == [300]
+        assert [s.origin_timestamps[0] for s in samples] == [300]
 
     def test_layout_fidelity_round_trip(self):
         rng = np.random.default_rng(55)
@@ -195,12 +195,12 @@ class TestBuildSamples:
         assert len(samples) == 5
         for n in rng.choice(len(samples), size=3, replace=False):
             s = samples[n]
-            origin_step = s.origin_timestamp // shape.interval
+            origin_step = s.origin_timestamps[0] // shape.interval
             for i in range(shape.detectors):
                 for t in range(shape.steps):
                     for l in range(shape.lanes):
                         raw = values[origin_step - (shape.steps - 1 - t)][i][l]
-                        back = norm.denormalize_speed(s.speed_history[i, t, l])
+                        back = norm.denormalize_speed(s.speed_history[0, i, t, l])
                         assert back == pytest.approx(raw, abs=1e-12 * max(1.0, raw))
 
     def test_values_stay_in_unit_interval(self):
@@ -282,14 +282,37 @@ class TestWindows:
         records, _ = dense_corpus(shape, 6, seed=6)
         samples = build_samples(records, shape, fit_normalization(records))
         window = samples[2]
-        assert window.origin_timestamp == samples.origin_timestamps[2] == 900
-        assert np.array_equal(window.volume_history, samples.volume_history[2])
-        assert np.array_equal(window.speed_target, samples.speed_target[2])
+        assert window.origin_timestamps[0] == samples.origin_timestamps[2] == 900
+        assert np.array_equal(window.volume_history[0], samples.volume_history[2])
+        assert np.array_equal(window.speed_target[0], samples.speed_target[2])
         picked = samples[np.array([3, 0])]
         assert isinstance(picked, SampleSet) and len(picked) == 2
         assert picked.origin_timestamps.tolist() == [1200, 300]
         assert np.array_equal(picked.speed_history[0], samples.speed_history[3])
-        assert [s.origin_timestamp for s in samples] == [300, 600, 900, 1200]
+        assert [s.origin_timestamps[0] for s in samples] == [300, 600, 900, 1200]
+
+    @pytest.mark.parametrize("index", [2, np.int64(2), np.int32(2)])
+    def test_integer_index_gives_a_one_window_set(self, index):
+        shape = CorridorShape(2, 2, 1)
+        records, _ = dense_corpus(shape, 6, seed=6)
+        samples = build_samples(records, shape, fit_normalization(records))
+        window, picked = samples[index], samples[[2]]
+        assert isinstance(window, SampleSet) and len(window) == 1
+        assert window.speed is samples.speed and window.volume is samples.volume
+        assert window.timestamps is samples.timestamps
+        for name in ("starts", "speed_history", "volume_history", "speed_target",
+                     "volume_target", "origin_timestamps"):
+            assert np.array_equal(getattr(window, name), getattr(picked, name)), name
+        with pytest.raises(IndexError):
+            samples[len(samples)]
+
+    def test_equality_is_identity(self):
+        shape = CorridorShape(2, 2, 1)
+        records, _ = dense_corpus(shape, 6, seed=6)
+        samples = build_samples(records, shape, fit_normalization(records))
+        assert samples == samples and hash(samples) == hash(samples)
+        assert samples[:3] != samples[:3]
+        assert len({samples, samples[:3], samples[0]}) == 3
 
     def test_empty_records_are_data_error(self):
         shape = CorridorShape(2, 2, 1)
@@ -332,12 +355,13 @@ class TestSplit:
         samples = origin_samples([i * 300 for i in range(10)])
         train, test = split_dataset(samples, 0.8)
         assert len(train) == 8 and len(test) == 2
-        assert max(s.origin_timestamp for s in train) < min(s.origin_timestamp for s in test)
+        assert (max(s.origin_timestamps[0] for s in train)
+                < min(s.origin_timestamps[0] for s in test))
 
     def test_unordered_input_is_sorted_first(self):
         samples = origin_samples([i * 300 for i in (3, 0, 4, 1, 2)])
         train, test = split_dataset(samples, 0.6)
-        assert [s.origin_timestamp for s in train] == [0, 300, 600]
+        assert [s.origin_timestamps[0] for s in train] == [0, 300, 600]
         # every field moves with its origin
         assert train.speed_history.reshape(-1).tolist() == [0.0, 300.0, 600.0]
 
@@ -506,6 +530,12 @@ class TestCsvWriter:
         named = rf"record 5 \(timestamp=300, .*\b{field}={re.escape(str(value))}[,)].* cannot be read back"
         with pytest.raises(DataError, match=named):
             write_records(path, records)
+        assert not path.exists()
+
+    def test_no_records_refused_before_writing(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        with pytest.raises(DataError, match="no records to write"):
+            write_records(path, as_records([]))
         assert not path.exists()
 
     @settings(max_examples=1000, derandomize=True, database=None, deadline=None,

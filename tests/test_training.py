@@ -200,11 +200,9 @@ class TestMultistep:
         sample = make_samples(small_shape(), 1, seed=5)[0]
         steps = predict_multistep(model, sample, 1)
         assert len(steps) == 1
-        direct = model.predict_batch(
-            sample.speed_history[None], sample.volume_history[None]
-        )
-        assert np.array_equal(steps[0].speed, direct[0][0])
-        assert np.array_equal(steps[0].volume, direct[1][0])
+        direct = model.predict_batch(sample.speed_history, sample.volume_history)
+        assert np.array_equal(steps[0].speed, direct[0])
+        assert np.array_equal(steps[0].volume, direct[1])
 
     def test_three_step_shapes_at_corridor_scale(self):
         shape = CorridorShape(detectors=10, steps=8, lanes=4)
@@ -214,8 +212,8 @@ class TestMultistep:
         steps = predict_multistep(model, sample, 3)
         assert len(steps) == 3
         for pair in steps:
-            assert pair.speed.shape == (40,)
-            assert pair.volume.shape == (40,)
+            assert pair.speed.shape == (1, 40)
+            assert pair.volume.shape == (1, 40)
 
     def test_shift_preserves_remaining_columns(self):
         # a model that reproduces the last column exactly: persistence
@@ -239,6 +237,21 @@ class TestMultistep:
     def test_invalid_horizon(self):
         with pytest.raises(ConfigError):
             predict_multistep(PersistenceModel(), make_samples(small_shape(), 1)[0], 0)
+
+    @pytest.mark.parametrize("model", [ConvForecaster(small_config()), PersistenceModel()],
+                             ids=["conv", "persistence"])
+    def test_empty_set_is_data_error(self, model):
+        with pytest.raises(DataError, match="empty sample set"):
+            predict_multistep(model, make_samples(small_shape(), 3)[:0], 2)
+
+    def test_set_rows_are_those_of_one_window_sets(self):
+        # persistence has no dense layer, so its rows do not depend on the batch
+        samples = make_samples(small_shape(), 5, seed=10)
+        steps = predict_multistep(PersistenceModel(), samples, 3)
+        for i in range(len(samples)):
+            for pair, one in zip(steps, predict_multistep(PersistenceModel(), samples[i], 3)):
+                assert pair.speed[i].tobytes() == one.speed[0].tobytes()
+                assert pair.volume[i].tobytes() == one.volume[0].tobytes()
 
 
 class _WindowShiftProbe:
@@ -264,7 +277,7 @@ def test_rollout_shift_is_exact():
     first, second = probe.seen
     assert np.array_equal(second[0, :, :-1, :], first[0, :, 1:, :])
     fed = second[0, :, -1, :].reshape(-1)
-    assert np.array_equal(fed, np.clip(steps[0].speed, 0.0, 1.0))
+    assert np.array_equal(fed, np.clip(steps[0].speed[0], 0.0, 1.0))
 
 
 def _concatenate_rollout(model, speed_x, volume_x, horizon):
@@ -281,10 +294,6 @@ def _concatenate_rollout(model, speed_x, volume_x, horizon):
             fed_q = np.clip(pred_q, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
             volume_x = np.concatenate([volume_x[:, :, 1:, :], fed_q], axis=2)
     return steps
-
-
-def _rollout_bytes(steps):
-    return [(u.tobytes(), q.tobytes() if q is not None else None) for u, q in steps]
 
 
 def _biased_model(shape, filters, filter_size, kind, seed):
@@ -318,9 +327,8 @@ def test_incremental_rollout_matches_concatenate_oracle(kind, shape, filters, fi
     model = _biased_model(shape, filters, filter_size, kind, seed=batch)
     samples = make_samples(shape, batch, seed=horizon)
     expected = _concatenate_rollout(model, samples.speed_history, samples.volume_history, horizon)
-    steps = list(_rollout(model, samples.speed_history, samples.volume_history, horizon))
     # the set's windows each have their own grid rows, so each block holds a few
-    assert _rollout_bytes(_rollout(model, samples, None, horizon)) == _rollout_bytes(steps)
+    steps = list(_rollout(model, samples, horizon))
     assert len(steps) == horizon
     for (pred_u, pred_q), (want_u, want_q) in zip(steps, expected):
         assert pred_u.tobytes() == want_u.tobytes()
@@ -345,7 +353,7 @@ def test_rollout_on_chronological_windows_matches_concatenate_oracle(kind, shape
     samples = samples[np.r_[0:150, 152:230]]  # runs of 150 and 78 windows
     model = _biased_model(shape, filters, filter_size, kind, seed=6)
     expected = _concatenate_rollout(model, samples.speed_history, samples.volume_history, 5)
-    steps = list(_rollout(model, samples, None, 5))
+    steps = list(_rollout(model, samples, 5))
     assert len(steps) == 5
     for (pred_u, pred_q), (want_u, want_q) in zip(steps, expected):
         assert pred_u.tobytes() == want_u.tobytes()
