@@ -10,7 +10,6 @@ from .model import (
     PersistenceModel,
     load_bundle,
     param_shapes,
-    persistence_baseline,
     save_bundle,
 )
 from .optim import RmsProp

@@ -31,7 +31,7 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .pipeline import CorridorShape, NormalizationParams, SampleSet, check_fields
+from .pipeline import CorridorShape, NormalizationParams, check_fields
 
 BUNDLE_FORMAT = "lane-speed-model"
 BUNDLE_SCHEMA_VERSION = 1
@@ -204,9 +204,9 @@ def _block_acts(x, banks, grid, starts):
     return acts
 
 
-def _stream_forward(x, banks, ratio, mode, rng, mask, grid_rows=None):
+def _stream_forward(x, banks, ratio, mode, rng, mask, grid_rows):
     """`grid_rows`, the (grid, starts) of a SampleSet's windows, takes the
-    block path (`_block_acts`); without it each window is convolved on its own."""
+    block path (`_block_acts`); with None each window is convolved on its own."""
     if grid_rows is not None:
         acts = _block_acts(x, banks, *grid_rows)
     else:
@@ -218,6 +218,11 @@ def _stream_forward(x, banks, ratio, mode, rng, mask, grid_rows=None):
     flat = acts[-1].reshape(x.shape[0], -1)
     dropped, mask = dropout_forward(flat, ratio, mode, rng, mask)
     return dropped, _StreamCache(acts=acts, mask=mask)
+
+
+def _require_windows(samples):
+    if not len(samples):
+        raise DataError("cannot predict from an empty sample set")
 
 
 def _shift_left(a):
@@ -267,36 +272,37 @@ class ConvForecaster:
         self._fusion = DenseParams(p["fusion.weights"], p["fusion.biases"])
         self._output = DenseParams(p["output.weights"], p["output.biases"])
 
-    def _check_input(self, x, what):
-        x = np.asarray(x, dtype=np.float64)
+    def _check_set(self, samples):
+        """ShapeError unless the set's windows have the configured detectors,
+        steps and lanes; DataError if it has none."""
         shape = self.config.shape
-        if x.ndim != 4 or x.shape[1:] != (shape.detectors, shape.steps, shape.lanes):
-            raise ShapeError(
-                f"{what} must be (batch, {shape.detectors}, {shape.steps}, {shape.lanes}), "
-                f"got {x.shape}"
-            )
-        return x
+        for stream in self.streams:
+            rows = getattr(samples, stream).shape[1:]
+            if rows != (shape.detectors, shape.lanes) or samples.steps != shape.steps:
+                raise ShapeError(
+                    f"{stream} windows must be {shape.steps} steps of ({shape.detectors}, "
+                    f"{shape.lanes}) grid rows, got {samples.steps} steps of {rows}"
+                )
+        _require_windows(samples)
 
-    def forward_batch(self, speed_x, volume_x=None, *, mode="infer", rng=None, masks=None):
-        """Returns (pred_speed, pred_volume, cache); pred_volume is None for
-        the speed-only kind, whose volume_x is ignored. The cache holds the
-        pass's activations; only a train-mode cache carries dropout masks.
+    def forward_batch(self, samples, *, mode="infer", rng=None, masks=None):
+        """Returns (pred_speed, pred_volume, cache) for the windows of a
+        SampleSet; pred_volume is None for the speed-only kind. The cache
+        holds the pass's activations; only a train-mode cache carries
+        dropout masks.
 
         Dropout draws from `rng` in train mode; pass `masks` (from a previous
         cache) instead to replay a pass with frozen drop patterns.
 
-        `speed_x` may instead be a SampleSet, whose histories are the inputs.
-        An infer pass over a non-empty one convolves its grids in blocks.
+        An infer pass convolves the set's grids in blocks (`_block_acts`); a
+        train pass convolves each window's history on its own.
         """
-        samples = speed_x if isinstance(speed_x, SampleSet) else None
-        given = ({s: samples.history(s) for s in self.streams} if samples is not None
-                 else {"speed": speed_x, "volume": volume_x})
-        inputs = [self._check_input(given[s], f"{s} input") for s in self.streams]
-        blocks = mode == "infer" and samples is not None and len(samples) > 0
+        self._check_set(samples)
+        inputs = [samples.history(s) for s in self.streams]
         fixed = masks or {}
         outs, caches = [], {}
         for stream, x in zip(self.streams, inputs):
-            grid_rows = (getattr(samples, stream), samples.starts) if blocks else None
+            grid_rows = (getattr(samples, stream), samples.starts) if mode == "infer" else None
             out, caches[stream] = _stream_forward(
                 x, self._banks[stream], self.config.dropout_conv, mode, rng, fixed.get(stream), grid_rows
             )
@@ -323,8 +329,8 @@ class ConvForecaster:
         )
         return pred_u, pred_q, cache
 
-    def predict_batch(self, speed_x, volume_x=None):
-        pred_u, pred_q, _ = self.forward_batch(speed_x, volume_x, mode="infer")
+    def predict_batch(self, samples):
+        pred_u, pred_q, _ = self.forward_batch(samples)
         return pred_u, pred_q
 
     def forward_newest_column(self, acts, fed):
@@ -408,27 +414,29 @@ TwoStreamModel = ConvForecaster
 # -- persistence baseline -------------------------------------------------------
 
 
-def persistence_baseline(speed_x) -> np.ndarray:
-    """Predict that the next step equals the newest observed column,
-    rearranged to the detector-major output layout."""
-    x = np.asarray(speed_x, dtype=np.float64)
-    if x.ndim == 3:
-        return x[:, -1, :].reshape(-1)
-    if x.ndim == 4:
-        return x[:, :, -1, :].reshape(x.shape[0], -1)
-    raise ShapeError(f"expected a 3-d or 4-d tensor, got shape {x.shape}")
-
-
 class PersistenceModel:
-    """Parameterless floor: repeats the last observation, speeds and volumes."""
+    """Parameterless floor: repeats the last observation, speeds and volumes.
+
+    A window's prediction is its newest history row, detector-major
+    lane-minor; the rollout's later steps repeat the column fed back.
+    """
 
     kind = "persistence"
 
-    def predict_batch(self, speed_x, volume_x=None):
-        if isinstance(speed_x, SampleSet):
-            speed_x, volume_x = speed_x.speed_history, speed_x.volume_history
-        pred_q = persistence_baseline(volume_x) if volume_x is not None else None
-        return persistence_baseline(speed_x), pred_q
+    def forward_batch(self, samples):
+        _require_windows(samples)
+        newest = samples.starts + samples.steps - 1
+        pred_u, pred_q = (grid[newest].reshape(len(samples), -1)
+                          for grid in (samples.speed, samples.volume))
+        return pred_u, pred_q, None
+
+    def predict_batch(self, samples):
+        pred_u, pred_q, _ = self.forward_batch(samples)
+        return pred_u, pred_q
+
+    def forward_newest_column(self, acts, fed):
+        """The fed columns: what persistence predicts on the shifted windows."""
+        return tuple(fed[q].reshape(len(fed[q]), -1) for q in ("speed", "volume"))
 
 
 # -- bundle serialization ---------------------------------------------------------

@@ -72,9 +72,7 @@ class EvalReport:
 
 
 def _loss_and_grads(model, batch, volume_weight, rng):
-    pred_u, pred_q, cache = model.forward_batch(
-        batch.speed_history, batch.volume_history, mode="train", rng=rng
-    )
+    pred_u, pred_q, cache = model.forward_batch(batch, mode="train", rng=rng)
     loss, grad_u, grad_q = composite_loss(
         pred_u, pred_q, batch.speed_target, batch.volume_target, volume_weight
     )
@@ -119,7 +117,7 @@ def train(model, samples, config: TrainConfig, eval_samples=None) -> list[EpochS
     diagnostic if the loss or a gradient stops being finite."""
     if not samples:
         raise DataError("no training samples")
-    if not hasattr(model, "forward_batch"):
+    if not hasattr(model, "backward_batch"):
         raise ConfigError(f"model kind {getattr(model, 'kind', '?')!r} is not trainable")
     rng = np.random.default_rng(config.seed)
     optimizer = RmsProp(config.learning_rate, config.rho, config.epsilon)
@@ -210,21 +208,17 @@ def _rollout(model, samples: SampleSet, horizon: int):
     volume) predictions: each later step feeds the previous predictions
     back as the newest input column (both quantities, clipped to [0, 1]).
 
-    A model with `forward_newest_column` makes one full pass over the set,
-    which convolves its grid blocks, and then computes only the newest
-    column of each conv layer per later step, in place on the pass's
-    activations; any other model sees every shifted window's histories in
-    full through `predict_batch`.
+    One infer-mode `forward_batch` over the set, which convolves its grid
+    blocks, gives the first step; each later step is one
+    `forward_newest_column` on that pass's activations, which it shifts in
+    place.
     """
     batch, detectors, lanes = len(samples), *samples.speed.shape[1:]
-    incremental = hasattr(model, "forward_newest_column")
-    if incremental:
-        pred_u, pred_q, cache = model.forward_batch(samples)
-        acts = {stream: c.acts for stream, c in cache.streams.items()}
-        del cache  # only the conv activations are carried from step to step
-    else:
-        speed_x, volume_x = samples.speed_history, samples.volume_history
-        pred_u, pred_q = model.predict_batch(speed_x, volume_x)
+    pred_u, pred_q, cache = model.forward_batch(samples)
+    # only the conv activations are carried from step to step; persistence
+    # has none
+    acts = None if cache is None else {stream: c.acts for stream, c in cache.streams.items()}
+    del cache
     for h in range(1, horizon + 1):
         yield pred_u, pred_q
         if h == horizon:
@@ -233,13 +227,7 @@ def _rollout(model, samples: SampleSet, horizon: int):
         fed_q = None
         if pred_q is not None:
             fed_q = np.clip(pred_q, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
-        if incremental:
-            pred_u, pred_q = model.forward_newest_column(acts, {"speed": fed_u, "volume": fed_q})
-        else:
-            speed_x = np.concatenate([speed_x[:, :, 1:, :], fed_u], axis=2)
-            if fed_q is not None:
-                volume_x = np.concatenate([volume_x[:, :, 1:, :], fed_q], axis=2)
-            pred_u, pred_q = model.predict_batch(speed_x, volume_x)
+        pred_u, pred_q = model.forward_newest_column(acts, {"speed": fed_u, "volume": fed_q})
 
 
 def predict_multistep(model, samples: SampleSet, horizon: int) -> list[PredictionPair]:
@@ -250,8 +238,6 @@ def predict_multistep(model, samples: SampleSet, horizon: int) -> list[Predictio
     one-row batch by the dense weights through GEMV, not GEMM."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if not samples:
-        raise DataError("cannot forecast from an empty sample set")
     return [PredictionPair(pu, pq) for pu, pq in _rollout(model, samples, horizon)]
 
 

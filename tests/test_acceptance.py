@@ -21,6 +21,7 @@ from lanecast.model import ArchitectureConfig, ConvForecaster, PersistenceModel
 from lanecast.pipeline import _ROW, CorridorShape, fit_normalization
 from lanecast.synth import SynthConfig
 from lanecast.training import TrainConfig
+from sample_sets import sample_set
 
 ACC_SEED = 2024
 
@@ -72,13 +73,14 @@ def test_criterion_01_gradient_fidelity():
     xq = rng.random((1, 4, 5, 2))
     yu = rng.random((1, 8))
     yq = rng.random((1, 8))
-    pred_u, pred_q, cache = model.forward_batch(xu, xq, mode="train", rng=rng)
+    samples = sample_set(xu, xq, yu, yq, [0])
+    pred_u, pred_q, cache = model.forward_batch(samples, mode="train", rng=rng)
     masks = cache.masks
     _, grad_u, grad_q = composite_loss(pred_u, pred_q, yu, yq, 0.1)
     grads = model.backward_batch(cache, grad_u, grad_q)
 
     def loss_fn():
-        pu, pq, _ = model.forward_batch(xu, xq, mode="train", masks=masks)
+        pu, pq, _ = model.forward_batch(samples, mode="train", masks=masks)
         return composite_loss(pu, pq, yu, yq, 0.1)[0]
 
     result = gradient_check(loss_fn, model.param_arrays(), grads, step=1e-6, tolerance=1e-5)
@@ -327,7 +329,7 @@ def test_criterion_09_shape_contract():
     shapes = config.conv_map_shapes()
     model = ConvForecaster(config)
     xu = np.zeros((1, 10, 8, 4))
-    pred_u, pred_q = model.predict_batch(xu, xu)
+    pred_u, pred_q = model.predict_batch(sample_set(xu, xu, np.zeros((1, 40)), np.zeros((1, 40)), [0]))
     ok = (
         shapes == [(9, 7), (8, 6), (7, 5)]
         and config.flat_size == 7 * 5 * 32

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -22,13 +22,13 @@ from lanecast.model import (
     PersistenceModel,
     load_bundle,
     param_shapes,
-    persistence_baseline,
     save_bundle,
 )
 from lanecast.pipeline import (
     CorridorShape,
     NormalizationParams,
     Records,
+    SampleSet,
     fit_normalization,
     grid_windows,
     group_records,
@@ -50,10 +50,13 @@ def corridor_config(seed=0):
     return ArchitectureConfig(shape=shape, seed=seed)
 
 
-def random_batch(config, batch=3, seed=1):
+def random_set(shape, batch=3, seed=1):
+    """A set of `batch` windows of random histories and zero targets."""
     rng = np.random.default_rng(seed)
-    k, n, c = config.shape.detectors, config.shape.steps, config.shape.lanes
-    return rng.random((batch, k, n, c)), rng.random((batch, k, n, c))
+    k, n, c = shape.detectors, shape.steps, shape.lanes
+    targets = np.zeros((batch, k * c))
+    return sample_set(rng.random((batch, k, n, c)), rng.random((batch, k, n, c)),
+                      targets, targets, np.arange(batch) * shape.interval)
 
 
 class TestArchitecture:
@@ -121,38 +124,46 @@ class TestForward:
         model = ConvForecaster(config)
         for array in model.param_arrays().values():
             array[...] = 0.0
-        xu, xq = random_batch(config)
-        pred_u, pred_q = model.predict_batch(xu, xq)
+        pred_u, pred_q = model.predict_batch(random_set(config.shape))
         assert (pred_u == 0.0).all() and (pred_q == 0.0).all()
 
     def test_output_lengths(self):
         config = corridor_config()
         model = ConvForecaster(config)
-        xu, xq = random_batch(config, batch=2)
-        pred_u, pred_q = model.predict_batch(xu, xq)
+        pred_u, pred_q = model.predict_batch(random_set(config.shape, batch=2))
         assert pred_u.shape == (2, 40)
         assert pred_q.shape == (2, 40)
 
     def test_infer_mode_deterministic(self):
         config = toy_config(seed=5)
         model = ConvForecaster(config)
-        xu, xq = random_batch(config)
-        first = model.predict_batch(xu, xq)
-        second = model.predict_batch(xu, xq)
+        samples = random_set(config.shape)
+        first = model.predict_batch(samples)
+        second = model.predict_batch(samples)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
 
     def test_wrong_shape_rejected(self):
-        model = ConvForecaster(toy_config())
-        with pytest.raises(ShapeError):
-            model.predict_batch(np.zeros((1, 3, 5, 2)), np.zeros((1, 3, 5, 2)))
+        config = toy_config()
+        for kind in ("two_stream", "single_stream"):
+            model = ConvForecaster(config, kind)
+            # other detectors, then the same detectors and lanes but other steps
+            for other in (dict(detectors=3), dict(steps=6)):
+                samples = random_set(replace(config.shape, **other))
+                with pytest.raises(ShapeError, match=r"windows must be 5 steps of \(4, 2\) grid rows"):
+                    model.predict_batch(samples)
+
+    @pytest.mark.parametrize("model", [ConvForecaster(toy_config()), PersistenceModel()],
+                             ids=["conv", "persistence"])
+    def test_empty_set_is_data_error(self, model):
+        with pytest.raises(DataError, match="empty sample set"):
+            model.predict_batch(random_set(toy_config().shape)[:0])
 
     def test_train_mode_needs_rng_for_dropout(self):
         config = toy_config()
         model = ConvForecaster(config)
-        xu, xq = random_batch(config)
         with pytest.raises(ValueError):
-            model.forward_batch(xu, xq, mode="train")
+            model.forward_batch(random_set(config.shape), mode="train")
 
 
 SEGMENT = 64  # lanecast.model._SEGMENT: windows per block of grid rows
@@ -169,8 +180,8 @@ def biased_model(config, kind="two_stream", seed=0):
 
 
 def per_window_pass(model, speed_x, volume_x):
-    """The oracle of the infer-mode forward: every window convolved on its
-    own, as the forward does for arrays. Returns
+    """The oracle of the infer-mode forward: every window's history arrays
+    convolved on their own, as a train pass does. Returns
     (pred_speed, pred_volume, {stream: [input, relu outputs...]})."""
     given = {"speed": speed_x, "volume": volume_x}
     acts = {}
@@ -249,8 +260,7 @@ class TestSharedColumns:
             batch = batch[np.r_[0:SEGMENT // 2, 3 * SEGMENT:len(batch)]]
         assert_matches_per_window(model, batch)
 
-    @pytest.mark.parametrize("mode", ["infer", "train"])
-    def test_shuffled_batch_convolves_window_by_window(self, monkeypatch, mode):
+    def test_shuffled_batch_convolves_window_by_window(self, monkeypatch):
         calls = []
 
         def recorder(route, conv):
@@ -265,8 +275,7 @@ class TestSharedColumns:
         order = np.random.default_rng(49).permutation(len(batch))[:SEGMENT]
         batch = batch[order]
         model = ConvForecaster(corridor_config(seed=50))
-        model.forward_batch(batch.speed_history, batch.volume_history, mode=mode,
-                            rng=np.random.default_rng(51))
+        model.forward_batch(batch, mode="train", rng=np.random.default_rng(51))
         per_stream = [("model", (64, 10, 8, 4)), ("model", (64, 9, 7, 32)), ("model", (64, 8, 6, 32))]
         assert calls == per_stream * 2
 
@@ -294,9 +303,8 @@ class TestBackward:
     def test_zero_upstream_gradient(self):
         config = toy_config(seed=7)
         model = ConvForecaster(config)
-        xu, xq = random_batch(config)
         rng = np.random.default_rng(0)
-        _, _, cache = model.forward_batch(xu, xq, mode="train", rng=rng)
+        _, _, cache = model.forward_batch(random_set(config.shape), mode="train", rng=rng)
         zeros = np.zeros((3, config.targets_per_quantity))
         grads = model.backward_batch(cache, zeros, zeros)
         assert all((g == 0.0).all() for g in grads.values())
@@ -321,8 +329,9 @@ class TestBackward:
         rng = np.random.default_rng(data_seed)
         xu, xq = rng.random((2, 1, shape.detectors, shape.steps, shape.lanes))
         yu, yq = rng.random((2, 1, config.targets_per_quantity))
+        samples = sample_set(xu, xq, yu, yq, [0])
 
-        pred_u, pred_q, cache = model.forward_batch(xu, xq, mode="train", rng=rng)
+        pred_u, pred_q, cache = model.forward_batch(samples, mode="train", rng=rng)
         # an all-zero fused vector would put every hidden unit on the Relu
         # kink, where central differences are undefined
         assert (cache.fused != 0.0).any()
@@ -331,7 +340,7 @@ class TestBackward:
         grads = model.backward_batch(cache, grad_u, grad_q)
 
         def loss_fn():
-            pu, pq, _ = model.forward_batch(xu, xq, mode="train", masks=masks)
+            pu, pq, _ = model.forward_batch(samples, mode="train", masks=masks)
             return composite_loss(pu, pq, yu, yq, 0.1)[0]
 
         report = gradient_check(
@@ -344,11 +353,11 @@ class TestBackward:
     def test_zero_weight_detaches_volume_gradient(self):
         config = toy_config(seed=9)
         model = ConvForecaster(config)
-        xu, xq = random_batch(config, batch=2)
+        samples = random_set(config.shape, batch=2)
         rng = np.random.default_rng(1)
         yu = rng.random((2, 8))
         yq = rng.random((2, 8))
-        pred_u, pred_q, cache = model.forward_batch(xu, xq, mode="train", rng=rng)
+        pred_u, pred_q, cache = model.forward_batch(samples, mode="train", rng=rng)
         _, grad_u, grad_q = composite_loss(pred_u, pred_q, yu, yq, 0.0)
         assert (grad_q == 0.0).all()
         # volume half of the head's weight rows receives gradient only
@@ -371,8 +380,7 @@ class TestSingleStream:
         model = ConvForecaster(config, "single_stream")
         for array in model.param_arrays().values():
             array[...] = 0.0
-        xu, _ = random_batch(config)
-        pred_u, pred_q = model.predict_batch(xu)
+        pred_u, pred_q = model.predict_batch(random_set(config.shape))
         assert pred_u.shape == (3, config.targets_per_quantity)
         assert pred_q is None
         assert (pred_u == 0.0).all()
@@ -407,19 +415,27 @@ class TestSingleStream:
 
 class TestPersistence:
     def test_constant_sample(self):
-        x = np.full((3, 4, 2), 0.7)
-        assert (persistence_baseline(x) == 0.7).all()
+        window = np.full((1, 3, 4, 2), 0.7)
+        samples = sample_set(window, window, np.zeros((1, 6)), np.zeros((1, 6)), [0])
+        pred_u, pred_q = PersistenceModel().predict_batch(samples)
+        assert pred_u.shape == pred_q.shape == (1, 6)
+        assert (pred_u == 0.7).all() and (pred_q == 0.7).all()
 
     def test_equals_last_column_layout(self):
+        # overlapping windows of one pair of grids: each one's newest history row
         rng = np.random.default_rng(14)
-        x = rng.random((3, 4, 2))
-        assert np.array_equal(persistence_baseline(x), x[:, -1, :].reshape(-1))
+        speed, volume = rng.random((2, 8, 3, 2))
+        samples = SampleSet(speed, volume, np.arange(8) * 300, np.array([0, 1, 3]), 4)
+        pred_u, pred_q = PersistenceModel().predict_batch(samples)
+        assert np.array_equal(pred_u, samples.speed_history[:, :, -1, :].reshape(3, -1))
+        assert np.array_equal(pred_q, samples.volume_history[:, :, -1, :].reshape(3, -1))
 
     def test_model_wrapper(self):
         rng = np.random.default_rng(15)
         xu = rng.random((2, 3, 4, 2))
         xq = rng.random((2, 3, 4, 2))
-        pred_u, pred_q = PersistenceModel().predict_batch(xu, xq)
+        samples = sample_set(xu, xq, np.zeros((2, 6)), np.zeros((2, 6)), [0, 300])
+        pred_u, pred_q = PersistenceModel().predict_batch(samples)
         assert np.array_equal(pred_u, xu[:, :, -1, :].reshape(2, -1))
         assert np.array_equal(pred_q, xq[:, :, -1, :].reshape(2, -1))
 
@@ -523,9 +539,9 @@ class TestBundle:
         save_bundle(path, model, self.norm())
         loaded, norm = load_bundle(path)
         assert norm == self.norm()
-        xu, xq = random_batch(config)
-        original = model.predict_batch(xu, xq)
-        restored = loaded.predict_batch(xu, xq)
+        samples = random_set(config.shape)
+        original = model.predict_batch(samples)
+        restored = loaded.predict_batch(samples)
         assert np.array_equal(original[0], restored[0])
         assert np.array_equal(original[1], restored[1])
 
@@ -536,8 +552,8 @@ class TestBundle:
         save_bundle(path, model, self.norm())
         loaded, _ = load_bundle(path)
         assert loaded.kind == "single_stream"
-        xu, _ = random_batch(config)
-        assert np.array_equal(model.predict_batch(xu)[0], loaded.predict_batch(xu)[0])
+        samples = random_set(config.shape)
+        assert np.array_equal(model.predict_batch(samples)[0], loaded.predict_batch(samples)[0])
 
     def test_repeated_save_is_byte_identical(self, tmp_path):
         model = ConvForecaster(toy_config(seed=18))

@@ -115,9 +115,9 @@ class _CountingPersistence(PersistenceModel):
 
     calls = 0
 
-    def predict_batch(self, speed_x, volume_x=None):
+    def forward_batch(self, samples):
         self.calls += 1
-        return super().predict_batch(speed_x, volume_x)
+        return super().forward_batch(samples)
 
 
 class _PoisonedPredictions(PersistenceModel):
@@ -126,10 +126,10 @@ class _PoisonedPredictions(PersistenceModel):
     def __init__(self, quantity, value):
         self.quantity, self.value = quantity, value
 
-    def predict_batch(self, speed_x, volume_x=None):
-        preds = dict(zip(("speed", "volume"), super().predict_batch(speed_x, volume_x)))
+    def forward_batch(self, samples):
+        preds = dict(zip(("speed", "volume"), super().forward_batch(samples)[:2]))
         preds[self.quantity] = np.full_like(preds[self.quantity], self.value)
-        return preds["speed"], preds["volume"]
+        return preds["speed"], preds["volume"], None
 
 
 @pytest.mark.parametrize("quantity, value", [("speed", np.nan), ("volume", np.inf)])
@@ -200,7 +200,7 @@ class TestMultistep:
         sample = make_samples(small_shape(), 1, seed=5)[0]
         steps = predict_multistep(model, sample, 1)
         assert len(steps) == 1
-        direct = model.predict_batch(sample.speed_history, sample.volume_history)
+        direct = model.predict_batch(sample)
         assert np.array_equal(steps[0].speed, direct[0])
         assert np.array_equal(steps[0].volume, direct[1])
 
@@ -254,39 +254,15 @@ class TestMultistep:
                 assert pair.volume[i].tobytes() == one.volume[0].tobytes()
 
 
-class _WindowShiftProbe:
-    """Records the inputs it sees so the rollout's shift can be verified."""
-
-    def __init__(self):
-        self.seen = []
-
-    def predict_batch(self, speed_x, volume_x):
-        self.seen.append(speed_x.copy())
-        batch = speed_x.shape[0]
-        return (
-            speed_x[:, :, -1, :].reshape(batch, -1) * 0.5,
-            volume_x[:, :, -1, :].reshape(batch, -1) * 0.5,
-        )
-
-
-def test_rollout_shift_is_exact():
-    shape = small_shape()
-    sample = make_samples(shape, 1, seed=9)[0]
-    probe = _WindowShiftProbe()
-    steps = predict_multistep(probe, sample, 2)
-    first, second = probe.seen
-    assert np.array_equal(second[0, :, :-1, :], first[0, :, 1:, :])
-    fed = second[0, :, -1, :].reshape(-1)
-    assert np.array_equal(fed, np.clip(steps[0].speed[0], 0.0, 1.0))
-
-
 def _concatenate_rollout(model, speed_x, volume_x, horizon):
     """The rollout's oracle: `predict_batch` on every shifted window, rebuilt
     in full with np.concatenate at each step."""
     batch, detectors, _, lanes = speed_x.shape
+    targets = np.zeros((batch, detectors * lanes))
     steps = []
     for _ in range(horizon):
-        pred_u, pred_q = model.predict_batch(speed_x, volume_x)
+        windows = sample_set(speed_x, volume_x, targets, targets, np.arange(batch))
+        pred_u, pred_q = model.predict_batch(windows)
         steps.append((pred_u, pred_q))
         fed_u = np.clip(pred_u, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
         speed_x = np.concatenate([speed_x[:, :, 1:, :], fed_u], axis=2)
@@ -297,7 +273,10 @@ def _concatenate_rollout(model, speed_x, volume_x, horizon):
 
 
 def _biased_model(shape, filters, filter_size, kind, seed):
-    """A fresh model whose biases are non-zero, so every bias add shows."""
+    """A fresh model whose biases are non-zero, so every bias add shows;
+    persistence has no parameters."""
+    if kind == "persistence":
+        return PersistenceModel()
     config = ArchitectureConfig(
         shape=shape, filters_per_layer=filters, filter_size=filter_size, fc_hidden=16, seed=seed
     )
@@ -309,7 +288,7 @@ def _biased_model(shape, filters, filter_size, kind, seed):
     return model
 
 
-@pytest.mark.parametrize("kind", ["two_stream", "single_stream"])
+@pytest.mark.parametrize("kind", ["two_stream", "single_stream", "persistence"])
 @pytest.mark.parametrize(
     "shape, filters, filter_size, batch, horizon",
     [
