@@ -66,12 +66,18 @@ _QUAD_FRACTION = np.concatenate([_quads(_R, _R % (10 * _PLACE) != 0), _QUAD])
 _FIRST_QUAD_MASK = np.array([0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF], "<u4")
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, data) -> None:
+    """Write `data`, bytes or an iterable of bytes pieces written in turn,
+    atomically: if a piece raises, `path` is left as it was and no
+    temporary file remains."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            if isinstance(data, bytes):
+                fh.write(data)
+            else:
+                fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,8 +86,9 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def atomic_write_text(path, text) -> None:
-    """Write `text` (a str, or bytes already encoded as UTF-8) atomically."""
-    atomic_write_bytes(path, text if isinstance(text, bytes) else text.encode("utf-8"))
+    """Write `text` (a str, or bytes already encoded as UTF-8, or an
+    iterable of such bytes) atomically."""
+    atomic_write_bytes(path, text.encode("utf-8") if isinstance(text, str) else text)
 
 
 def format_rows(columns, separator: bytes, terminator: bytes) -> bytes:

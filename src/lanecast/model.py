@@ -39,6 +39,9 @@ BUNDLE_SCHEMA_VERSION = 1
 NUM_CONV_LAYERS = 3
 # windows per block of grid rows that an infer pass over a SampleSet convolves
 _SEGMENT = 64
+# parameter values formatted per piece of a saved bundle: the bundle's text
+# is written a piece at a time, never held whole
+_SAVE_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -193,8 +196,8 @@ def _block_acts(x, banks, grid, starts):
     acts = [x]
     # one wide layer at a time, each sliced into windows before the next
     for bank in banks:
-        # through the module: perfbench names a traced layer by its
-        # per-window input shape, which a block does not have
+        # through `layers`, not this module's traced name: perfbench looks the
+        # layer up by its per-window input shape, a KeyError for a block
         z = layers.conv2d_valid(wide, bank)
         wide = np.maximum(z, 0.0, out=z)
         cols = wide.shape[2] - _SEGMENT + 1
@@ -333,34 +336,41 @@ class ConvForecaster:
         pred_u, pred_q, _ = self.forward_batch(samples)
         return pred_u, pred_q
 
-    def forward_newest_column(self, acts, fed):
-        """Infer-mode predictions for windows one time step on, from the
-        activations of the windows before; returns (pred_speed, pred_volume).
+    def rollout(self, samples, horizon):
+        """Recursive forecast over a SampleSet, yielding each step's
+        (pred_speed, pred_volume): each later step feeds the previous
+        predictions back, clipped to [0, 1], as the newest input column.
 
-        `acts` maps each stream to an infer-mode cache's activations (the
-        input, then each conv layer's Relu output), all C-contiguous. They
-        are shifted left by one column in place and `fed[stream]`, of shape
-        (batch, detectors, 1, lanes), becomes the input's newest column.
+        One infer-mode `forward_batch` gives the first step. Each later step
+        shifts that pass's activations (the input, then each conv layer's
+        Relu output) left by one column in place and writes the fed column.
         Only each conv layer's newest output column can differ from its
-        shifted one, so only that is computed, from the newest
-        `filter_cols` columns below it. Every element gets the operations
-        of the full pass, so the predictions are bitwise those of
-        `predict_batch` on the shifted windows.
+        shifted one, so only that is computed, from the newest `filter_cols`
+        columns below it. Every element gets the operations of the full
+        pass, so each step is bitwise `predict_batch` on the shifted windows.
         """
-        flats = []
-        for stream in self.streams:
-            stream_acts = acts[stream]
-            for a in stream_acts:
-                _shift_left(a)
-            stream_acts[0][:, :, -1:] = fed[stream]
-            for below, above, bank in zip(stream_acts, stream_acts[1:], self._banks[stream]):
-                # through the module: perfbench traces `conv2d_valid` in this
-                # one and names the layer by the full input shape
-                z = layers.conv2d_valid(below[:, :, -bank.filter_cols:], bank)
-                above[:, :, -1:] = np.maximum(z, 0.0, out=z)
-            flats.append(stream_acts[-1].reshape(len(stream_acts[-1]), -1))
-        pred_u, pred_q, _ = self._head(flats, {})
-        return pred_u, pred_q
+        pred_u, pred_q, cache = self.forward_batch(samples)
+        # only the conv activations are carried from step to step
+        acts = {stream: c.acts for stream, c in cache.streams.items()}
+        del cache
+        for _ in range(horizon - 1):
+            yield pred_u, pred_q
+            flats = []
+            for stream, fed in zip(self.streams, (pred_u, pred_q)):
+                stream_acts = acts[stream]
+                for a in stream_acts:
+                    _shift_left(a)
+                newest = stream_acts[0][:, :, -1]
+                np.clip(fed.reshape(newest.shape), 0.0, 1.0, out=newest)
+                for below, above, bank in zip(stream_acts, stream_acts[1:], self._banks[stream]):
+                    # through `layers`, not this module's traced name: perfbench
+                    # looks the layer up by its per-window input shape, a
+                    # KeyError for a column slice
+                    z = layers.conv2d_valid(below[:, :, -bank.filter_cols:], bank)
+                    above[:, :, -1:] = np.maximum(z, 0.0, out=z)
+                flats.append(stream_acts[-1].reshape(len(samples), -1))
+            pred_u, pred_q, _ = self._head(flats, {})
+        yield pred_u, pred_q
 
     def backward_batch(self, cache, grad_speed, grad_volume=None):
         """Exact gradients of every parameter array given output gradients."""
@@ -423,20 +433,20 @@ class PersistenceModel:
 
     kind = "persistence"
 
-    def forward_batch(self, samples):
+    def predict_batch(self, samples):
         _require_windows(samples)
         newest = samples.starts + samples.steps - 1
-        pred_u, pred_q = (grid[newest].reshape(len(samples), -1)
-                          for grid in (samples.speed, samples.volume))
-        return pred_u, pred_q, None
+        return tuple(grid[newest].reshape(len(samples), -1)
+                     for grid in (samples.speed, samples.volume))
 
-    def predict_batch(self, samples):
-        pred_u, pred_q, _ = self.forward_batch(samples)
-        return pred_u, pred_q
-
-    def forward_newest_column(self, acts, fed):
-        """The fed columns: what persistence predicts on the shifted windows."""
-        return tuple(fed[q].reshape(len(fed[q]), -1) for q in ("speed", "volume"))
+    def rollout(self, samples, horizon):
+        """`ConvForecaster.rollout`'s recursion: the fed column, the previous
+        step clipped to [0, 1], is what persistence predicts next."""
+        pred_u, pred_q = self.predict_batch(samples)
+        for _ in range(horizon - 1):
+            yield pred_u, pred_q
+            pred_u, pred_q = np.clip(pred_u, 0.0, 1.0), np.clip(pred_q, 0.0, 1.0)
+        yield pred_u, pred_q
 
 
 # -- bundle serialization ---------------------------------------------------------
@@ -470,11 +480,18 @@ def save_bundle(path, model, norm: NormalizationParams) -> None:
         "params": {name: {"shape": list(array.shape), "data": []} for name, array in arrays.items()},
     }
     slots = json.dumps(doc, sort_keys=True).encode().split(b'"data": []')
-    pieces = [slots[0]]
-    for name, rest in zip(sorted(arrays), slots[1:]):
-        values = format_rows([arrays[name].reshape(-1)], b"", b", ")[:-2]
-        pieces += [b'"data": [', values, b"]", rest]
-    atomic_write_text(path, b"".join(pieces))
+
+    def pieces():
+        yield slots[0]
+        for name, rest in zip(sorted(arrays), slots[1:]):
+            values = arrays[name].reshape(-1)
+            yield b'"data": ['
+            for lo in range(0, values.size, _SAVE_VALUES):
+                text = format_rows([values[lo:lo + _SAVE_VALUES]], b"", b", ")
+                yield text if lo + _SAVE_VALUES < values.size else text[:-2]
+            yield b"]" + rest
+
+    atomic_write_text(path, pieces())
 
 
 def _require(doc: dict, key: str, path):

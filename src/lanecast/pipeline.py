@@ -140,14 +140,13 @@ class NormalizationParams:
 
     def __post_init__(self):
         check_fields(self, "normalization bound", DataError)
-        if not self.speed_max > self.speed_min:
-            raise DataError(
-                f"degenerate speed range [{self.speed_min}, {self.speed_max}]"
-            )
-        if not self.volume_max > self.volume_min:
-            raise DataError(
-                f"degenerate volume range [{self.volume_min}, {self.volume_max}]"
-            )
+        for quantity, lo, hi in (("speed", self.speed_min, self.speed_max),
+                                 ("volume", self.volume_min, self.volume_max)):
+            if not hi > lo:
+                raise DataError(f"degenerate {quantity} range [{lo}, {hi}]")
+            # finite bounds can still be further apart than a float holds
+            if not math.isfinite(hi - lo):
+                raise DataError(f"{quantity} range [{lo}, {hi}] has a width that overflows")
 
     def normalize_speed(self, value):
         return normalize(value, self.speed_min, self.speed_max)

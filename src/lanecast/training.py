@@ -203,33 +203,6 @@ class PredictionPair(NamedTuple):
     volume: np.ndarray | None
 
 
-def _rollout(model, samples: SampleSet, horizon: int):
-    """Recursive forecast over a SampleSet, yielding each step's (speed,
-    volume) predictions: each later step feeds the previous predictions
-    back as the newest input column (both quantities, clipped to [0, 1]).
-
-    One infer-mode `forward_batch` over the set, which convolves its grid
-    blocks, gives the first step; each later step is one
-    `forward_newest_column` on that pass's activations, which it shifts in
-    place.
-    """
-    batch, detectors, lanes = len(samples), *samples.speed.shape[1:]
-    pred_u, pred_q, cache = model.forward_batch(samples)
-    # only the conv activations are carried from step to step; persistence
-    # has none
-    acts = None if cache is None else {stream: c.acts for stream, c in cache.streams.items()}
-    del cache
-    for h in range(1, horizon + 1):
-        yield pred_u, pred_q
-        if h == horizon:
-            return
-        fed_u = np.clip(pred_u, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
-        fed_q = None
-        if pred_q is not None:
-            fed_q = np.clip(pred_q, 0.0, 1.0).reshape(batch, detectors, 1, lanes)
-        pred_u, pred_q = model.forward_newest_column(acts, {"speed": fed_u, "volume": fed_q})
-
-
 def predict_multistep(model, samples: SampleSet, horizon: int) -> list[PredictionPair]:
     """Forecast `horizon` steps ahead from every window of a SampleSet, e.g.
     the one-window `samples[i]` (inference mode): one PredictionPair of
@@ -238,7 +211,7 @@ def predict_multistep(model, samples: SampleSet, horizon: int) -> list[Predictio
     one-row batch by the dense weights through GEMV, not GEMM."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    return [PredictionPair(pu, pq) for pu, pq in _rollout(model, samples, horizon)]
+    return [PredictionPair(pu, pq) for pu, pq in model.rollout(samples, horizon)]
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -272,7 +245,7 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     # only the requested horizons' source rows are kept, so memory does not
     # grow with the largest horizon; every step is still checked
     kept = {}  # horizon -> speed predictions of its source samples
-    steps = _rollout(model, samples, horizons[-1])
+    steps = model.rollout(samples, horizons[-1])
     for h, (pred_u, pred_q) in enumerate(steps, start=1):
         check_predictions(pred_u, pred_q, f"evaluate, step {h}")
         if h in pairs:

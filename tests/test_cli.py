@@ -266,6 +266,21 @@ class TestEvaluateCommand:
         bundle.write_text(json.dumps(doc))
         assert main(["evaluate", "--bundle", str(bundle), "--data", data]) == 2
 
+    def test_overflowing_normalization_width_is_data_error(self, corpus, tmp_path, capsys):
+        # both speed bounds are finite but their difference is not: the
+        # bundle is refused instead of scoring inf-scaled predictions
+        config, data = corpus
+        bundle = tmp_path / "m.json"
+        assert main(["train", "--config", config, "--data", data, "--bundle", str(bundle)]) == 0
+        doc = json.loads(bundle.read_text())
+        doc["normalization"].update(speed_min=-1e308, speed_max=1e308)
+        bundle.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", "--bundle", str(bundle), "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert "speed range [-1e+308, 1e+308]" in err
+        assert "warning:" not in err
+
     def test_horizon_beyond_data_is_data_error(self, corpus, tmp_path, capsys):
         # rejected before the rollout: this horizon once ran forward passes
         # until the process was killed

@@ -116,6 +116,23 @@ class TestRows:
             format_rows([np.array([1, 2]), np.array([1.0])], b",", b"\n")
 
 
+class TestAtomicWrite:
+    def test_pieces_written_in_turn(self, tmp_path):
+        path = tmp_path / "out.txt"
+        fileio.atomic_write_text(path, (piece for piece in (b"a, ", b"", b"b")))
+        assert path.read_bytes() == b"a, b"
+
+    def test_raising_piece_leaves_nothing(self, tmp_path):
+        def pieces():
+            yield b"partial"
+            raise RuntimeError("stopped")
+
+        path = tmp_path / "out.txt"
+        with pytest.raises(RuntimeError, match="stopped"):
+            fileio.atomic_write_text(path, pieces())
+        assert list(tmp_path.iterdir()) == []
+
+
 def parsed(texts, dtype=np.float64):
     """parse_rows of `texts`, one cell per row, or None."""
     columns = parse_rows("".join(t + "\n" for t in texts).encode(), [dtype])

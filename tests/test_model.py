@@ -280,13 +280,19 @@ class TestSharedColumns:
         assert calls == per_stream * 2
 
     def test_chronological_batch_convolves_segments(self, monkeypatch):
+        # every infer-mode call goes through `lanecast.layers`: perfbench's
+        # hook on `lanecast.model.conv2d_valid` looks a layer up by its
+        # per-window input shape, which blocks and column slices lack
         calls = []
 
-        def record(x, bank):
-            calls.append(x.shape)
-            return conv2d_valid(x, bank)
+        def recorder(route):
+            def record(x, bank):
+                calls.append((route, x.shape))
+                return conv2d_valid(x, bank)
+            return record
 
-        monkeypatch.setattr(lanecast.layers, "conv2d_valid", record)
+        monkeypatch.setattr(lanecast.model, "conv2d_valid", recorder("model"))
+        monkeypatch.setattr(lanecast.layers, "conv2d_valid", recorder("layers"))
         samples = chronological_windows(CorridorShape(10, 8, 4), seed=52)
         model = ConvForecaster(corridor_config(seed=53))
         wide = SEGMENT + 7  # steps + S - 1 columns
@@ -296,7 +302,13 @@ class TestSharedColumns:
         for batch in (samples[:SEGMENT + 1], samples[[0, 2 * SEGMENT + 1]]):
             calls.clear()
             model.predict_batch(batch)
-            assert calls == per_stream * 2
+            assert calls == [("layers", x) for x in per_stream * 2]
+        # a 3-step rollout: the blocks, then at each later step every layer's
+        # newest filter_cols input columns
+        calls.clear()
+        list(model.rollout(samples[:SEGMENT + 1], 3))
+        columns = [(SEGMENT + 1, 10, 2, 4), (SEGMENT + 1, 9, 2, 32), (SEGMENT + 1, 8, 2, 32)]
+        assert calls == [("layers", x) for x in per_stream * 2 + columns * 4]
 
 
 class TestBackward:
@@ -472,6 +484,15 @@ class TestBundle:
     @pytest.mark.parametrize("kind", ["two_stream", "single_stream"])
     def test_bytes_match_json_dumps_at_corridor_shape(self, tmp_path, kind):
         model = ConvForecaster(corridor_config(seed=30), kind)
+        path = tmp_path / "model.json"
+        save_bundle(path, model, self.norm())
+        assert path.read_bytes() == json_bundle(model, self.norm())
+
+    # 280 values are the toy fusion layer's weights: its last piece is full
+    @pytest.mark.parametrize("piece", [1, 7, 280])
+    def test_bytes_match_json_dumps_when_written_in_pieces(self, tmp_path, monkeypatch, piece):
+        monkeypatch.setattr(lanecast.model, "_SAVE_VALUES", piece)
+        model = ConvForecaster(toy_config(seed=33))
         path = tmp_path / "model.json"
         save_bundle(path, model, self.norm())
         assert path.read_bytes() == json_bundle(model, self.norm())
@@ -679,6 +700,7 @@ class TestBundle:
             ("interval_beyond_int64", "interval must be positive seconds below 2"),
             ("bound_beyond_double", "speed_max must be a finite number"),
             ("dropout_beyond_double", "dropout_fc must be a finite number"),
+            ("overflowing_width", "invalid configuration: speed range"),
         ],
     )
     def test_poisoned_values_rejected(self, tmp_path, poison, match):
@@ -708,8 +730,10 @@ class TestBundle:
             doc["corridor"]["interval"] = 2**63
         elif poison == "bound_beyond_double":
             doc["normalization"]["speed_max"] = 10**400
-        else:
+        elif poison == "dropout_beyond_double":
             doc["architecture"]["dropout_fc"] = 10**400
+        else:
+            doc["normalization"].update(speed_min=-1e308, speed_max=1e308)
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=match):
             load_bundle(path)

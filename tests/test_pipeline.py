@@ -94,6 +94,14 @@ class TestNormalize:
         with pytest.raises(DataError):
             NormalizationParams(10.0, 10.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("quantity", ["speed", "volume"])
+    def test_overflowing_width_rejected(self, quantity):
+        # each bound is finite, but max - min is inf
+        bounds = {"speed_min": 0.0, "speed_max": 60.0, "volume_min": 0.0, "volume_max": 240.0,
+                  f"{quantity}_min": -1e308, f"{quantity}_max": 1e308}
+        with pytest.raises(DataError, match=rf"{quantity} range \[-1e\+308, 1e\+308\] has a width"):
+            NormalizationParams(**bounds)
+
 
 class TestFitNormalization:
     def test_min_max_over_records(self):

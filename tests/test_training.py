@@ -19,7 +19,6 @@ from lanecast.pipeline import (
 from lanecast.synth import SynthConfig, generate
 from lanecast.training import (
     TrainConfig,
-    _rollout,
     accuracy,
     dataset_loss,
     evaluate,
@@ -115,9 +114,9 @@ class _CountingPersistence(PersistenceModel):
 
     calls = 0
 
-    def forward_batch(self, samples):
+    def predict_batch(self, samples):
         self.calls += 1
-        return super().forward_batch(samples)
+        return super().predict_batch(samples)
 
 
 class _PoisonedPredictions(PersistenceModel):
@@ -126,10 +125,10 @@ class _PoisonedPredictions(PersistenceModel):
     def __init__(self, quantity, value):
         self.quantity, self.value = quantity, value
 
-    def forward_batch(self, samples):
-        preds = dict(zip(("speed", "volume"), super().forward_batch(samples)[:2]))
+    def predict_batch(self, samples):
+        preds = dict(zip(("speed", "volume"), super().predict_batch(samples)))
         preds[self.quantity] = np.full_like(preds[self.quantity], self.value)
-        return preds["speed"], preds["volume"], None
+        return preds["speed"], preds["volume"]
 
 
 @pytest.mark.parametrize("quantity, value", [("speed", np.nan), ("volume", np.inf)])
@@ -290,24 +289,29 @@ def _biased_model(shape, filters, filter_size, kind, seed):
 
 @pytest.mark.parametrize("kind", ["two_stream", "single_stream", "persistence"])
 @pytest.mark.parametrize(
-    "shape, filters, filter_size, batch, horizon",
+    "shape, filters, filter_size, batch, horizon, constant",
     [
-        (small_shape(), (4, 4, 4), (2, 2), 1, 12),
-        (small_shape(), (4, 4, 4), (2, 1), 65, 12),  # filter_cols 1
-        (CorridorShape(4, 4, 2), (4, 4, 4), (2, 2), 64, 12),  # conv3 has one column
-        (CorridorShape(3, 7, 2), (4, 3, 5), (1, 3), 130, 12),  # filter_cols 3, one column
-        (CorridorShape(10, 8, 4), (32, 32, 32), (2, 2), 130, 12),  # the paper's corridor
-        (CorridorShape(10, 8, 4), (32, 32, 32), (1, 3), 65, 4),
+        (small_shape(), (4, 4, 4), (2, 2), 1, 12, None),
+        (small_shape(), (4, 4, 4), (2, 1), 65, 12, None),  # filter_cols 1
+        (CorridorShape(4, 4, 2), (4, 4, 4), (2, 2), 64, 12, None),  # conv3 has one column
+        (CorridorShape(3, 7, 2), (4, 3, 5), (1, 3), 130, 12, None),  # filter_cols 3, one column
+        (CorridorShape(10, 8, 4), (32, 32, 32), (2, 2), 130, 12, None),  # the paper's corridor
+        (CorridorShape(10, 8, 4), (32, 32, 32), (1, 3), 65, 4, None),
+        # histories outside [0, 1]: persistence's later steps match the
+        # oracle only if the rollout clips the column it feeds back
+        (small_shape(), (4, 4, 4), (2, 2), 3, 4, 1.5),
     ],
-    ids=["toy-batch1", "filter-cols1", "one-column", "filter-cols3", "corridor", "corridor-cols3"],
+    ids=["toy-batch1", "filter-cols1", "one-column", "filter-cols3", "corridor", "corridor-cols3",
+         "out-of-range"],
 )
-def test_incremental_rollout_matches_concatenate_oracle(kind, shape, filters, filter_size, batch, horizon):
+def test_incremental_rollout_matches_concatenate_oracle(kind, shape, filters, filter_size, batch,
+                                                        horizon, constant):
     # batches 64, 65 and 130 straddle the conv forward's 64-window chunks
     model = _biased_model(shape, filters, filter_size, kind, seed=batch)
-    samples = make_samples(shape, batch, seed=horizon)
+    samples = make_samples(shape, batch, seed=horizon, constant=constant)
     expected = _concatenate_rollout(model, samples.speed_history, samples.volume_history, horizon)
     # the set's windows each have their own grid rows, so each block holds a few
-    steps = list(_rollout(model, samples, horizon))
+    steps = list(model.rollout(samples, horizon))
     assert len(steps) == horizon
     for (pred_u, pred_q), (want_u, want_q) in zip(steps, expected):
         assert pred_u.tobytes() == want_u.tobytes()
@@ -332,7 +336,7 @@ def test_rollout_on_chronological_windows_matches_concatenate_oracle(kind, shape
     samples = samples[np.r_[0:150, 152:230]]  # runs of 150 and 78 windows
     model = _biased_model(shape, filters, filter_size, kind, seed=6)
     expected = _concatenate_rollout(model, samples.speed_history, samples.volume_history, 5)
-    steps = list(_rollout(model, samples, 5))
+    steps = list(model.rollout(samples, 5))
     assert len(steps) == 5
     for (pred_u, pred_q), (want_u, want_q) in zip(steps, expected):
         assert pred_u.tobytes() == want_u.tobytes()
