@@ -27,7 +27,7 @@ from .pipeline import (
     write_records,
 )
 from .synth import DAY_SECONDS, generate
-from .training import SWEEP_AXES, check_predictions, evaluate, sweep, train
+from .training import SWEEP_AXES, check_predictions, evaluate, forecast_chunks, sweep, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -277,9 +277,11 @@ def cmd_heatmap(args) -> int:
 
     truth = speed[np.searchsorted(timestamps, grid_ts)]  # (time, detectors, lanes)
     windows = windows[np.searchsorted(windows.origin_timestamps, origins)]
-    pred_n, pred_q = model.predict_batch(windows)
-    pred = norm.denormalize_speed(pred_n).reshape(len(grid_ts), shape.detectors, shape.lanes)
-    check_predictions(pred, pred_q, "heatmap")
+    pred = np.empty((len(grid_ts), shape.detectors, shape.lanes))
+    for a, b in forecast_chunks(len(windows)):
+        pred_n, pred_q = model.predict_batch(windows[a:b])
+        pred[a:b] = norm.denormalize_speed(pred_n).reshape(b - a, shape.detectors, shape.lanes)
+        check_predictions(pred[a:b], pred_q, "heatmap")
 
     for lane in range(shape.lanes):
         truth_grid = truth[:, :, lane].T  # (detectors, time)

@@ -158,7 +158,9 @@ def _init_params(config: ArchitectureConfig, kind: str) -> dict[str, np.ndarray]
 
 @dataclass
 class _StreamCache:
-    acts: list[np.ndarray]  # the stream input, then each conv layer's relu output
+    # the stream input, then each conv layer's Relu output; an infer pass
+    # keeps only the columns a rollout step reads (`_block_acts`)
+    acts: list[np.ndarray]
     mask: np.ndarray | None
 
 
@@ -169,6 +171,7 @@ class _ModelCache:
     fusion_pre: np.ndarray
     fusion_dropped: np.ndarray
     fusion_mask: np.ndarray | None
+    mode: str
 
     @property
     def masks(self) -> dict:
@@ -176,51 +179,50 @@ class _ModelCache:
         return {"fusion": self.fusion_mask, **{name: c.mask for name, c in self.streams.items()}}
 
 
-def _block_acts(x, banks, grid, starts):
-    """x, then each conv layer's Relu output, for the windows of `grid` whose
-    first history rows are `starts` (x holds their histories). The span of
-    the rows is convolved in blocks of _SEGMENT windows, each one wide input
-    of the grid rows from the block's first window to past its last; blocks
-    that hold none of the windows are skipped. A window's activations are
-    its block outputs' columns from its offset on. Every element gets the
-    taps, in the same order, and the bias of the per-window pass, so the
-    activations are bitwise those of convolving each window on its own."""
-    steps = x.shape[2]
+def _block_acts(banks, grid, starts, steps):
+    """The rollout state of the windows of `grid` whose first history rows
+    are `starts`: each window's newest `banks[0].filter_cols` input columns,
+    the newest `filter_cols` columns of each lower conv layer's Relu output
+    (those the layer above reads), then the top layer's output in full.
+
+    The span of the rows is convolved in blocks of _SEGMENT windows, each one
+    wide input of the grid rows from the block's first window to past its
+    last; blocks that hold none of the windows are skipped. A window's
+    columns are its block outputs' columns from its offset on. Every element
+    gets the taps, in the same order, and the bias of the per-window pass,
+    so the state is bitwise the columns of convolving each window on its own."""
+    keeps = [bank.filter_cols for bank in banks]
     lo = starts.min()
     used, block = np.unique((starts - lo) // _SEGMENT, return_inverse=True)
     first = lo + used * _SEGMENT
     offset = starts - first[block]
+    tail = grid[starts[:, np.newaxis] + np.arange(steps - keeps[0], steps)]
+    acts = [np.ascontiguousarray(tail.transpose(0, 2, 1, 3))]
     # rows past the grid's end only reach columns that no window reads
     rows = np.minimum(first[:, np.newaxis] + np.arange(steps + _SEGMENT - 1), len(grid) - 1)
     wide = grid[rows].transpose(0, 2, 1, 3)
-    acts = [x]
-    # one wide layer at a time, each sliced into windows before the next
-    for bank in banks:
+    # one wide layer at a time, each gathered into windows before the next
+    for bank, keep in zip(banks, keeps[1:] + [None]):  # None: the top layer, kept whole
         # through `layers`, not this module's traced name: perfbench looks the
         # layer up by its per-window input shape, a KeyError for a block
         z = layers.conv2d_valid(wide, bank)
         wide = np.maximum(z, 0.0, out=z)
         cols = wide.shape[2] - _SEGMENT + 1
-        # (block, offset, rows, cols, channels) views, one gather
-        columns = np.lib.stride_tricks.sliding_window_view(wide, cols, axis=2)
-        acts.append(np.ascontiguousarray(columns.transpose(0, 2, 1, 4, 3)[block, offset]))
+        keep = keep or cols
+        # (block, first column, rows, keep, channels) views, one gather
+        columns = np.lib.stride_tricks.sliding_window_view(wide, keep, axis=2)
+        acts.append(np.ascontiguousarray(columns.transpose(0, 2, 1, 4, 3)[block, offset + cols - keep]))
     return acts
 
 
-def _stream_forward(x, banks, ratio, mode, rng, mask, grid_rows):
-    """`grid_rows`, the (grid, starts) of a SampleSet's windows, takes the
-    block path (`_block_acts`); with None each window is convolved on its own."""
-    if grid_rows is not None:
-        acts = _block_acts(x, banks, *grid_rows)
-    else:
-        acts = [x]
-        for bank in banks:
-            z = conv2d_valid(acts[-1], bank)
-            # in place: nothing else reads the pre-activation
-            acts.append(np.maximum(z, 0.0, out=z))
-    flat = acts[-1].reshape(x.shape[0], -1)
-    dropped, mask = dropout_forward(flat, ratio, mode, rng, mask)
-    return dropped, _StreamCache(acts=acts, mask=mask)
+def _window_acts(x, banks):
+    """x, then each conv layer's Relu output, each window convolved on its own."""
+    acts = [x]
+    for bank in banks:
+        z = conv2d_valid(acts[-1], bank)
+        # in place: nothing else reads the pre-activation
+        acts.append(np.maximum(z, 0.0, out=z))
+    return acts
 
 
 def _require_windows(samples):
@@ -290,25 +292,29 @@ class ConvForecaster:
 
     def forward_batch(self, samples, *, mode="infer", rng=None, masks=None):
         """Returns (pred_speed, pred_volume, cache) for the windows of a
-        SampleSet; pred_volume is None for the speed-only kind. The cache
-        holds the pass's activations; only a train-mode cache carries
-        dropout masks.
+        SampleSet; pred_volume is None for the speed-only kind.
 
+        A train pass convolves each window's history on its own and caches
+        every activation, with the dropout masks, for `backward_batch`.
         Dropout draws from `rng` in train mode; pass `masks` (from a previous
         cache) instead to replay a pass with frozen drop patterns.
 
-        An infer pass convolves the set's grids in blocks (`_block_acts`); a
-        train pass convolves each window's history on its own.
+        An infer pass convolves the set's grids in blocks (`_block_acts`), and
+        its cache holds only the rollout state: each layer's newest columns
+        that the layer above reads, and the top layer in full.
         """
         self._check_set(samples)
-        inputs = [samples.history(s) for s in self.streams]
         fixed = masks or {}
         outs, caches = [], {}
-        for stream, x in zip(self.streams, inputs):
-            grid_rows = (getattr(samples, stream), samples.starts) if mode == "infer" else None
-            out, caches[stream] = _stream_forward(
-                x, self._banks[stream], self.config.dropout_conv, mode, rng, fixed.get(stream), grid_rows
-            )
+        for stream in self.streams:
+            banks = self._banks[stream]
+            if mode == "infer":
+                acts = _block_acts(banks, getattr(samples, stream), samples.starts, samples.steps)
+            else:
+                acts = _window_acts(samples.history(stream), banks)
+            flat = acts[-1].reshape(len(samples), -1)
+            out, mask = dropout_forward(flat, self.config.dropout_conv, mode, rng, fixed.get(stream))
+            caches[stream] = _StreamCache(acts=acts, mask=mask)
             outs.append(out)
         return self._head(outs, caches, mode, rng, fixed.get("fusion"))
 
@@ -329,6 +335,7 @@ class ConvForecaster:
             fusion_pre=fusion_pre,
             fusion_dropped=fusion_dropped,
             fusion_mask=fusion_mask,
+            mode=mode,
         )
         return pred_u, pred_q, cache
 
@@ -341,12 +348,13 @@ class ConvForecaster:
         (pred_speed, pred_volume): each later step feeds the previous
         predictions back, clipped to [0, 1], as the newest input column.
 
-        One infer-mode `forward_batch` gives the first step. Each later step
-        shifts that pass's activations (the input, then each conv layer's
-        Relu output) left by one column in place and writes the fed column.
-        Only each conv layer's newest output column can differ from its
-        shifted one, so only that is computed, from the newest `filter_cols`
-        columns below it. Every element gets the operations of the full
+        One infer-mode `forward_batch` gives the first step and the state:
+        the newest `filter_cols` columns of the input and of each lower conv
+        layer's Relu output, and the top layer in full. Each later step
+        shifts the state left by one column in place and writes the fed
+        column. Only each conv layer's newest output column can differ from
+        its shifted one, so only that is computed, from the `filter_cols`
+        columns kept below it. Every element gets the operations of the full
         pass, so each step is bitwise `predict_batch` on the shifted windows.
         """
         pred_u, pred_q, cache = self.forward_batch(samples)
@@ -365,8 +373,8 @@ class ConvForecaster:
                 for below, above, bank in zip(stream_acts, stream_acts[1:], self._banks[stream]):
                     # through `layers`, not this module's traced name: perfbench
                     # looks the layer up by its per-window input shape, a
-                    # KeyError for a column slice
-                    z = layers.conv2d_valid(below[:, :, -bank.filter_cols:], bank)
+                    # KeyError for a column tail
+                    z = layers.conv2d_valid(below, bank)
                     above[:, :, -1:] = np.maximum(z, 0.0, out=z)
                 flats.append(stream_acts[-1].reshape(len(samples), -1))
             pred_u, pred_q, _ = self._head(flats, {})
@@ -374,7 +382,7 @@ class ConvForecaster:
 
     def backward_batch(self, cache, grad_speed, grad_volume=None):
         """Exact gradients of every parameter array given output gradients."""
-        if cache is None:
+        if cache is None or cache.mode != "train":
             raise ShapeError("backward needs the cache from a train-mode forward")
         if not self.uses_volume and grad_volume is not None:
             raise ShapeError("single-stream model has no volume output")

@@ -16,6 +16,8 @@ from .pipeline import CorridorShape, NormalizationParams, SampleSet, check_field
 
 DEFAULT_MIN_TARGET = 1.0  # mph; slower targets are excluded from percentage errors
 LOSS_CHUNK = 1024  # windows per forward pass in dataset_loss
+# most windows per chunk of evaluate's rollouts and the heatmap's predictions
+_FORECAST_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -207,14 +209,32 @@ def predict_multistep(model, samples: SampleSet, horizon: int) -> list[Predictio
     """Forecast `horizon` steps ahead from every window of a SampleSet, e.g.
     the one-window `samples[i]` (inference mode): one PredictionPair of
     (windows, targets) arrays per step. A window's rows can differ in the
-    last bits between a one-window set and a larger one: numpy multiplies a
-    one-row batch by the dense weights through GEMV, not GEMM."""
+    last bits between a small set and a larger one: OpenBLAS computes a dense
+    product of at most 1,200 values (rows x outputs) with another kernel, so
+    at the paper's shape a set of 1-15 windows gets other bits (ROADMAP
+    item 12)."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     return [PredictionPair(pu, pq) for pu, pq in model.rollout(samples, horizon)]
 
 
 # -- evaluation ---------------------------------------------------------------------
+
+
+def forecast_chunks(count: int) -> list[tuple[int, int]]:
+    """(start, stop) bounds of the window chunks `evaluate` and the heatmap
+    forecast one at a time, so their memory does not grow with the set: the
+    fewest chunks of at most _FORECAST_CHUNK windows, their sizes within one
+    of each other.
+
+    A set of more than one chunk so has none shorter than half a chunk, which
+    keeps every window's prediction bitwise that of a one-chunk run. OpenBLAS
+    computes a dense product of at most 1,200 values (rows x outputs) with
+    another kernel, with other bits (ROADMAP item 12); 512 rows clear that
+    for every layer of 3 or more outputs."""
+    chunks = max(1, -(-count // _FORECAST_CHUNK))
+    bounds = [count * i // chunks for i in range(chunks + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def evaluate(model, samples, horizons, norm: NormalizationParams,
@@ -225,6 +245,10 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     origin lies h-1 intervals later; samples without that look-ahead are
     skipped and counted. Predictions and targets are denormalized to mph
     before the percentage metric.
+
+    The set is rolled out in chunks (`forecast_chunks`), each through every
+    horizon, and the predictions are put back by window index, so the report
+    is that of one rollout over the whole set.
     """
     if not samples:
         raise DataError("cannot evaluate an empty sample set")
@@ -244,12 +268,16 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
         pairs[h] = source, target
     # only the requested horizons' source rows are kept, so memory does not
     # grow with the largest horizon; every step is still checked
-    kept = {}  # horizon -> speed predictions of its source samples
-    steps = model.rollout(samples, horizons[-1])
-    for h, (pred_u, pred_q) in enumerate(steps, start=1):
-        check_predictions(pred_u, pred_q, f"evaluate, step {h}")
-        if h in pairs:
-            kept[h] = pred_u[pairs[h][0]]
+    # horizon -> speed predictions of its source samples
+    kept = {h: np.empty((source.size, shape.detectors * shape.lanes)) for h, (source, _) in pairs.items()}
+    for a, b in forecast_chunks(len(samples)):
+        steps = model.rollout(samples[a:b], horizons[-1])
+        for h, (pred_u, pred_q) in enumerate(steps, start=1):
+            check_predictions(pred_u, pred_q, f"evaluate, step {h}")
+            if h in pairs:
+                source = pairs[h][0]
+                inside = np.flatnonzero((source >= a) & (source < b))
+                kept[h][inside] = pred_u[source[inside] - a]
     report = EvalReport(
         horizons=horizons, accuracy={}, per_lane={}, per_detector={},
         evaluated={}, skipped={}, excluded={},

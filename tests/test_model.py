@@ -196,15 +196,19 @@ def per_window_pass(model, speed_x, volume_x):
 
 
 def assert_matches_per_window(model, samples):
+    # the infer cache is the rollout state: the input's and each lower
+    # layer's newest filter_cols columns, then the top layer in full
     pred_u, pred_q, cache = model.forward_batch(samples)
     want_u, want_q, want_acts = per_window_pass(model, samples.speed_history, samples.volume_history)
     assert pred_u.tobytes() == want_u.tobytes()
     assert (pred_q is None and want_q is None) or pred_q.tobytes() == want_q.tobytes()
     for stream, want in want_acts.items():
+        keeps = [bank.filter_cols for bank in model._banks[stream]]
+        tails = [a[:, :, -keep:] for a, keep in zip(want, keeps)] + want[-1:]
         got = cache.streams[stream].acts
-        assert [a.shape for a in got] == [a.shape for a in want]
+        assert [a.shape for a in got] == [a.shape for a in tails]
         assert all(a.flags.c_contiguous for a in got)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in tails]
 
 
 def run_lengths(samples):
@@ -384,6 +388,13 @@ class TestBackward:
         model = ConvForecaster(toy_config())
         with pytest.raises(ShapeError):
             model.backward_batch(None, np.zeros((1, 8)), np.zeros((1, 8)))
+
+    def test_backward_from_infer_cache_rejected(self):
+        # an infer pass caches only the rollout state, not every activation
+        model = ConvForecaster(toy_config())
+        pred_u, pred_q, cache = model.forward_batch(random_set(toy_config().shape))
+        with pytest.raises(ShapeError, match="train-mode forward"):
+            model.backward_batch(cache, np.zeros_like(pred_u), np.zeros_like(pred_q))
 
 
 class TestSingleStream:

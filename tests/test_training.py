@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lanecast.training
 from lanecast.errors import ConfigError, DataError, MetricError, NumericError
 from lanecast.model import (
     ArchitectureConfig,
@@ -22,6 +23,7 @@ from lanecast.training import (
     accuracy,
     dataset_loss,
     evaluate,
+    forecast_chunks,
     predict_multistep,
     sweep,
     train,
@@ -410,6 +412,39 @@ class TestEvaluate:
 
         near, far = peak(1), peak(200)
         assert far <= near + 512 * 1024, (near, far)
+
+    @pytest.mark.parametrize("kind", ["two_stream", "single_stream"])
+    def test_memory_does_not_grow_with_window_count(self, monkeypatch, kind):
+        # the set is rolled out in chunks, each holding only its rollout
+        # state; the chunk constant is scaled down 8x to keep this fast.
+        # One rollout of the whole set peaks at 4.0x here; chunks at 1.07-1.11x.
+        monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", 128)
+        shape = CorridorShape(6, 6, 3)
+        records = generate(SynthConfig(shape=shape, days=2, seed=21))
+        norm = fit_normalization(records)
+        samples = grid_windows(group_records(records, shape), shape, norm)
+        model = ConvForecaster(ArchitectureConfig(shape=shape, seed=22), kind)
+
+        def peak(windows):
+            tracemalloc.start()
+            try:
+                evaluate(model, samples[:windows], [1, 2, 3], norm, shape)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(128), peak(4 * 128)
+        assert four <= 1.5 * one, (one, four)
+
+    @pytest.mark.parametrize("count", [1, 548, 1024, 1025, 2049, 8632])
+    def test_forecast_chunks_cover_the_set_evenly(self, count):
+        # none longer than 1,024 windows, nor shorter than 512 in a split set
+        bounds = forecast_chunks(count)
+        sizes = [b - a for a, b in bounds]
+        assert bounds[0][0] == 0 and bounds[-1][1] == count
+        assert all(x[1] == y[0] for x, y in zip(bounds, bounds[1:]))
+        assert len(sizes) == -(-count // 1024) and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= 1024 and (len(sizes) == 1 or min(sizes) >= 512)
 
     def test_breakdown_shapes(self):
         shape = small_shape()
