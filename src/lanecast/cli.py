@@ -2,7 +2,8 @@
 
 Every command is deterministic given its config, its seed and the BLAS
 thread count: `train` at different `OPENBLAS_NUM_THREADS` can give bundles
-that differ in their last bits (ROADMAP item 4). Exit codes: 0 success,
+that differ in their last bits (ROADMAP item 4). Outputs do not depend on
+the CPU count or on the conv forward's lanes. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numeric failure.
 """
 

@@ -9,6 +9,10 @@ cross-correlation (no kernel flip), stride 1, valid padding.
 
 from __future__ import annotations
 
+import contextvars
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +20,25 @@ import numpy as np
 from .errors import ShapeError
 
 Array = np.ndarray
-# output positions (windows x rows x cols) per conv forward patch matrix: a
-# 64-window train batch's first layer at the 10x8x4 corridor, 64 x 9 x 7
-_CONV_POSITIONS = 4032
+# Output positions (windows x rows x cols) per conv forward chunk, at most: a
+# 64-window train batch's first layer at the 10x8x4 corridor (64 x 9 x 7 =
+# 4,032 positions) is two chunks of 32 windows, one per lane.
+_CONV_POSITIONS = 2048
+# Conv forward lanes: the calling thread, and a second core's worker when the
+# process may run on two CPUs. numpy releases the GIL inside ufunc loops.
+_LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def _new_worker() -> None:
+    # A forked child has no copy of the parent's worker thread, so it gets its
+    # own executor; the parent's would queue the child's chunks forever.
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lanecast-conv")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _as_f64(x) -> Array:
@@ -139,34 +159,72 @@ def _conv_forward(x: Array, bank: FilterBank) -> Array:
     filters = bank.num_filters
     w = bank.weights.reshape(filters, -1)
     out = np.empty((x.shape[0], out_rows, out_cols, filters))
-    # Every output element gets a scalar loop's operations, acc = 0; acc += x*w
-    # over taps (filter row, col, channel); acc + bias: bitwise reproducible.
-    # Tap-major patches give every ufunc long rows, and a small ufunc buffer
-    # stops numpy copying the broadcast weights through it (3x on layer 3).
-    # One set of flat buffers serves every chunk: a new set per chunk, allocated
-    # while the last one was still alive, raised the train workload's peak RSS.
-    # Chunks hold whole windows, as many as fit in _CONV_POSITIONS output
-    # positions, and at least one.
-    span = max(1, _CONV_POSITIONS // (out_rows * out_cols))
-    columns = min(len(x), span) * out_rows * out_cols
-    patch_buf, acc_buf, tmp_buf = (np.empty(n * columns) for n in (w.shape[1], filters, filters))
+    # Chunks hold whole windows, at most _CONV_POSITIONS output positions and
+    # at least one window, in an even count when there are several; sizes
+    # differ by one window at most. With two lanes the caller runs the first
+    # chunk and the worker the second, then each claims the next unclaimed
+    # one until none is left, so a lane whose core is slowed (by another
+    # process, or by the host) leaves more of the chunks to the other.
+    windows, positions = len(x), out_rows * out_cols
+    count = max(1, -(-windows // max(1, _CONV_POSITIONS // positions)))
+    if count > 1:
+        count = min(windows, count + count % 2)
+    bounds = [windows * i // count for i in range(count + 1)]
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+    lanes = min(_LANES, count)
+    # one iterator for both lanes: taking its next item holds the GIL
+    unclaimed = iter(chunks[lanes:])
+    # The caller allocates every buffer, one flat set per lane that serves
+    # each of its chunks in turn (a set per chunk raised train's peak RSS), so
+    # the worker allocates no array and its malloc arena stays small.
+    columns = -(-windows // count) * positions
+    bufs = [
+        [np.empty(n * columns) for n in (w.shape[1], filters, filters)] for _ in range(lanes)
+    ]
+
+    def run(lane):
+        for a, b in itertools.chain(chunks[lane:lane + 1], unclaimed):
+            _conv_chunk(x[a:b], bank, w, out[a:b], *bufs[lane])
+
+    # A small ufunc buffer stops numpy copying the broadcast weights through
+    # it (3x on layer 3); the worker runs in a copy of this context, so the
+    # buffer size and the caller's np.errstate hold there too.
     bufsize = np.setbufsize(16)
     try:
-        for start in range(0, len(x), span):
-            view = _taps(x[start:start + span], bank).transpose(3, 4, 5, 0, 1, 2)
-            patches = patch_buf[:view.size].reshape(view.shape)
-            patches[...] = view
-            patches = patches.reshape(w.shape[1], -1)
-            acc = acc_buf[:filters * patches.shape[1]].reshape(filters, -1)
-            tmp = tmp_buf[:acc.size].reshape(acc.shape)
-            acc[...] = 0.0
-            for k, row in enumerate(patches):
-                acc += np.multiply(w[:, k, np.newaxis], row, out=tmp)
-            acc += bank.biases[:, np.newaxis]
-            out[start:start + span] = acc.T.reshape(-1, out_rows, out_cols, filters)
+        if lanes == 1:
+            run(0)
+        else:
+            worker = _WORKER.submit(contextvars.copy_context().run, run, 1)
+            try:
+                run(0)
+            finally:
+                # the buffers and `out` must outlive the worker's chunks
+                wait((worker,))
+            worker.result()
     finally:
         np.setbufsize(bufsize)
     return out
+
+
+def _conv_chunk(x, bank, w, out, patch_buf, acc_buf, tmp_buf) -> None:
+    """Convolve the windows of `x` into `out`, through the given buffers.
+
+    Every output element gets a scalar loop's operations, acc = 0; acc += x*w
+    over taps (filter row, col, channel); acc + bias: bitwise reproducible,
+    whatever the chunk and the lane. Tap-major patches give every ufunc long
+    rows. Allocates no array."""
+    filters = len(w)
+    view = _taps(x, bank).transpose(3, 4, 5, 0, 1, 2)
+    patches = patch_buf[:view.size].reshape(view.shape)
+    patches[...] = view
+    patches = patches.reshape(w.shape[1], -1)
+    acc = acc_buf[:filters * patches.shape[1]].reshape(filters, -1)
+    tmp = tmp_buf[:acc.size].reshape(acc.shape)
+    acc[...] = 0.0
+    for w_tap, row in zip(w.T[:, :, np.newaxis], patches):
+        acc += np.multiply(w_tap, row, out=tmp)
+    acc += bank.biases[:, np.newaxis]
+    out.reshape(-1, filters)[...] = acc.T
 
 
 def conv2d_backward(

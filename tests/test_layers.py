@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,10 +155,11 @@ class TestConvForward:
         assert got.flags.c_contiguous
         assert np.array_equal(got, tap_loop_conv_forward(x, bank))
 
-    # Chunks hold 4032 // (out_rows * out_cols) whole windows: 64 of the
-    # corridor input, 84 and 115 of the deeper layers' inputs, 6 of a
-    # 64-window segment, 1 of an input wider than a chunk. The batches leave
-    # a short last chunk.
+    # Chunks hold at most 2048 // (out_rows * out_cols) whole windows, in an
+    # even count whose sizes differ by one: 6 chunks of 21-22 windows of the
+    # corridor input, 14 of 41-42 and 6 of 50 of the deeper layers' inputs,
+    # 4 and 6 of 2-3 wide 64-window blocks, 3 (an odd count) of an input
+    # wider than a chunk, and 6 of 166-167 one-column windows.
     @pytest.mark.parametrize(
         "shape, batch",
         [((10, 8, 4), 130), ((9, 7, 32), 575), ((8, 6, 32), 300), ((10, 71, 4), 9),
@@ -164,26 +172,31 @@ class TestConvForward:
         assert np.array_equal(conv2d_valid(x, bank), tap_loop_conv_forward(x, bank))
 
     def test_chunk_bound_in_positions(self, monkeypatch):
-        # 7 positions per window and a 20-position bound: chunks of 2 windows
+        # 7 positions per window and a 20-position bound: 2 windows a chunk
+        # would give 3 chunks, so the plan takes an even 4 of near-equal sizes
         seen = []
         taps = lanecast.layers._taps
         monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", 20)
+        monkeypatch.setattr(lanecast.layers, "_LANES", 1)
         monkeypatch.setattr(lanecast.layers, "_taps", lambda x, bank: seen.append(len(x)) or taps(x, bank))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 2, 8, 3))
         bank = FilterBank(rng.standard_normal((4, 2, 2, 3)), rng.standard_normal(4))
         assert np.array_equal(conv2d_valid(x, bank), tap_loop_conv_forward(x, bank))
-        assert seen == [2, 2, 1]
+        assert seen == [1, 1, 1, 2]
 
-    def test_train_batch_is_one_chunk_at_every_corridor_layer(self, monkeypatch):
+    def test_train_batch_is_one_chunk_per_lane_at_every_corridor_layer(self, monkeypatch):
+        # 64 x 9 x 7, 64 x 8 x 6 and 64 x 7 x 5 positions: two 32-window chunks each
         seen = []
         taps = lanecast.layers._taps
+        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
         monkeypatch.setattr(lanecast.layers, "_taps", lambda x, bank: seen.append(len(x)) or taps(x, bank))
         rng = np.random.default_rng(4)
         for shape in ((10, 8, 4), (9, 7, 32), (8, 6, 32)):
+            x = rng.standard_normal((64, *shape))
             bank = FilterBank(rng.standard_normal((32, 2, 2, shape[2])), rng.standard_normal(32))
-            conv2d_valid(rng.standard_normal((64, *shape)), bank)
-        assert seen == [64, 64, 64]
+            assert np.array_equal(conv2d_valid(x, bank), tap_loop_conv_forward(x, bank))
+        assert seen == [32] * 6
 
     def test_matches_tap_loop_on_strided_input(self):
         rng = np.random.default_rng(12)
@@ -217,6 +230,10 @@ class TestConvForward:
             got = conv2d_valid(x[0], bank)[np.newaxis] if unbatched else conv2d_valid(x, bank)
             assert np.array_equal(got, want), (case, x.shape, bank.weights.shape)
 
+    def test_empty_batch_gives_empty_output(self):
+        bank = FilterBank(np.ones((3, 2, 2, 4)), np.zeros(3))
+        assert conv2d_valid(np.zeros((0, 10, 8, 4)), bank).shape == (0, 9, 7, 3)
+
     def test_ufunc_buffer_size_restored(self):
         before = np.getbufsize()
         bank = FilterBank(np.ones((2, 2, 2, 3)), np.zeros(2))
@@ -230,6 +247,208 @@ class TestConvForward:
         batched = conv2d_valid(x, bank)
         for i in range(3):
             assert np.array_equal(batched[i], conv2d_valid(x[i], bank))
+
+
+def _chunk_log(monkeypatch):
+    """Patch the chunk kernel to log (thread, windows) of every chunk it runs."""
+    log = []
+    chunk = lanecast.layers._conv_chunk
+
+    def logged(x, *args):
+        log.append((threading.get_ident(), len(x)))
+        chunk(x, *args)
+
+    monkeypatch.setattr(lanecast.layers, "_conv_chunk", logged)
+    return log
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestConvLanes:
+    """The chunk plan and the second lane move no output bit: every element
+    gets the tap loop's operations whichever chunk and lane it falls in."""
+
+    @pytest.mark.parametrize("bound", [2048, 100])
+    @pytest.mark.parametrize(
+        "case",
+        ["one-window", "odd-chunks", "strided", "3-d", "corridor-1", "corridor-2", "corridor-3",
+         "column-tail-1", "column-tail-2", "wide-block-1", "wide-block-2"],
+    )
+    def test_one_and_two_lanes_match_tap_loop(self, case, bound, monkeypatch):
+        rng = np.random.default_rng(len(case) * bound)
+        shape, channels = {
+            "one-window": ((1, 10, 8, 4), 4),
+            # 4,761 positions a window, wider than either bound: 3 one-window chunks
+            "odd-chunks": ((3, 70, 70, 2), 2),
+            "strided": ((130, 12, 16, 8), 4),
+            "3-d": ((10, 71, 4), 4),
+            # a 64-window train batch at each corridor layer
+            "corridor-1": ((64, 10, 8, 4), 4),
+            "corridor-2": ((64, 9, 7, 32), 32),
+            "corridor-3": ((64, 8, 6, 32), 32),
+            # a rollout column step over 575 windows
+            "column-tail-1": ((575, 10, 2, 4), 4),
+            "column-tail-2": ((575, 9, 2, 32), 32),
+            # _block_acts: 10 blocks of 64 windows, 8 + 63 grid rows wide
+            "wide-block-1": ((10, 10, 71, 4), 4),
+            "wide-block-2": ((10, 9, 70, 32), 32),
+        }[case]
+        x = rng.standard_normal(shape)
+        if case == "strided":
+            x = x[::2, 1:11, ::2, 2:6]
+            assert not x.flags.c_contiguous
+        bank = FilterBank(rng.standard_normal((32, 2, 2, channels)), rng.standard_normal(32))
+        batched = x[np.newaxis] if x.ndim == 3 else x
+        want = tap_loop_conv_forward(batched, bank)
+        if x.ndim == 3:
+            want = want[0]
+        monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", bound)
+        log = _chunk_log(monkeypatch)
+        got = {}
+        for lanes in (1, 2):
+            monkeypatch.setattr(lanecast.layers, "_LANES", lanes)
+            log.clear()
+            got[lanes] = conv2d_valid(x, bank)
+            assert _same_bits(got[lanes], want), lanes
+            threads = {thread for thread, _ in log}
+            # the worker runs its chunks on any machine once the lane count is 2
+            assert len(threads) == (2 if lanes == 2 and len(log) > 1 else 1)
+            assert threading.get_ident() in threads
+        assert _same_bits(got[1], got[2])
+
+    def test_worker_runs_with_the_callers_numpy_settings(self, monkeypatch):
+        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        seen = []
+        chunk = lanecast.layers._conv_chunk
+
+        def logged(x, *args):
+            seen.append((threading.get_ident(), np.getbufsize(), np.geterr()["under"]))
+            chunk(x, *args)
+
+        monkeypatch.setattr(lanecast.layers, "_conv_chunk", logged)
+        rng = np.random.default_rng(6)
+        bank = FilterBank(rng.standard_normal((32, 2, 2, 4)), rng.standard_normal(32))
+        with np.errstate(under="raise"):
+            conv2d_valid(rng.standard_normal((64, 10, 8, 4)), bank)
+        assert len({thread for thread, _, _ in seen}) == 2
+        assert {(size, under) for _, size, under in seen} == {(16, "raise")}
+
+    def test_concurrent_callers_share_the_worker(self, monkeypatch):
+        # More calling threads than cores, each call in 16 chunks that its two
+        # lanes claim from one iterator: every window is convolved exactly once.
+        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", 14)
+        log = _chunk_log(monkeypatch)
+        rng = np.random.default_rng(10)
+        bank = FilterBank(rng.standard_normal((4, 2, 2, 3)), rng.standard_normal(4))
+        inputs = [rng.standard_normal((30, 2, 8, 3)) for _ in range(4)]
+        wrong = []
+
+        def call(x):
+            for _ in range(5):
+                if not _same_bits(conv2d_valid(x, bank), tap_loop_conv_forward(x, bank)):
+                    wrong.append(x)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(x,)) for x in inputs]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(caller.is_alive() for caller in callers)
+        assert not wrong
+        assert sum(windows for _, windows in log) == 4 * 5 * 30
+
+
+class TestConvLaneErrors:
+    """An error in either lane reaches the caller, and only after both lanes
+    have stopped writing the call's buffers."""
+
+    @staticmethod
+    def _overflow_in_second_chunk(monkeypatch):
+        # 7 positions a window and a 14-position bound: chunks of windows 0-1
+        # (the caller's) and 2-3 (the worker's); only window 3 overflows
+        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", 14)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((4, 2, 8, 3))
+        x[3] *= 1e300
+        bank = FilterBank(rng.standard_normal((4, 2, 2, 3)) * 1e10, rng.standard_normal(4))
+        return x, bank
+
+    def test_overflow_in_worker_chunk_raises(self, monkeypatch):
+        x, bank = self._overflow_in_second_chunk(monkeypatch)
+        log = _chunk_log(monkeypatch)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            conv2d_valid(x, bank)
+        # the caller's chunk is finite, so the error is the worker's
+        assert len({thread for thread, _ in log}) == 2
+
+    def test_overflow_ignored_in_worker_chunk_warns_nothing(self, monkeypatch):
+        x, bank = self._overflow_in_second_chunk(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                got = conv2d_valid(x, bank)
+                want = tap_loop_conv_forward(x, bank)
+        assert not np.isfinite(got[3]).all() and np.isfinite(got[:3]).all()
+        assert _same_bits(got, want)
+
+    def test_caller_error_waits_for_the_worker_chunk(self, monkeypatch):
+        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", 14)
+        caller = threading.get_ident()
+        finished = []
+        chunk = lanecast.layers._conv_chunk
+
+        def failing(x, *args):
+            if threading.get_ident() == caller:
+                raise ValueError("the caller's chunk failed")
+            time.sleep(0.2)
+            chunk(x, *args)
+            finished.append(len(x))
+
+        monkeypatch.setattr(lanecast.layers, "_conv_chunk", failing)
+        rng = np.random.default_rng(9)
+        bank = FilterBank(rng.standard_normal((4, 2, 2, 3)), rng.standard_normal(4))
+        with pytest.raises(ValueError, match="the caller's chunk failed"):
+            conv2d_valid(rng.standard_normal((4, 2, 8, 3)), bank)
+        assert finished == [2]
+
+    def test_forked_child_convolves_on_its_own_lane(self, tmp_path):
+        # In a subprocess: this process's numpy settings and warning filters
+        # stay out of it, and a hang fails by the timeout.
+        script = tmp_path / "fork_conv.py"
+        script.write_text(
+            "import os, signal, time\n"
+            "import numpy as np\n"
+            "import lanecast.layers as layers\n"
+            "layers._LANES = 2\n"
+            "rng = np.random.default_rng(0)\n"
+            "bank = layers.FilterBank(rng.standard_normal((8, 2, 2, 4)), rng.standard_normal(8))\n"
+            "x = rng.standard_normal((64, 10, 8, 4))\n"
+            "want = layers.conv2d_valid(x, bank)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if np.array_equal(layers.conv2d_valid(x, bank), want) else 1)\n"
+            "for _ in range(300):\n"
+            "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+            "    if done:\n"
+            "        raise SystemExit(os.waitstatus_to_exitcode(status))\n"
+            "    time.sleep(0.1)\n"
+            "os.kill(pid, signal.SIGKILL)\n"
+            "raise SystemExit('the forked child hung')\n"
+        )
+        src = os.path.dirname(os.path.dirname(lanecast.layers.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, str(script)], env=env, timeout=120, capture_output=True)
+        assert run.returncode == 0, run.stderr.decode()
 
 
 class TestConvBackward:
