@@ -24,21 +24,44 @@ Array = np.ndarray
 # 64-window train batch's first layer at the 10x8x4 corridor (64 x 9 x 7 =
 # 4,032 positions) is two chunks of 32 windows, one per lane.
 _CONV_POSITIONS = 2048
-# Conv forward lanes: the calling thread, and a second core's worker when the
-# process may run on two CPUs. numpy releases the GIL inside ufunc loops.
+# Lanes: the calling thread, and a second core's worker when the process may
+# run on two CPUs. numpy releases the GIL inside ufunc loops and BLAS calls.
 _LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _new_worker() -> None:
     # A forked child has no copy of the parent's worker thread, so it gets its
-    # own executor; the parent's would queue the child's chunks forever.
+    # own executor; the parent's would queue the child's work forever.
     global _WORKER
-    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lanecast-conv")
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lanecast-lane")
 
 
 _new_worker()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_worker)
+
+
+def _two_lanes(on_caller, on_worker):
+    """Run `on_worker()` on the worker while the calling thread runs
+    `on_caller()`, or both inline, in that order, with one lane; return what
+    `on_caller()` returns.
+
+    The worker runs in a copy of the caller's context, so the caller's
+    np.errstate and ufunc buffer size hold there too. This returns, or raises
+    the first error of either lane, only once the worker has stopped, so the
+    arrays both lanes write outlive it. The caller allocates every array the
+    worker writes: the worker's malloc arena stays small."""
+    if _LANES == 1:
+        result = on_caller()
+        on_worker()
+        return result
+    worker = _WORKER.submit(contextvars.copy_context().run, on_worker)
+    try:
+        result = on_caller()
+    finally:
+        wait((worker,))
+    worker.result()
+    return result
 
 
 def _as_f64(x) -> Array:
@@ -187,20 +210,13 @@ def _conv_forward(x: Array, bank: FilterBank) -> Array:
             _conv_chunk(x[a:b], bank, w, out[a:b], *bufs[lane])
 
     # A small ufunc buffer stops numpy copying the broadcast weights through
-    # it (3x on layer 3); the worker runs in a copy of this context, so the
-    # buffer size and the caller's np.errstate hold there too.
+    # it (3x on layer 3), in both lanes.
     bufsize = np.setbufsize(16)
     try:
         if lanes == 1:
             run(0)
         else:
-            worker = _WORKER.submit(contextvars.copy_context().run, run, 1)
-            try:
-                run(0)
-            finally:
-                # the buffers and `out` must outlive the worker's chunks
-                wait((worker,))
-            worker.result()
+            _two_lanes(lambda: run(0), lambda: run(1))
     finally:
         np.setbufsize(bufsize)
     return out
@@ -256,24 +272,35 @@ def _conv_backward(
     if grad_out.shape != expected:
         raise ShapeError(f"output gradient shape {grad_out.shape} != expected {expected}")
     fr, fc = bank.filter_rows, bank.filter_cols
-    grad_b = grad_out.sum(axis=(0, 1, 2))
     # im2col lowering (Chellapilla et al., 2006): one row per output
     # position, one column per tap in the weights' (row, col, channel) order,
     # so both gradients are single matrix products.
     g = grad_out.reshape(-1, bank.num_filters)
-    patches = _taps(x, bank).reshape(g.shape[0], -1)
-    grad_w = (g.T @ patches).reshape(bank.weights.shape)
-    if not input_grad:
-        return None, FilterBank(grad_w, grad_b)
-    # col2im: each tap's column block is added back at its shifted window.
-    cols = (g @ bank.weights.reshape(bank.num_filters, -1)).reshape(
-        x.shape[0], out_rows, out_cols, fr, fc, x.shape[3]
-    )
-    grad_x = np.zeros_like(x)
-    for a in range(fr):
-        for b in range(fc):
-            grad_x[:, a:a + out_rows, b:b + out_cols] += cols[:, :, :, a, b]
-    return grad_x, FilterBank(grad_w, grad_b)
+    w = bank.weights.reshape(bank.num_filters, -1)
+    view = _taps(x, bank)
+    patches, grad_w = np.empty(view.shape), np.empty(w.shape)
+
+    def weight_grad():
+        patches[...] = view
+        np.matmul(g.T, patches.reshape(g.shape[0], -1), out=grad_w)
+
+    def input_and_bias_grads():
+        # col2im: each tap's column block is added back at its shifted window.
+        cols = (g @ w).reshape(x.shape[0], out_rows, out_cols, fr, fc, x.shape[3])
+        grad_x = np.zeros_like(x)
+        for a in range(fr):
+            for b in range(fc):
+                grad_x[:, a:a + out_rows, b:b + out_cols] += cols[:, :, :, a, b]
+        return grad_x, grad_out.sum(axis=(0, 1, 2))
+
+    # The worker gathers the patches and forms the weight gradient while the
+    # caller forms the others; a first layer needs no input gradient.
+    if input_grad:
+        grad_x, grad_b = _two_lanes(input_and_bias_grads, weight_grad)
+    else:
+        weight_grad()
+        grad_x, grad_b = None, grad_out.sum(axis=(0, 1, 2))
+    return grad_x, FilterBank(grad_w.reshape(bank.weights.shape), grad_b)
 
 
 # -- elementwise --------------------------------------------------------------
@@ -313,7 +340,13 @@ def dense_backward(
         )
     if x.ndim == 1:
         return params.weights.T @ grad_out, np.outer(grad_out, x), grad_out.copy()
-    return grad_out @ params.weights, grad_out.T @ x, grad_out.sum(axis=0)
+    # the weight gradient on the worker, the input and bias gradients on the caller
+    grad_w = np.empty(params.weights.shape)
+    grad_x, grad_b = _two_lanes(
+        lambda: (grad_out @ params.weights, grad_out.sum(axis=0)),
+        lambda: np.matmul(grad_out.T, x, out=grad_w),
+    )
+    return grad_x, grad_w, grad_b
 
 
 # -- dropout ------------------------------------------------------------------

@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .layers import _two_lanes
 
-# elements per update chunk: the step's two scratch buffers of this length,
-# shared by every array, take 256 KB, where whole-array temporaries took two
-# copies of the largest parameter (4.6 MB each at the 10x8x4 corridor)
-_STEP_CHUNK = 16384
+# elements per update chunk: each lane's two scratch buffers of this length,
+# shared by every array, take 768 KB, where whole-array temporaries took two
+# copies of the largest parameter (4.6 MB each at the 10x8x4 corridor). With
+# shorter chunks a two-lane update spends its gain on handing the GIL over at
+# every ufunc call; 65,536 was 0.2 ms a step faster on a 2-core Xeon VM,
+# but 0.5 MB larger.
+_STEP_CHUNK = 49152
 
 
 class RmsProp:
@@ -51,18 +55,33 @@ class RmsProp:
                 value[...] = work
 
     def _update(self, value, acc, grad) -> None:
-        """The update of flat arrays, in chunks through the two shared scratch
-        buffers: the operations, and their order, of
+        """The update of flat arrays: an array of two chunks or more is split
+        at a chunk boundary, its first half updated by the calling thread and
+        its second by the worker lane, each through its own scratch pair."""
+        if self._scratch is None:
+            self._scratch = np.empty((2, 2, _STEP_CHUNK))
+        chunks = -(-len(value) // _STEP_CHUNK)
+        if chunks < 2:
+            self._update_chunks(value, acc, grad, self._scratch[0])
+            return
+        split = (chunks + 1) // 2 * _STEP_CHUNK
+        first, second = np.s_[:split], np.s_[split:]
+        _two_lanes(
+            lambda: self._update_chunks(value[first], acc[first], grad[first], self._scratch[0]),
+            lambda: self._update_chunks(value[second], acc[second], grad[second], self._scratch[1]),
+        )
+
+    def _update_chunks(self, value, acc, grad, scratch) -> None:
+        """The update of flat arrays, in chunks through a scratch pair: the
+        operations, and their order, of
             acc *= rho
             acc += (1 - rho) * np.square(grad)
             value -= lr * grad / (np.sqrt(acc) + eps)
-        without a temporary array, so bitwise equal to it."""
-        if self._scratch is None:
-            self._scratch = np.empty((2, _STEP_CHUNK))
+        without a temporary array, so bitwise equal to it. Allocates no array."""
         for start in range(0, len(value), _STEP_CHUNK):
             stop = start + _STEP_CHUNK
             g, v = grad[start:stop], acc[start:stop]
-            a, b = self._scratch[0, :len(g)], self._scratch[1, :len(g)]
+            a, b = scratch[0, :len(g)], scratch[1, :len(g)]
             v *= self.rho
             np.square(g, out=a)
             np.multiply(1.0 - self.rho, a, out=a)

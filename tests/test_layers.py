@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from lanecast.layers import (
     relu,
     relu_backward,
 )
+from lanecast.optim import _STEP_CHUNK, RmsProp
 
 
 def naive_conv(x, bank):
@@ -336,25 +338,46 @@ class TestConvLanes:
         assert {(size, under) for _, size, under in seen} == {(16, "raise")}
 
     def test_concurrent_callers_share_the_worker(self, monkeypatch):
-        # More calling threads than cores, each call in 16 chunks that its two
-        # lanes claim from one iterator: every window is convolved exactly once.
+        # More calling threads than cores, each conv forward in 16 chunks that
+        # its two lanes claim from one iterator: every window is convolved
+        # exactly once. Each thread's backward and optimizer step queue their
+        # worker halves behind the other threads' and still match one lane.
         monkeypatch.setattr(lanecast.layers, "_LANES", 2)
         monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", 14)
         log = _chunk_log(monkeypatch)
         rng = np.random.default_rng(10)
         bank = FilterBank(rng.standard_normal((4, 2, 2, 3)), rng.standard_normal(4))
         inputs = [rng.standard_normal((30, 2, 8, 3)) for _ in range(4)]
+        grad_outs = [rng.standard_normal((30, 1, 7, 4)) for _ in range(4)]
+        params = [{"w": rng.standard_normal(2 * _STEP_CHUNK + 5)} for _ in range(4)]
+        grads = [{"w": rng.standard_normal(2 * _STEP_CHUNK + 5)} for _ in range(4)]
+        want_backward = [single_product_conv_backward(x, bank, g) for x, g in zip(inputs, grad_outs)]
+        want_params = []
+        for p, g in zip(params, grads):
+            value, acc = p["w"].copy(), np.zeros_like(p["w"])
+            for _ in range(5):
+                acc *= 0.9
+                acc += (1.0 - 0.9) * np.square(g["w"])
+                value -= 1e-3 * g["w"] / (np.sqrt(acc) + 1e-8)
+            want_params.append(value)
         wrong = []
 
-        def call(x):
+        def call(i):
+            x, opt = inputs[i], RmsProp(1e-3)
             for _ in range(5):
                 if not _same_bits(conv2d_valid(x, bank), tap_loop_conv_forward(x, bank)):
-                    wrong.append(x)
+                    wrong.append(("forward", i))
+                gx, gbank = conv2d_backward(x, bank, grad_outs[i])
+                if not all(map(_same_bits, (gx, gbank.weights, gbank.biases), want_backward[i])):
+                    wrong.append(("backward", i))
+                opt.step(params[i], grads[i])
+            if not _same_bits(params[i]["w"], want_params[i]):
+                wrong.append(("step", i))
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            callers = [threading.Thread(target=call, args=(x,)) for x in inputs]
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
             for caller in callers:
                 caller.start()
             for caller in callers:
@@ -433,10 +456,14 @@ class TestConvLaneErrors:
             "rng = np.random.default_rng(0)\n"
             "bank = layers.FilterBank(rng.standard_normal((8, 2, 2, 4)), rng.standard_normal(8))\n"
             "x = rng.standard_normal((64, 10, 8, 4))\n"
+            "g = rng.standard_normal((64, 9, 7, 8))\n"
             "want = layers.conv2d_valid(x, bank)\n"
+            "want_gx, want_gbank = layers.conv2d_backward(x, bank, g)\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
-            "    os._exit(0 if np.array_equal(layers.conv2d_valid(x, bank), want) else 1)\n"
+            "    gx, gbank = layers.conv2d_backward(x, bank, g)\n"
+            "    same = np.array_equal(gx, want_gx) and np.array_equal(gbank.weights, want_gbank.weights)\n"
+            "    os._exit(0 if same and np.array_equal(layers.conv2d_valid(x, bank), want) else 1)\n"
             "for _ in range(300):\n"
             "    done, status = os.waitpid(pid, os.WNOHANG)\n"
             "    if done:\n"
@@ -449,6 +476,143 @@ class TestConvLaneErrors:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run([sys.executable, str(script)], env=env, timeout=120, capture_output=True)
         assert run.returncode == 0, run.stderr.decode()
+
+
+class _WorkerLog(list):
+    """Thread ids of the tasks the lane worker ran; `futures` holds their futures."""
+
+    def __init__(self):
+        super().__init__()
+        self.futures = []
+
+
+@pytest.fixture
+def worker_log(monkeypatch):
+    """Replace the lane worker with one that logs every task it runs."""
+    executor = ThreadPoolExecutor(max_workers=1)
+    log = _WorkerLog()
+
+    class LoggedWorker:
+        def submit(self, fn, *args):
+            def logged():
+                log.append(threading.get_ident())
+                return fn(*args)
+
+            log.futures.append(executor.submit(logged))
+            return log.futures[-1]
+
+    monkeypatch.setattr(lanecast.layers, "_WORKER", LoggedWorker())
+    yield log
+    executor.shutdown()
+
+
+def single_product_conv_backward(x, bank, grad_out, input_grad=True):
+    """conv2d_backward as whole-batch expressions on one thread: the im2col
+    products g.T @ patches and g @ W, the col2im overlap-add and the bias sum.
+    Returns (grad_x, grad_w, grad_b)."""
+    out_rows, out_cols = grad_out.shape[1:3]
+    fr, fc = bank.filter_rows, bank.filter_cols
+    g = grad_out.reshape(-1, bank.num_filters)
+    patches = np.lib.stride_tricks.sliding_window_view(x, (fr, fc), axis=(1, 2))
+    patches = patches.transpose(0, 1, 2, 4, 5, 3).reshape(g.shape[0], -1)
+    grad_w = (g.T @ patches).reshape(bank.weights.shape)
+    grad_b = grad_out.sum(axis=(0, 1, 2))
+    if not input_grad:
+        return None, grad_w, grad_b
+    cols = (g @ bank.weights.reshape(bank.num_filters, -1)).reshape(
+        x.shape[0], out_rows, out_cols, fr, fc, x.shape[3]
+    )
+    grad_x = np.zeros_like(x)
+    for a in range(fr):
+        for b in range(fc):
+            grad_x[:, a:a + out_rows, b:b + out_cols] += cols[:, :, :, a, b]
+    return grad_x, grad_w, grad_b
+
+
+class TestBackwardLanes:
+    """The weight gradient's product on the worker moves no bit: one and two
+    lanes give the bytes of the whole-batch expressions."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["input-grad", "no-input-grad", "3-d", "corridor-2", "corridor-3",
+         "corridor-2-partial", "corridor-3-partial"],
+    )
+    def test_conv_backward_one_and_two_lanes_match_products(self, case, monkeypatch, worker_log):
+        rng = np.random.default_rng(len(case))
+        shape = {
+            "input-grad": (5, 6, 7, 3),
+            "no-input-grad": (64, 10, 8, 4),
+            "3-d": (10, 71, 4),
+            # the train batch at corridor layers 2 and 3, and an epoch's last
+            # partial batch
+            "corridor-2": (64, 9, 7, 32),
+            "corridor-3": (64, 8, 6, 32),
+            "corridor-2-partial": (45, 9, 7, 32),
+            "corridor-3-partial": (45, 8, 6, 32),
+        }[case]
+        input_grad = case != "no-input-grad"
+        x = rng.standard_normal(shape)
+        bank = FilterBank(rng.standard_normal((32, 2, 2, shape[-1])), rng.standard_normal(32))
+        grad_out = rng.standard_normal((*shape[:-3], shape[-3] - 1, shape[-2] - 1, 32))
+        if x.ndim == 3:
+            want = single_product_conv_backward(x[np.newaxis], bank, grad_out[np.newaxis])
+            want = (want[0][0], *want[1:])
+        else:
+            want = single_product_conv_backward(x, bank, grad_out, input_grad)
+        got = {}
+        for lanes in (1, 2):
+            monkeypatch.setattr(lanecast.layers, "_LANES", lanes)
+            worker_log.clear()
+            gx, gbank = conv2d_backward(x, bank, grad_out, input_grad=input_grad)
+            got[lanes] = (gx, gbank.weights, gbank.biases)
+            if input_grad:
+                assert _same_bits(gx, want[0]), lanes
+            else:
+                assert gx is None
+            assert _same_bits(gbank.weights, want[1]), lanes
+            assert _same_bits(gbank.biases, want[2]), lanes
+            # a first layer's backward has one product, and runs inline
+            assert len(worker_log) == (1 if lanes == 2 and input_grad else 0)
+            assert threading.get_ident() not in worker_log
+        for one, two in zip(got[1], got[2]):
+            assert one is two is None or _same_bits(one, two)
+
+    @pytest.mark.parametrize("dims", [(2240, 256), (256, 80)])
+    @pytest.mark.parametrize("batch", [64, 45])
+    def test_dense_backward_one_and_two_lanes_match_products(self, dims, batch, monkeypatch, worker_log):
+        rng = np.random.default_rng(dims[1] + batch)
+        in_dim, out_dim = dims
+        params = DenseParams(rng.standard_normal((out_dim, in_dim)), rng.standard_normal(out_dim))
+        x = rng.standard_normal((batch, in_dim))
+        grad_out = rng.standard_normal((batch, out_dim))
+        want = (grad_out @ params.weights, grad_out.T @ x, grad_out.sum(axis=0))
+        for lanes in (1, 2):
+            monkeypatch.setattr(lanecast.layers, "_LANES", lanes)
+            worker_log.clear()
+            got = dense_backward(x, params, grad_out)
+            for a, b in zip(got, want):
+                assert _same_bits(a, b), lanes
+            assert len(worker_log) == (1 if lanes == 2 else 0)
+            assert threading.get_ident() not in worker_log
+
+    def test_worker_error_reaches_the_caller_after_both_lanes(self, monkeypatch, worker_log):
+        # only the weight gradient, the worker's product, overflows
+        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        rng = np.random.default_rng(12)
+        params = DenseParams(rng.standard_normal((8, 6)), rng.standard_normal(8))
+        x = rng.standard_normal((5, 6)) * 1e300
+        grad_out = rng.standard_normal((5, 8)) * 1e10
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            dense_backward(x, params, grad_out)
+        assert len(worker_log) == 1 and all(future.done() for future in worker_log.futures)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                got = dense_backward(x, params, grad_out)
+                want = grad_out.T @ x
+        assert not np.isfinite(got[1]).all() and np.isfinite(got[0]).all()
+        assert _same_bits(got[1], want)
 
 
 class TestConvBackward:
