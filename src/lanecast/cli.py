@@ -134,7 +134,7 @@ def _write_csv(path, header, columns) -> None:
     numbers as `format_rows` writes them and NaN as a blank cell."""
     # format_rows writes "nan" only for a NaN float; no text cell holds it
     body = format_rows(columns, b",", b"\n").replace(b"nan", b"")
-    atomic_write_text(path, ",".join(map(str, header)).encode() + b"\n" + body)
+    atomic_write_text(path, (",".join(map(str, header)).encode() + b"\n", body))
 
 
 # -- commands -----------------------------------------------------------------

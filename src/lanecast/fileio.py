@@ -3,7 +3,9 @@
 Numbers are written as Python writes them: an integer as `str(int(v))`, a
 float as `repr(float(v))`, the shortest decimal that reads back as the same
 double. `format_rows` produces that text for whole numpy columns at once, and
-`parse_rows` reads it back, as `int()` and `float()` would.
+`parse_rows` reads it back, as `int()` and `float()` would. Both work through
+independent chunks of rows, or blocks of lines, which the two lanes of
+`lanecast.lanes` share: the bytes and values are those of one lane.
 """
 
 import os
@@ -12,7 +14,9 @@ import tempfile
 
 import numpy as np
 
-# rows formatted per pass: bounds the buffers of one call
+from .lanes import claim_chunks, even_chunks
+
+# rows formatted per pass, at most: bounds the buffers of one call
 _CHUNK = 16384
 _NUL, _MINUS = 0, ord("-")
 # repr writes fixed notation for 1e-4 <= |x| < 1e16. These are the doubles
@@ -110,23 +114,30 @@ def format_rows(columns, separator: bytes, terminator: bytes) -> bytes:
     for width, sep in zip(widths, seps):
         starts.append(at)
         at += width + len(sep)
-    rows = np.zeros((min(n, _CHUNK), at), np.uint8)
-    for start, width, sep in zip(starts, widths, seps):
-        rows[:, start + width:start + width + len(sep)] = np.frombuffer(sep, np.uint8)
-    pieces = []
-    for lo in range(0, n, _CHUNK):
-        block = rows[:min(_CHUNK, n - lo)]
+    chunks = even_chunks(n, _CHUNK)
+    rows_per_chunk = max(hi - lo for lo, hi in chunks)
+
+    def new_rows():
+        rows = np.zeros((rows_per_chunk, at), np.uint8)
+        for start, width, sep in zip(starts, widths, seps):
+            rows[:, start + width:start + width + len(sep)] = np.frombuffer(sep, np.uint8)
+        return (rows,)
+
+    def format_chunk(chunk, rows):
+        lo, hi = chunk
+        block = rows[:hi - lo]
         for column, start, width in zip(columns, starts, widths):
             cells = block[:, start:start + width]
-            values = column[lo:lo + len(block)]
+            values = column[lo:hi]
             if column.dtype.kind == "S":
                 cells[...] = np.ascontiguousarray(values).view(np.uint8).reshape(len(block), width)
             elif column.dtype.kind in "iu":
                 _int_cells(values.astype(np.int64), cells)
             else:
                 _float_cells(values.astype(np.float64), cells)
-        pieces.append(block[block != _NUL].tobytes())
-    return b"".join(pieces)
+        return block[block != _NUL].tobytes()
+
+    return b"".join(claim_chunks(chunks, format_chunk, new_rows))
 
 
 def _int_width(column) -> int:
@@ -264,6 +275,10 @@ _POW10_U64 = np.array([10**p % 2**64 for p in range(23)], np.uint64)
 _EXPONENT_FORM = re.compile(rb"-?[1-9](?:\.[0-9]+)?e[-+][0-9]{2,3}")
 
 
+class _Refused(Exception):
+    """A block holds text that parse_rows does not read."""
+
+
 def parse_rows(body: bytes, dtypes) -> list | None:
     """The columns of `body`, rows as format_rows(columns, b",", b"\n")
     writes them, or None when it holds any other text.
@@ -286,20 +301,32 @@ def parse_rows(body: bytes, dtypes) -> list | None:
     # after each cell but the last, which ends in a newline
     row = np.array([mark for f in is_float for mark in ([_POINT] if f else []) + [_COMMA]], np.uint8)
     row[-1] = _NEWLINE
-    buf = np.full(_PAD + min(len(body), _BLOCK), _NEWLINE, np.uint8)
-    # the 8 bytes from each index, as one little-endian word
-    words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
-    parts, at = [], 0
+    spans, at = [], 0
     while at < len(body):
         end = body.rfind(b"\n", at, at + _BLOCK) + 1
         if end <= at:  # a line longer than a block
             return None
+        spans.append((at, end))
+        at = end
+
+    def new_buffers():
+        buf = np.full(_PAD + max(stop - start for start, stop in spans), _NEWLINE, np.uint8)
+        # the 8 bytes from each index, as one little-endian word
+        words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+        return buf, words
+
+    def parse_block(span, buf, words):
+        at, end = span
         buf[_PAD:_PAD + end - at] = np.frombuffer(body, np.uint8, end - at, at)
         part = _parse_block(buf[:_PAD + end - at], words, is_float, row)
         if part is None:
-            return None
-        parts.append(part)
-        at = end
+            raise _Refused
+        return part
+
+    try:
+        parts = claim_chunks(spans, parse_block, new_buffers)
+    except _Refused:
+        return None
     return [np.concatenate(column) for column in zip(*parts)]
 
 

@@ -9,59 +9,18 @@ cross-correlation (no kernel flip), stride 1, valid padding.
 
 from __future__ import annotations
 
-import contextvars
-import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
+from .lanes import claim_chunks, even_chunks, two_lanes
 
 Array = np.ndarray
 # Output positions (windows x rows x cols) per conv forward chunk, at most: a
 # 64-window train batch's first layer at the 10x8x4 corridor (64 x 9 x 7 =
 # 4,032 positions) is two chunks of 32 windows, one per lane.
 _CONV_POSITIONS = 2048
-# Lanes: the calling thread, and a second core's worker when the process may
-# run on two CPUs. numpy releases the GIL inside ufunc loops and BLAS calls.
-_LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-
-
-def _new_worker() -> None:
-    # A forked child has no copy of the parent's worker thread, so it gets its
-    # own executor; the parent's would queue the child's work forever.
-    global _WORKER
-    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lanecast-lane")
-
-
-_new_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_worker)
-
-
-def _two_lanes(on_caller, on_worker):
-    """Run `on_worker()` on the worker while the calling thread runs
-    `on_caller()`, or both inline, in that order, with one lane; return what
-    `on_caller()` returns.
-
-    The worker runs in a copy of the caller's context, so the caller's
-    np.errstate and ufunc buffer size hold there too. This returns, or raises
-    the first error of either lane, only once the worker has stopped, so the
-    arrays both lanes write outlive it. The caller allocates every array the
-    worker writes: the worker's malloc arena stays small."""
-    if _LANES == 1:
-        result = on_caller()
-        on_worker()
-        return result
-    worker = _WORKER.submit(contextvars.copy_context().run, on_worker)
-    try:
-        result = on_caller()
-    finally:
-        wait((worker,))
-    worker.result()
-    return result
 
 
 def _as_f64(x) -> Array:
@@ -183,40 +142,25 @@ def _conv_forward(x: Array, bank: FilterBank) -> Array:
     w = bank.weights.reshape(filters, -1)
     out = np.empty((x.shape[0], out_rows, out_cols, filters))
     # Chunks hold whole windows, at most _CONV_POSITIONS output positions and
-    # at least one window, in an even count when there are several; sizes
-    # differ by one window at most. With two lanes the caller runs the first
-    # chunk and the worker the second, then each claims the next unclaimed
-    # one until none is left, so a lane whose core is slowed (by another
-    # process, or by the host) leaves more of the chunks to the other.
-    windows, positions = len(x), out_rows * out_cols
-    count = max(1, -(-windows // max(1, _CONV_POSITIONS // positions)))
-    if count > 1:
-        count = min(windows, count + count % 2)
-    bounds = [windows * i // count for i in range(count + 1)]
-    chunks = list(zip(bounds[:-1], bounds[1:]))
-    lanes = min(_LANES, count)
-    # one iterator for both lanes: taking its next item holds the GIL
-    unclaimed = iter(chunks[lanes:])
-    # The caller allocates every buffer, one flat set per lane that serves
-    # each of its chunks in turn (a set per chunk raised train's peak RSS), so
-    # the worker allocates no array and its malloc arena stays small.
-    columns = -(-windows // count) * positions
-    bufs = [
-        [np.empty(n * columns) for n in (w.shape[1], filters, filters)] for _ in range(lanes)
-    ]
+    # at least one window; the lanes claim them in turn.
+    positions = out_rows * out_cols
+    chunks = even_chunks(len(x), max(1, _CONV_POSITIONS // positions))
+    # One flat buffer set per lane serves each of its chunks in turn (a set
+    # per chunk raised train's peak RSS).
+    columns = max(b - a for a, b in chunks) * positions
 
-    def run(lane):
-        for a, b in itertools.chain(chunks[lane:lane + 1], unclaimed):
-            _conv_chunk(x[a:b], bank, w, out[a:b], *bufs[lane])
+    def new_buffers():
+        return [np.empty(n * columns) for n in (w.shape[1], filters, filters)]
+
+    def convolve(chunk, *buffers):
+        a, b = chunk
+        _conv_chunk(x[a:b], bank, w, out[a:b], *buffers)
 
     # A small ufunc buffer stops numpy copying the broadcast weights through
     # it (3x on layer 3), in both lanes.
     bufsize = np.setbufsize(16)
     try:
-        if lanes == 1:
-            run(0)
-        else:
-            _two_lanes(lambda: run(0), lambda: run(1))
+        claim_chunks(chunks, convolve, new_buffers)
     finally:
         np.setbufsize(bufsize)
     return out
@@ -296,7 +240,7 @@ def _conv_backward(
     # The worker gathers the patches and forms the weight gradient while the
     # caller forms the others; a first layer needs no input gradient.
     if input_grad:
-        grad_x, grad_b = _two_lanes(input_and_bias_grads, weight_grad)
+        grad_x, grad_b = two_lanes(input_and_bias_grads, weight_grad)
     else:
         weight_grad()
         grad_x, grad_b = None, grad_out.sum(axis=(0, 1, 2))
@@ -342,7 +286,7 @@ def dense_backward(
         return params.weights.T @ grad_out, np.outer(grad_out, x), grad_out.copy()
     # the weight gradient on the worker, the input and bias gradients on the caller
     grad_w = np.empty(params.weights.shape)
-    grad_x, grad_b = _two_lanes(
+    grad_x, grad_b = two_lanes(
         lambda: (grad_out @ params.weights, grad_out.sum(axis=0)),
         lambda: np.matmul(grad_out.T, x, out=grad_w),
     )

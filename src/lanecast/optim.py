@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import _two_lanes
+from .lanes import two_lanes
 
 # elements per update chunk: each lane's two scratch buffers of this length,
 # shared by every array, take 768 KB, where whole-array temporaries took two
@@ -66,7 +66,7 @@ class RmsProp:
             return
         split = (chunks + 1) // 2 * _STEP_CHUNK
         first, second = np.s_[:split], np.s_[split:]
-        _two_lanes(
+        two_lanes(
             lambda: self._update_chunks(value[first], acc[first], grad[first], self._scratch[0]),
             lambda: self._update_chunks(value[second], acc[second], grad[second], self._scratch[1]),
         )

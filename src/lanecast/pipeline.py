@@ -359,7 +359,7 @@ def write_records(path, records) -> None:
         )
     # integers as `str` writes them, speed and volume as `repr`, which reads back exactly
     rows = format_rows([getattr(records, name) for name in _ROW.names], b",", b"\n")
-    atomic_write_text(path, ",".join(CSV_HEADER).encode() + b"\n" + rows)
+    atomic_write_text(path, (",".join(CSV_HEADER).encode() + b"\n", rows))
 
 
 # -- window construction ---------------------------------------------------------

@@ -3,14 +3,18 @@
 bit for bit."""
 
 import math
+import threading
+from concurrent.futures import wait
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import lanecast.lanes
 from lanecast import fileio
+from lanecast.errors import DataError
 from lanecast.fileio import format_rows, parse_rows
-from lanecast.pipeline import CorridorShape
+from lanecast.pipeline import CSV_HEADER, CorridorShape, read_records
 from lanecast.synth import SynthConfig, generate
 
 
@@ -42,6 +46,19 @@ EDGE = [
 ]
 
 
+def _cell_log(monkeypatch, name):
+    """Patch fileio's `name` cell writer to log (thread, rows) of every call."""
+    log = []
+    cells = getattr(fileio, name)
+
+    def logged(values, out):
+        log.append((threading.get_ident(), len(values)))
+        cells(values, out)
+
+    monkeypatch.setattr(fileio, name, logged)
+    return log
+
+
 class TestFloats:
     def test_edge_values_match_repr(self):
         values = EDGE + [-v for v in EDGE]
@@ -70,11 +87,26 @@ class TestFloats:
         for values in sets:
             assert mismatches(values) == []
 
-    def test_chunk_boundaries(self, monkeypatch):
+    def test_chunk_boundaries(self, monkeypatch, worker_log):
+        # 100 rows in chunks of at most 7: an even 16 of 6 or 7 rows, formatted
+        # on one lane and on two, the same bytes
         monkeypatch.setattr(fileio, "_CHUNK", 7)
+        sizes = _cell_log(monkeypatch, "_float_cells")
         values = np.random.default_rng(8).uniform(0, 80, 100)
         values[[6, 7, 50]] = [0.0, 1e20, -0.0]
-        assert mismatches(values) == []
+        got = {}
+        for lanes in (1, 2):
+            monkeypatch.setattr(lanecast.lanes, "_LANES", lanes)
+            worker_log.clear()
+            assert mismatches(values) == []
+            sizes.clear()
+            got[lanes] = format_rows([values, -values], b",", b"\n")
+            # the worker ran once a call and formatted chunks itself; 12
+            # chunks of 6 rows, 4 of 7, each formatting 2 columns
+            assert len(worker_log) == (2 if lanes == 2 else 0)
+            assert len({thread for thread, _ in sizes}) == lanes
+            assert sorted(rows for _, rows in sizes) == [6] * 24 + [7] * 8
+        assert got[1] == got[2]
 
 
 class TestIntegers:
@@ -108,8 +140,33 @@ class TestRows:
                            b",", b"\n")
         assert rows == b"1,ok,0.5\n-20,diverged,7.0\n"
 
-    def test_empty_columns(self):
-        assert format_rows([np.array([], np.int64), np.array([])], b",", b"\n") == b""
+    def test_empty_columns(self, monkeypatch, worker_log):
+        for lanes in (1, 2):
+            monkeypatch.setattr(lanecast.lanes, "_LANES", lanes)
+            assert format_rows([np.array([], np.int64), np.array([])], b",", b"\n") == b""
+        assert len(worker_log) == 0
+
+    def test_worker_error_reaches_the_caller_after_both_lanes(self, monkeypatch, worker_log):
+        # 8 chunks: the worker's first one raises while the caller's first
+        # waits for the worker to stop; the caller then takes no other chunk
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
+        monkeypatch.setattr(fileio, "_CHUNK", 5)
+        caller = threading.get_ident()
+        ran = []
+        cells = fileio._int_cells
+
+        def failing(values, out):
+            if threading.get_ident() != caller:
+                raise ValueError("the worker's chunk failed")
+            assert not wait(worker_log.futures, timeout=60).not_done
+            cells(values, out)
+            ran.append(len(values))
+
+        monkeypatch.setattr(fileio, "_int_cells", failing)
+        with pytest.raises(ValueError, match="the worker's chunk failed"):
+            format_rows([np.arange(40)], b",", b"\n")
+        assert ran == [5]
+        assert len(worker_log) == 1 and worker_log.futures[0].done()
 
     def test_misaligned_columns_rejected(self):
         with pytest.raises(ValueError, match="one length"):
@@ -255,16 +312,22 @@ class TestParse:
     def test_integers_beyond_int64_or_19_digits_refused(self, text):
         assert parsed([text], np.int64) is None
 
-    def test_columns_across_blocks(self, monkeypatch):
+    def test_columns_across_blocks(self, monkeypatch, worker_log):
         # blocks of 64 bytes: most lines straddle a block boundary, and
-        # each block's first cells load bytes before it
+        # each block's first cells load bytes before it; read on one lane
+        # and on two, the same bytes
         monkeypatch.setattr(fileio, "_BLOCK", 64)
         rng = np.random.default_rng(12)
         columns = [rng.integers(-10**12, 10**12, 500), rng.uniform(0, 100, 500),
                    rng.integers(0, 9, 500), 10 ** rng.uniform(-7, 18, 500)]
-        got = parse_rows(format_rows(columns, b",", b"\n"), [c.dtype for c in columns])
-        assert [g.tobytes() for g in got] == [c.tobytes() for c in columns]
-        assert parse_rows(b"1," + b"0" * 70 + b".5\n", [np.int64, np.float64]) is None
+        body = format_rows(columns, b",", b"\n")
+        for lanes in (1, 2):
+            monkeypatch.setattr(lanecast.lanes, "_LANES", lanes)
+            worker_log.clear()
+            got = parse_rows(body, [c.dtype for c in columns])
+            assert [g.tobytes() for g in got] == [c.tobytes() for c in columns], lanes
+            assert len(worker_log) == (1 if lanes == 2 else 0)
+            assert parse_rows(b"1," + b"0" * 70 + b".5\n", [np.int64, np.float64]) is None
 
     REFUSED = [
         b"", b"1,2.5", b"1,2.5\n\n", b" 1,2.5\n", b"+1,2.5\n", b"1,+2.5\n", b"1,2.5\r\n",
@@ -278,3 +341,92 @@ class TestParse:
     @pytest.mark.parametrize("body", REFUSED)
     def test_other_text_refused(self, body):
         assert parse_rows(body, [np.int64, np.float64]) is None
+
+
+def _lines(count):
+    """`count` record rows of 60 bytes each, leading zeros padding the cells:
+    with 128-byte blocks each block holds two, so the caller's first block
+    is rows 0-1 and the worker's first rows 2-3."""
+    lines = [f"{i:010d},{i % 7 + 1},1,{i + 0.5:020.3f},{2.25 * i:023.4f}\n" for i in range(count)]
+    assert {len(line) for line in lines} == {60}
+    return lines
+
+
+class TestParseLanes:
+    """A block the worker claims reads as it would on the caller."""
+
+    DTYPES = [np.int64, np.int64, np.int64, np.float64, np.float64]
+
+    @staticmethod
+    def _block_log(monkeypatch, before=None):
+        """Patch the block parser to log (thread, block text, whether it
+        refused) of every block, calling `before()` first on each."""
+        log = []
+        block = fileio._parse_block
+
+        def logged(buf, *args):
+            if before:
+                before()
+            text = buf[fileio._PAD:].tobytes()
+            part = block(buf, *args)
+            log.append((threading.get_ident(), text, part is None))
+            return part
+
+        monkeypatch.setattr(fileio, "_parse_block", logged)
+        return log
+
+    def test_refused_text_in_the_worker_block_gives_none(self, monkeypatch, worker_log):
+        # A '+' in row 2, in the worker's first of 8 blocks. The caller's
+        # first block waits until the worker has stopped, then the caller
+        # takes no other block.
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
+        monkeypatch.setattr(fileio, "_BLOCK", 128)
+        lines = _lines(16)
+        lines[2] = lines[2].replace(",1,", ",+1,")
+        body = "".join(lines).encode()
+        caller = threading.get_ident()
+
+        def caller_waits():
+            if threading.get_ident() == caller:
+                assert not wait(worker_log.futures, timeout=60).not_done
+
+        log = self._block_log(monkeypatch, caller_waits)
+        assert parse_rows(body, self.DTYPES) is None
+        assert [(thread == caller, refused) for thread, _, refused in log] == [(False, True), (True, False)]
+        assert b"+1" in log[0][1]
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 1)
+        assert parse_rows(body, self.DTYPES) is None
+        assert parse_rows("".join(_lines(16)).encode(), self.DTYPES) is not None
+
+    def test_read_records_names_the_line_of_the_worker_block(self, tmp_path, monkeypatch, worker_log):
+        # Row 3, in the worker's first block, is line 5 of the file (the
+        # header is line 1): the line loop names it at one lane and at two.
+        monkeypatch.setattr(fileio, "_BLOCK", 128)
+        lines = _lines(16)
+        lines[3] = lines[3].replace(f"{3.5:020.3f}", "x" * 20)
+        path = tmp_path / "records.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + "".join(lines))
+        errors = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(lanecast.lanes, "_LANES", lanes)
+            with pytest.raises(DataError) as caught:
+                read_records(path)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert f"{path} line 5: could not convert string to float" in errors[0]
+        assert len(worker_log) == 1
+
+    def test_exponent_form_in_the_worker_block_read_by_float(self, monkeypatch, worker_log):
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
+        monkeypatch.setattr(fileio, "_BLOCK", 128)
+        lines = _lines(16)
+        lines[2] = lines[2].replace(f"{2.5:020.3f}", "1e-05")
+        lines[3] = lines[3].replace(f"{2.25 * 3:023.4f}", "2.5e+16")
+        body = "".join(lines).encode()
+        log = self._block_log(monkeypatch)
+        got = parse_rows(body, self.DTYPES)
+        rows = [line.split(",") for line in lines]
+        for j in (3, 4):
+            assert got[j].tobytes() == np.array([float(row[j]) for row in rows]).tobytes()
+        assert got[3][2] == 1e-05 and got[4][3] == 2.5e16
+        assert [thread == threading.get_ident() for thread, text, _ in log if b"e" in text] == [False]

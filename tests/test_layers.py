@@ -4,12 +4,13 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import lanecast.lanes
 import lanecast.layers
+from lanecast import fileio
 from lanecast.errors import ShapeError
 from lanecast.gradcheck import gradient_check
 from lanecast.layers import (
@@ -179,7 +180,7 @@ class TestConvForward:
         seen = []
         taps = lanecast.layers._taps
         monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", 20)
-        monkeypatch.setattr(lanecast.layers, "_LANES", 1)
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 1)
         monkeypatch.setattr(lanecast.layers, "_taps", lambda x, bank: seen.append(len(x)) or taps(x, bank))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 2, 8, 3))
@@ -191,7 +192,7 @@ class TestConvForward:
         # 64 x 9 x 7, 64 x 8 x 6 and 64 x 7 x 5 positions: two 32-window chunks each
         seen = []
         taps = lanecast.layers._taps
-        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
         monkeypatch.setattr(lanecast.layers, "_taps", lambda x, bank: seen.append(len(x)) or taps(x, bank))
         rng = np.random.default_rng(4)
         for shape in ((10, 8, 4), (9, 7, 32), (8, 6, 32)):
@@ -310,7 +311,7 @@ class TestConvLanes:
         log = _chunk_log(monkeypatch)
         got = {}
         for lanes in (1, 2):
-            monkeypatch.setattr(lanecast.layers, "_LANES", lanes)
+            monkeypatch.setattr(lanecast.lanes, "_LANES", lanes)
             log.clear()
             got[lanes] = conv2d_valid(x, bank)
             assert _same_bits(got[lanes], want), lanes
@@ -321,7 +322,7 @@ class TestConvLanes:
         assert _same_bits(got[1], got[2])
 
     def test_worker_runs_with_the_callers_numpy_settings(self, monkeypatch):
-        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
         seen = []
         chunk = lanecast.layers._conv_chunk
 
@@ -341,9 +342,12 @@ class TestConvLanes:
         # More calling threads than cores, each conv forward in 16 chunks that
         # its two lanes claim from one iterator: every window is convolved
         # exactly once. Each thread's backward and optimizer step queue their
-        # worker halves behind the other threads' and still match one lane.
-        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        # worker halves behind the other threads' and still match one lane,
+        # and so do its CSV rows, formatted in 6 chunks and read in 8 blocks.
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
         monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", 14)
+        monkeypatch.setattr(fileio, "_CHUNK", 50)
+        monkeypatch.setattr(fileio, "_BLOCK", 1024)
         log = _chunk_log(monkeypatch)
         rng = np.random.default_rng(10)
         bank = FilterBank(rng.standard_normal((4, 2, 2, 3)), rng.standard_normal(4))
@@ -360,6 +364,11 @@ class TestConvLanes:
                 acc += (1.0 - 0.9) * np.square(g["w"])
                 value -= 1e-3 * g["w"] / (np.sqrt(acc) + 1e-8)
             want_params.append(value)
+        tables = [[rng.integers(-10**6, 10**6, 300), rng.uniform(0, 100, 300)] for _ in range(4)]
+        want_rows = [
+            "".join(f"{a},{b!r}\n" for a, b in zip(*(c.tolist() for c in table))).encode()
+            for table in tables
+        ]
         wrong = []
 
         def call(i):
@@ -371,6 +380,12 @@ class TestConvLanes:
                 if not all(map(_same_bits, (gx, gbank.weights, gbank.biases), want_backward[i])):
                     wrong.append(("backward", i))
                 opt.step(params[i], grads[i])
+                rows = fileio.format_rows(tables[i], b",", b"\n")
+                if rows != want_rows[i]:
+                    wrong.append(("format", i))
+                columns = fileio.parse_rows(rows, [np.int64, np.float64])
+                if columns is None or not all(map(_same_bits, columns, tables[i])):
+                    wrong.append(("parse", i))
             if not _same_bits(params[i]["w"], want_params[i]):
                 wrong.append(("step", i))
 
@@ -397,7 +412,7 @@ class TestConvLaneErrors:
     def _overflow_in_second_chunk(monkeypatch):
         # 7 positions a window and a 14-position bound: chunks of windows 0-1
         # (the caller's) and 2-3 (the worker's); only window 3 overflows
-        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
         monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", 14)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 2, 8, 3))
@@ -424,7 +439,7 @@ class TestConvLaneErrors:
         assert _same_bits(got, want)
 
     def test_caller_error_waits_for_the_worker_chunk(self, monkeypatch):
-        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
         monkeypatch.setattr(lanecast.layers, "_CONV_POSITIONS", 14)
         caller = threading.get_ident()
         finished = []
@@ -446,24 +461,41 @@ class TestConvLaneErrors:
 
     def test_forked_child_convolves_on_its_own_lane(self, tmp_path):
         # In a subprocess: this process's numpy settings and warning filters
-        # stay out of it, and a hang fails by the timeout.
+        # stay out of it, and a hang fails by the timeout. The child also
+        # writes and reads a CSV of several chunks.
         script = tmp_path / "fork_conv.py"
         script.write_text(
             "import os, signal, time\n"
             "import numpy as np\n"
+            "import lanecast.lanes as lanes\n"
             "import lanecast.layers as layers\n"
-            "layers._LANES = 2\n"
+            "from lanecast import fileio\n"
+            "from lanecast.pipeline import CorridorShape, read_records, write_records\n"
+            "from lanecast.synth import SynthConfig, generate\n"
+            "lanes._LANES = 2\n"
             "rng = np.random.default_rng(0)\n"
             "bank = layers.FilterBank(rng.standard_normal((8, 2, 2, 4)), rng.standard_normal(8))\n"
             "x = rng.standard_normal((64, 10, 8, 4))\n"
             "g = rng.standard_normal((64, 9, 7, 8))\n"
             "want = layers.conv2d_valid(x, bank)\n"
             "want_gx, want_gbank = layers.conv2d_backward(x, bank, g)\n"
+            "# a CSV of 4 row chunks and 5 line blocks, written and read on both lanes\n"
+            "records = generate(SynthConfig(shape=CorridorShape(4, 4, 2), days=3, seed=1))\n"
+            "fileio._CHUNK, fileio._BLOCK = 2000, 1 << 16\n"
+            f"path = {str(tmp_path / 'records.csv')!r}\n"
+            "write_records(path, records)\n"
+            "with open(path, 'rb') as fh:\n"
+            "    want_csv = fh.read()\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    gx, gbank = layers.conv2d_backward(x, bank, g)\n"
             "    same = np.array_equal(gx, want_gx) and np.array_equal(gbank.weights, want_gbank.weights)\n"
-            "    os._exit(0 if same and np.array_equal(layers.conv2d_valid(x, bank), want) else 1)\n"
+            "    same = same and np.array_equal(layers.conv2d_valid(x, bank), want)\n"
+            "    write_records(path, records)\n"
+            "    with open(path, 'rb') as fh:\n"
+            "        same = same and fh.read() == want_csv\n"
+            "    same = same and read_records(path) == records\n"
+            "    os._exit(0 if same else 1)\n"
             "for _ in range(300):\n"
             "    done, status = os.waitpid(pid, os.WNOHANG)\n"
             "    if done:\n"
@@ -476,34 +508,6 @@ class TestConvLaneErrors:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run([sys.executable, str(script)], env=env, timeout=120, capture_output=True)
         assert run.returncode == 0, run.stderr.decode()
-
-
-class _WorkerLog(list):
-    """Thread ids of the tasks the lane worker ran; `futures` holds their futures."""
-
-    def __init__(self):
-        super().__init__()
-        self.futures = []
-
-
-@pytest.fixture
-def worker_log(monkeypatch):
-    """Replace the lane worker with one that logs every task it runs."""
-    executor = ThreadPoolExecutor(max_workers=1)
-    log = _WorkerLog()
-
-    class LoggedWorker:
-        def submit(self, fn, *args):
-            def logged():
-                log.append(threading.get_ident())
-                return fn(*args)
-
-            log.futures.append(executor.submit(logged))
-            return log.futures[-1]
-
-    monkeypatch.setattr(lanecast.layers, "_WORKER", LoggedWorker())
-    yield log
-    executor.shutdown()
 
 
 def single_product_conv_backward(x, bank, grad_out, input_grad=True):
@@ -562,7 +566,7 @@ class TestBackwardLanes:
             want = single_product_conv_backward(x, bank, grad_out, input_grad)
         got = {}
         for lanes in (1, 2):
-            monkeypatch.setattr(lanecast.layers, "_LANES", lanes)
+            monkeypatch.setattr(lanecast.lanes, "_LANES", lanes)
             worker_log.clear()
             gx, gbank = conv2d_backward(x, bank, grad_out, input_grad=input_grad)
             got[lanes] = (gx, gbank.weights, gbank.biases)
@@ -588,7 +592,7 @@ class TestBackwardLanes:
         grad_out = rng.standard_normal((batch, out_dim))
         want = (grad_out @ params.weights, grad_out.T @ x, grad_out.sum(axis=0))
         for lanes in (1, 2):
-            monkeypatch.setattr(lanecast.layers, "_LANES", lanes)
+            monkeypatch.setattr(lanecast.lanes, "_LANES", lanes)
             worker_log.clear()
             got = dense_backward(x, params, grad_out)
             for a, b in zip(got, want):
@@ -598,7 +602,7 @@ class TestBackwardLanes:
 
     def test_worker_error_reaches_the_caller_after_both_lanes(self, monkeypatch, worker_log):
         # only the weight gradient, the worker's product, overflows
-        monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+        monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
         rng = np.random.default_rng(12)
         params = DenseParams(rng.standard_normal((8, 6)), rng.standard_normal(8))
         x = rng.standard_normal((5, 6)) * 1e300

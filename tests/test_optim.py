@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-import lanecast.layers
+import lanecast.lanes
 from lanecast.errors import ConfigError, ShapeError
 from lanecast.optim import _STEP_CHUNK, RmsProp
 
@@ -90,7 +90,7 @@ def test_matches_whole_array_step_bitwise(monkeypatch):
               "f": (_STEP_CHUNK,), "g": (2 * _STEP_CHUNK - 1,), "h": (2 * _STEP_CHUNK + 1,),
               "fusion": (256, 2240)}
     for lanes in (1, 2):
-        monkeypatch.setattr(lanecast.layers, "_LANES", lanes)
+        monkeypatch.setattr(lanecast.lanes, "_LANES", lanes)
         rng = np.random.default_rng(7)
         params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         params["t"] = rng.standard_normal((90, 300)).T
@@ -121,9 +121,9 @@ def _overflow_in_second_half():
 def test_overflow_raises_once_both_lanes_stopped(halves, monkeypatch):
     # The worker starts late, so a caller whose own half overflows first must
     # still wait for it before the error leaves the step.
-    monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+    monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
     futures = []
-    submit = lanecast.layers._WORKER.submit
+    submit = lanecast.lanes._WORKER.submit
 
     def delayed(fn, *args):
         def late():
@@ -133,7 +133,7 @@ def test_overflow_raises_once_both_lanes_stopped(halves, monkeypatch):
         futures.append(submit(late))
         return futures[-1]
 
-    monkeypatch.setattr(lanecast.layers._WORKER, "submit", delayed)
+    monkeypatch.setattr(lanecast.lanes._WORKER, "submit", delayed)
     params, grads = _overflow_in_second_half()
     if halves == "both":
         grads["w"][10] = 1e200
@@ -143,7 +143,7 @@ def test_overflow_raises_once_both_lanes_stopped(halves, monkeypatch):
 
 
 def test_overflow_ignored_in_worker_half_warns_nothing(monkeypatch):
-    monkeypatch.setattr(lanecast.layers, "_LANES", 2)
+    monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
     params, grads = _overflow_in_second_half()
     expected = {"w": params["w"].copy()}
     opt, oracle = RmsProp(1e-3), RmsProp(1e-3)
