@@ -3,9 +3,9 @@
 Every command is deterministic given its config, its seed and the BLAS
 thread count: `train` at different `OPENBLAS_NUM_THREADS` can give bundles
 that differ in their last bits (ROADMAP item 4). Outputs do not depend on
-the CPU count or on the lanes that the conv forward, the backward and the
-optimizer step run on. Exit codes: 0 success, 1 usage/config error, 2 data
-error, 3 numeric failure.
+the CPU count or on the lanes that the conv forward, the backward, the
+optimizer step and the CSV write and read run on. Exit codes: 0 success,
+1 usage/config error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .lanes import two_lanes
+from .lanes import claim_chunks, even_chunks
 
 # elements per update chunk: each lane's two scratch buffers of this length,
 # shared by every array, take 768 KB, where whole-array temporaries took two
@@ -38,6 +40,7 @@ class RmsProp:
         self._scratch: np.ndarray | None = None
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        # every pair is checked first, so a refused step updates no array
         for name, value in params.items():
             if name not in grads:
                 raise ShapeError(f"no gradient supplied for parameter {name!r}")
@@ -46,48 +49,37 @@ class RmsProp:
                 raise ShapeError(
                     f"gradient shape {grad.shape} != parameter shape {value.shape} for {name!r}"
                 )
+        if self._scratch is None:
+            self._scratch = np.empty((2, 2, _STEP_CHUNK))
+        for name, value in params.items():
             acc = self.accumulators.get(name)
             if acc is None:
                 acc = self.accumulators[name] = np.zeros(value.shape, value.dtype)
             work = value if value.flags.c_contiguous else np.ascontiguousarray(value)
-            self._update(work.reshape(-1), acc.reshape(-1), np.reshape(grad, -1))
+            update = partial(self._update_chunk, work.reshape(-1), acc.reshape(-1),
+                             np.reshape(grads[name], -1))
+            # each lane's scratch pair is one half of self._scratch
+            halves = iter(self._scratch)
+            claim_chunks(even_chunks(value.size, _STEP_CHUNK), update, lambda: (next(halves),))
             if work is not value:
                 value[...] = work
 
-    def _update(self, value, acc, grad) -> None:
-        """The update of flat arrays: an array of two chunks or more is split
-        at a chunk boundary, its first half updated by the calling thread and
-        its second by the worker lane, each through its own scratch pair."""
-        if self._scratch is None:
-            self._scratch = np.empty((2, 2, _STEP_CHUNK))
-        chunks = -(-len(value) // _STEP_CHUNK)
-        if chunks < 2:
-            self._update_chunks(value, acc, grad, self._scratch[0])
-            return
-        split = (chunks + 1) // 2 * _STEP_CHUNK
-        first, second = np.s_[:split], np.s_[split:]
-        two_lanes(
-            lambda: self._update_chunks(value[first], acc[first], grad[first], self._scratch[0]),
-            lambda: self._update_chunks(value[second], acc[second], grad[second], self._scratch[1]),
-        )
-
-    def _update_chunks(self, value, acc, grad, scratch) -> None:
-        """The update of flat arrays, in chunks through a scratch pair: the
-        operations, and their order, of
+    def _update_chunk(self, value, acc, grad, chunk, scratch) -> None:
+        """The update of one (start, stop) chunk of flat arrays through a
+        lane's scratch pair: the operations, and their order, of
             acc *= rho
             acc += (1 - rho) * np.square(grad)
             value -= lr * grad / (np.sqrt(acc) + eps)
         without a temporary array, so bitwise equal to it. Allocates no array."""
-        for start in range(0, len(value), _STEP_CHUNK):
-            stop = start + _STEP_CHUNK
-            g, v = grad[start:stop], acc[start:stop]
-            a, b = scratch[0, :len(g)], scratch[1, :len(g)]
-            v *= self.rho
-            np.square(g, out=a)
-            np.multiply(1.0 - self.rho, a, out=a)
-            v += a
-            np.multiply(self.learning_rate, g, out=a)
-            np.sqrt(v, out=b)
-            b += self.epsilon
-            a /= b
-            value[start:stop] -= a
+        start, stop = chunk
+        g, v = grad[start:stop], acc[start:stop]
+        a, b = scratch[0, :len(g)], scratch[1, :len(g)]
+        v *= self.rho
+        np.square(g, out=a)
+        np.multiply(1.0 - self.rho, a, out=a)
+        v += a
+        np.multiply(self.learning_rate, g, out=a)
+        np.sqrt(v, out=b)
+        b += self.epsilon
+        a /= b
+        value[start:stop] -= a

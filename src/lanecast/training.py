@@ -10,13 +10,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, MetricError, NumericError, ShapeError
+from .lanes import even_chunks
 from .losses import composite_loss
 from .optim import RmsProp
 from .pipeline import CorridorShape, NormalizationParams, SampleSet, check_fields, denormalize
 
 DEFAULT_MIN_TARGET = 1.0  # mph; slower targets are excluded from percentage errors
-LOSS_CHUNK = 1024  # windows per forward pass in dataset_loss
-# most windows per chunk of evaluate's rollouts and the heatmap's predictions
+# most windows per chunk of evaluate's rollouts, the heatmap's predictions
+# and dataset_loss's forward passes
 _FORECAST_CHUNK = 1024
 
 
@@ -94,8 +95,8 @@ def dataset_loss(model, samples, volume_weight) -> float:
         raise DataError("cannot compute the loss of an empty sample set")
     sum_u = sum_q = 0.0
     count_u = count_q = 0
-    for start in range(0, len(samples), LOSS_CHUNK):
-        batch = samples[start:start + LOSS_CHUNK]
+    for a, b in forecast_chunks(len(samples)):
+        batch = samples[a:b]
         pred_u, pred_q = model.predict_batch(batch)
         check_predictions(pred_u, pred_q, "dataset loss")
         # finite predictions can still overflow when squared: the loss is then inf
@@ -222,19 +223,16 @@ def predict_multistep(model, samples: SampleSet, horizon: int) -> list[Predictio
 
 
 def forecast_chunks(count: int) -> list[tuple[int, int]]:
-    """(start, stop) bounds of the window chunks `evaluate` and the heatmap
-    forecast one at a time, so their memory does not grow with the set: the
-    fewest chunks of at most _FORECAST_CHUNK windows, their sizes within one
-    of each other.
+    """(start, stop) bounds of the window chunks that `evaluate`, the
+    heatmap and `dataset_loss` predict one at a time, so their memory does
+    not grow with the set: `even_chunks` of at most _FORECAST_CHUNK windows.
 
     A set of more than one chunk so has none shorter than half a chunk, which
     keeps every window's prediction bitwise that of a one-chunk run. OpenBLAS
     computes a dense product of at most 1,200 values (rows x outputs) with
     another kernel, with other bits (ROADMAP item 12); 512 rows clear that
     for every layer of 3 or more outputs."""
-    chunks = max(1, -(-count // _FORECAST_CHUNK))
-    bounds = [count * i // chunks for i in range(chunks + 1)]
-    return list(zip(bounds, bounds[1:]))
+    return even_chunks(count, _FORECAST_CHUNK)
 
 
 def evaluate(model, samples, horizons, norm: NormalizationParams,

@@ -175,7 +175,8 @@ class TestChunkBoundaries:
 
         one_chunk = heatmap("whole")
         monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", chunk)
-        assert len(forecast_chunks(288)) == 3  # a day of windows
+        # a day of windows: four chunks of 72, above the 66-window edge
+        assert len(forecast_chunks(288)) == 4
         assert heatmap("chunked") == one_chunk
         assert len(one_chunk) == SHAPE.lanes * (4 + SHAPE.detectors)
 

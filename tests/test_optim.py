@@ -6,6 +6,7 @@ import pytest
 
 import lanecast.lanes
 from lanecast.errors import ConfigError, ShapeError
+from lanecast.lanes import even_chunks
 from lanecast.optim import _STEP_CHUNK, RmsProp
 
 
@@ -49,6 +50,23 @@ def test_shape_mismatch_rejected():
         opt.step({"w": np.zeros(3)}, {})
 
 
+@pytest.mark.parametrize("bad_grad", [None, np.ones(4)], ids=["missing", "misshaped"])
+def test_refused_step_updates_no_array(bad_grad):
+    # "a" comes first and is well formed: a step that checks "b" only when it
+    # reaches it has already updated "a" and its accumulator
+    opt = RmsProp(learning_rate=0.1)
+    params = {"a": np.ones(3), "b": np.ones(3)}
+    opt.step(params, {"a": np.full(3, 2.0), "b": np.full(3, 3.0)})
+    before = {name: (value.tobytes(), opt.accumulators[name].tobytes()) for name, value in params.items()}
+    grads = {"a": np.full(3, 5.0)}
+    if bad_grad is not None:
+        grads["b"] = bad_grad
+    with pytest.raises(ShapeError):
+        opt.step(params, grads)
+    after = {name: (value.tobytes(), opt.accumulators[name].tobytes()) for name, value in params.items()}
+    assert after == before
+
+
 def test_invalid_constants_rejected():
     with pytest.raises(ConfigError):
         RmsProp(learning_rate=0.0)
@@ -83,8 +101,8 @@ def whole_array_step(opt, params, grads):
 
 def test_matches_whole_array_step_bitwise(monkeypatch):
     # at one and two lanes: arrays below, at and across the chunk length, one
-    # just under the two chunks a split takes, one a chunk past it, the
-    # corridor's fusion weights, a transposed (non-contiguous) parameter and
+    # just under two chunks, one just over (three near-equal chunks, rounded
+    # up to four), the corridor's fusion weights, a transposed (non-contiguous) parameter and
     # a 0-d one, over several steps
     shapes = {"a": (40_000,), "b": (3, _STEP_CHUNK), "c": (5,), "d": (256, 70), "e": (),
               "f": (_STEP_CHUNK,), "g": (2 * _STEP_CHUNK - 1,), "h": (2 * _STEP_CHUNK + 1,),
@@ -107,19 +125,20 @@ def test_matches_whole_array_step_bitwise(monkeypatch):
                 assert opt.accumulators[name].tobytes() == oracle.accumulators[name].tobytes(), (lanes, name)
 
 
-def _overflow_in_second_half():
-    # three chunks: the caller updates the first two, the worker the third,
-    # and only the third's gradient squares past the largest float
+def _overflow_in_worker_chunk():
+    # four chunks: the caller takes chunk 0 and the worker chunk 1 first, and
+    # only chunk 1's gradient squares past the largest float
     rng = np.random.default_rng(9)
     params = {"w": rng.standard_normal(3 * _STEP_CHUNK)}
     grads = {"w": rng.standard_normal(3 * _STEP_CHUNK)}
-    grads["w"][2 * _STEP_CHUNK + 10] = 1e200
+    worker_start = even_chunks(3 * _STEP_CHUNK, _STEP_CHUNK)[1][0]
+    grads["w"][worker_start + 10] = 1e200
     return params, grads
 
 
 @pytest.mark.parametrize("halves", ["worker", "both"])
 def test_overflow_raises_once_both_lanes_stopped(halves, monkeypatch):
-    # The worker starts late, so a caller whose own half overflows first must
+    # The worker starts late, so a caller whose own chunk overflows first must
     # still wait for it before the error leaves the step.
     monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
     futures = []
@@ -134,7 +153,7 @@ def test_overflow_raises_once_both_lanes_stopped(halves, monkeypatch):
         return futures[-1]
 
     monkeypatch.setattr(lanecast.lanes._WORKER, "submit", delayed)
-    params, grads = _overflow_in_second_half()
+    params, grads = _overflow_in_worker_chunk()
     if halves == "both":
         grads["w"][10] = 1e200
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
@@ -144,7 +163,7 @@ def test_overflow_raises_once_both_lanes_stopped(halves, monkeypatch):
 
 def test_overflow_ignored_in_worker_half_warns_nothing(monkeypatch):
     monkeypatch.setattr(lanecast.lanes, "_LANES", 2)
-    params, grads = _overflow_in_second_half()
+    params, grads = _overflow_in_worker_chunk()
     expected = {"w": params["w"].copy()}
     opt, oracle = RmsProp(1e-3), RmsProp(1e-3)
     with warnings.catch_warnings():

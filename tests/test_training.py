@@ -5,6 +5,7 @@ import pytest
 
 import lanecast.training
 from lanecast.errors import ConfigError, DataError, MetricError, NumericError
+from lanecast.lanes import even_chunks
 from lanecast.model import (
     ArchitectureConfig,
     ConvForecaster,
@@ -438,12 +439,11 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("count", [1, 548, 1024, 1025, 2049, 8632])
     def test_forecast_chunks_cover_the_set_evenly(self, count):
-        # none longer than 1,024 windows, nor shorter than 512 in a split set
+        # the shared plan (tests/test_lanes.py) at 1,024 windows: none longer,
+        # nor shorter than 512 in a split set
         bounds = forecast_chunks(count)
         sizes = [b - a for a, b in bounds]
-        assert bounds[0][0] == 0 and bounds[-1][1] == count
-        assert all(x[1] == y[0] for x, y in zip(bounds, bounds[1:]))
-        assert len(sizes) == -(-count // 1024) and max(sizes) - min(sizes) <= 1
+        assert bounds == even_chunks(count, 1024)
         assert max(sizes) <= 1024 and (len(sizes) == 1 or min(sizes) >= 512)
 
     def test_breakdown_shapes(self):
