@@ -29,7 +29,7 @@ from .pipeline import (
     write_records,
 )
 from .synth import DAY_SECONDS, generate
-from .training import SWEEP_AXES, check_predictions, evaluate, forecast_chunks, sweep, train
+from .training import SWEEP_AXES, evaluate, predict_multistep, speeds_in_mph, sweep, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -279,11 +279,8 @@ def cmd_heatmap(args) -> int:
 
     truth = speed[np.searchsorted(timestamps, grid_ts)]  # (time, detectors, lanes)
     windows = windows[np.searchsorted(windows.origin_timestamps, origins)]
-    pred = np.empty((len(grid_ts), shape.detectors, shape.lanes))
-    for a, b in forecast_chunks(len(windows)):
-        pred_n, pred_q = model.predict_batch(windows[a:b])
-        pred[a:b] = norm.denormalize_speed(pred_n).reshape(b - a, shape.detectors, shape.lanes)
-        check_predictions(pred[a:b], pred_q, "heatmap")
+    [(pred_n, _)] = predict_multistep(model, windows, 1)
+    pred = speeds_in_mph(pred_n, norm).reshape(len(grid_ts), shape.detectors, shape.lanes)
 
     for lane in range(shape.lanes):
         truth_grid = truth[:, :, lane].T  # (detectors, time)

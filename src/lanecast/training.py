@@ -16,8 +16,7 @@ from .optim import RmsProp
 from .pipeline import CorridorShape, NormalizationParams, SampleSet, check_fields, denormalize
 
 DEFAULT_MIN_TARGET = 1.0  # mph; slower targets are excluded from percentage errors
-# most windows per chunk of evaluate's rollouts, the heatmap's predictions
-# and dataset_loss's forward passes
+# most windows per chunk of a set's forecasts (`_rollouts`)
 _FORECAST_CHUNK = 1024
 
 
@@ -82,35 +81,18 @@ def _loss_and_grads(model, batch, volume_weight, rng):
     return loss, model.backward_batch(cache, grad_u, grad_q)
 
 
-def check_predictions(pred_u, pred_q, where):
-    """NumericError if a speed or volume prediction is not finite."""
-    for name, pred in (("speed", pred_u), ("volume", pred_q)):
-        if pred is not None and not np.isfinite(pred).all():
-            raise NumericError(f"{where}: the model predicted non-finite {name} values")
-
-
 def dataset_loss(model, samples, volume_weight) -> float:
-    """Deterministic (infer-mode) loss over a SampleSet."""
+    """Deterministic (infer-mode) loss over a SampleSet: a function of its predictions alone."""
     if not samples:
         raise DataError("cannot compute the loss of an empty sample set")
-    sum_u = sum_q = 0.0
-    count_u = count_q = 0
-    for a, b in forecast_chunks(len(samples)):
-        batch = samples[a:b]
-        pred_u, pred_q = model.predict_batch(batch)
-        check_predictions(pred_u, pred_q, "dataset loss")
-        # finite predictions can still overflow when squared: the loss is then inf
-        with np.errstate(over="ignore"):
-            du = pred_u - batch.speed_target
-            sum_u += float(np.sum(du * du))
-            count_u += du.size
-            if pred_q is not None:
-                dq = pred_q - batch.volume_target
-                sum_q += float(np.sum(dq * dq))
-                count_q += dq.size
-    loss = sum_u / count_u
-    if count_q:
-        loss += volume_weight * (sum_q / count_q)
+    [(pred_u, pred_q)] = predict_multistep(model, samples, 1)
+    # finite predictions can still overflow when squared: the loss is then inf
+    with np.errstate(over="ignore"):
+        du = pred_u - samples.speed_target
+        loss = float(np.sum(du * du)) / du.size
+        if pred_q is not None:
+            dq = pred_q - samples.volume_target
+            loss += volume_weight * (float(np.sum(dq * dq)) / dq.size)
     return loss
 
 
@@ -206,33 +188,57 @@ class PredictionPair(NamedTuple):
     volume: np.ndarray | None
 
 
+def _rollouts(model, samples: SampleSet, horizon: int):
+    """The one forecast loop over a set: `model.rollout` on each chunk of
+    `even_chunks(len(samples), _FORECAST_CHUNK)`, yielding (start, stop,
+    step, pred_speed, pred_volume) for steps 1..horizon; NumericError if a
+    prediction is not finite. So memory does not grow with the set, and no
+    chunk of a split set is shorter than 512 windows: OpenBLAS computes a
+    dense product of at most 1,200 values (rows x outputs) with other bits
+    (ROADMAP item 12), so for every layer of 3 or more outputs each window's
+    prediction is bitwise that of a one-chunk run."""
+    for start, stop in even_chunks(len(samples), _FORECAST_CHUNK):
+        steps = model.rollout(samples[start:stop], horizon)
+        for step in range(1, horizon + 1):
+            # an overflow is refused below; the yield stays outside this error state
+            with np.errstate(over="ignore", invalid="ignore"):
+                pred_u, pred_q = next(steps)
+            for name, pred in (("speed", pred_u), ("volume", pred_q)):
+                if pred is not None and not np.isfinite(pred).all():
+                    raise NumericError(f"forecast step {step}: the model predicted non-finite {name} values")
+            yield start, stop, step, pred_u, pred_q
+
+
 def predict_multistep(model, samples: SampleSet, horizon: int) -> list[PredictionPair]:
     """Forecast `horizon` steps ahead from every window of a SampleSet, e.g.
     the one-window `samples[i]` (inference mode): one PredictionPair of
-    (windows, targets) arrays per step. A window's rows can differ in the
-    last bits between a small set and a larger one: OpenBLAS computes a dense
-    product of at most 1,200 values (rows x outputs) with another kernel, so
-    at the paper's shape a set of 1-15 windows gets other bits (ROADMAP
-    item 12)."""
+    (windows, targets) arrays per step, rolled out in chunks (`_rollouts`) so
+    memory beyond them is one chunk's; NumericError if a value is not finite.
+    A window's rows can differ in the last bits between a small set and a
+    larger one: OpenBLAS gives a dense product of at most 1,200 values (rows
+    x outputs) other bits, at the paper's shape 1-15 windows (ROADMAP item 12)."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    return [PredictionPair(pu, pq) for pu, pq in model.rollout(samples, horizon)]
+    steps = []
+    for start, stop, step, *preds in _rollouts(model, samples, horizon):
+        if start == 0:
+            steps.append([p if p is None else np.empty((len(samples), p.shape[1])) for p in preds])
+        for whole, part in zip(steps[step - 1], preds):
+            if part is not None:
+                whole[start:stop] = part
+    return [PredictionPair(*pair) for pair in steps]
 
 
 # -- evaluation ---------------------------------------------------------------------
 
 
-def forecast_chunks(count: int) -> list[tuple[int, int]]:
-    """(start, stop) bounds of the window chunks that `evaluate`, the
-    heatmap and `dataset_loss` predict one at a time, so their memory does
-    not grow with the set: `even_chunks` of at most _FORECAST_CHUNK windows.
-
-    A set of more than one chunk so has none shorter than half a chunk, which
-    keeps every window's prediction bitwise that of a one-chunk run. OpenBLAS
-    computes a dense product of at most 1,200 values (rows x outputs) with
-    another kernel, with other bits (ROADMAP item 12); 512 rows clear that
-    for every layer of 3 or more outputs."""
-    return even_chunks(count, _FORECAST_CHUNK)
+def speeds_in_mph(pred, norm: NormalizationParams) -> np.ndarray:
+    """Denormalized speed predictions; NumericError if one overflows."""
+    with np.errstate(over="ignore"):
+        mph = norm.denormalize_speed(pred)
+    if not np.isfinite(mph).all():
+        raise NumericError("the model predicted speeds that are non-finite once denormalized to mph")
+    return mph
 
 
 def evaluate(model, samples, horizons, norm: NormalizationParams,
@@ -244,9 +250,10 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     skipped and counted. Predictions and targets are denormalized to mph
     before the percentage metric.
 
-    The set is rolled out in chunks (`forecast_chunks`), each through every
+    The set is rolled out in chunks (`_rollouts`), each through every
     horizon, and the predictions are put back by window index, so the report
-    is that of one rollout over the whole set.
+    is that of one rollout over the whole set; NumericError if a prediction
+    is not finite, even once in mph.
     """
     if not samples:
         raise DataError("cannot evaluate an empty sample set")
@@ -264,24 +271,20 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
         if shift > reach or not source.size:
             raise DataError(f"no sample has a horizon-{h} target; not enough look-ahead")
         pairs[h] = source, target
-    # only the requested horizons' source rows are kept, so memory does not
-    # grow with the largest horizon; every step is still checked
-    # horizon -> speed predictions of its source samples
+    # horizon -> speed predictions of its source samples: only the requested
+    # horizons' rows are kept, so memory does not grow with the largest one
     kept = {h: np.empty((source.size, shape.detectors * shape.lanes)) for h, (source, _) in pairs.items()}
-    for a, b in forecast_chunks(len(samples)):
-        steps = model.rollout(samples[a:b], horizons[-1])
-        for h, (pred_u, pred_q) in enumerate(steps, start=1):
-            check_predictions(pred_u, pred_q, f"evaluate, step {h}")
-            if h in pairs:
-                source = pairs[h][0]
-                inside = np.flatnonzero((source >= a) & (source < b))
-                kept[h][inside] = pred_u[source[inside] - a]
+    for a, b, h, pred_u, _ in _rollouts(model, samples, horizons[-1]):
+        if h in pairs:
+            source = pairs[h][0]
+            inside = np.flatnonzero((source >= a) & (source < b))
+            kept[h][inside] = pred_u[source[inside] - a]
     report = EvalReport(
         horizons=horizons, accuracy={}, per_lane={}, per_detector={},
         evaluated={}, skipped={}, excluded={},
     )
     for h, (source, target) in pairs.items():
-        pred = denormalize(kept[h], norm.speed_min, norm.speed_max)
+        pred = speeds_in_mph(kept[h], norm)
         truth = denormalize(samples[target].speed_target, norm.speed_min, norm.speed_max)
         overall, used, excluded = _ape_stats(pred, truth)
         if used == 0:

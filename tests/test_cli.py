@@ -58,6 +58,17 @@ def overflow_bundle(path):
     return str(path)
 
 
+def mph_overflow_bundle(path):
+    """A bundle of zero weights and output biases 1e307: finite predictions
+    that overflow once denormalized to mph."""
+    model = ConvForecaster(ArchitectureConfig(shape=CorridorShape(4, 4, 2),
+                                              filters_per_layer=(4, 4, 4), fc_hidden=8))
+    for name, array in model.param_arrays().items():
+        array[...] = 1e307 if name == "output.biases" else 0.0
+    save_bundle(path, model, NormalizationParams(0.0, 60.0, 0.0, 240.0))
+    return str(path)
+
+
 class TestConfig:
     def test_defaults_have_corridor_scale(self):
         config = default_run_config()
@@ -296,12 +307,20 @@ class TestEvaluateCommand:
         assert code == 2
         assert f"horizon-{huge}" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_bundle_is_numeric_failure(self, corpus, tmp_path, capsys):
         _, data = corpus
         bundle = overflow_bundle(tmp_path / "overflow.json")
         assert main(["evaluate", "--bundle", bundle, "--data", data]) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_bundle_overflowing_in_mph_is_numeric_failure(self, corpus, tmp_path, capsys):
+        # finite predictions whose mph values overflow: no report of -inf accuracy
+        _, data = corpus
+        bundle = mph_overflow_bundle(tmp_path / "overflow.json")
+        assert main(["evaluate", "--bundle", bundle, "--data", data, "--out", str(tmp_path / "ev")]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite once denormalized" in err and "warning:" not in err
+        assert list(tmp_path.glob("ev_*")) == []
 
     def test_non_integer_horizons_are_usage_error(self, corpus, tmp_path):
         config, data = corpus
@@ -461,7 +480,6 @@ class TestHeatmapCommand:
             ])
             assert code == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_bundle_is_numeric_failure(self, corpus, tmp_path, capsys):
         # the bundle loads, but no grid of non-finite predictions is written
         _, data = corpus
@@ -470,6 +488,16 @@ class TestHeatmapCommand:
                      "--out", str(tmp_path / "heat")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+        assert list(tmp_path.glob("heat_*")) == []
+
+    def test_bundle_overflowing_in_mph_is_numeric_failure(self, corpus, tmp_path, capsys):
+        _, data = corpus
+        bundle = mph_overflow_bundle(tmp_path / "overflow.json")
+        code = main(["heatmap", "--bundle", bundle, "--data", data, "--days", "1:2",
+                     "--out", str(tmp_path / "heat")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite once denormalized" in err and "warning:" not in err
         assert list(tmp_path.glob("heat_*")) == []
 
     def test_day_zero_needs_history_from_before(self, corpus, tmp_path):

@@ -26,6 +26,7 @@ import pytest
 import lanecast
 import lanecast.training
 from lanecast.cli import main
+from lanecast.lanes import even_chunks
 from lanecast.model import PersistenceModel, load_bundle
 from lanecast.pipeline import (
     CorridorShape,
@@ -36,7 +37,7 @@ from lanecast.pipeline import (
     write_records,
 )
 from lanecast.synth import SynthConfig, generate
-from lanecast.training import evaluate, forecast_chunks
+from lanecast.training import evaluate
 
 MANIFEST = pathlib.Path(__file__).with_name("golden_manifest.json")
 SRC = pathlib.Path(lanecast.__file__).resolve().parents[1]
@@ -158,7 +159,7 @@ class TestChunkBoundaries:
         if order == "shuffled":
             samples = samples[np.random.default_rng(chunk).permutation(len(samples))]
         monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", chunk)
-        sizes = [b - a for a, b in forecast_chunks(len(samples))]
+        sizes = [b - a for a, b in even_chunks(len(samples), lanecast.training._FORECAST_CHUNK)]
         # several chunks of two sizes: the set is no whole number of chunks
         assert len(sizes) > 1 and max(sizes) - min(sizes) == 1
         assert report_bytes(evaluate(model, samples, HORIZONS, norm, SHAPE)) == one_chunk
@@ -176,9 +177,24 @@ class TestChunkBoundaries:
         one_chunk = heatmap("whole")
         monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", chunk)
         # a day of windows: four chunks of 72, above the 66-window edge
-        assert len(forecast_chunks(288)) == 4
+        assert len(even_chunks(288, lanecast.training._FORECAST_CHUNK)) == 4
         assert heatmap("chunked") == one_chunk
         assert len(one_chunk) == SHAPE.lanes * (4 + SHAPE.detectors)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train_loss_curve_equals_one_chunk_run(self, golden, tmp_path, monkeypatch, chunk, kind):
+        # the 110 test windows: two chunks of 55 at 96, one at 128
+        workdir = golden[0]
+
+        def loss_csv(name):
+            argv = ["train", "--config", str(workdir / f"{kind}.config.json"), "--data",
+                    str(workdir / "data.csv"), "--bundle", str(tmp_path / f"{name}.json")]
+            assert main(argv) == 0
+            return (tmp_path / f"{name}.json.loss.csv").read_bytes()
+
+        one_chunk = loss_csv("whole")
+        monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", chunk)
+        assert loss_csv("chunked") == one_chunk
 
 
 if __name__ == "__main__":

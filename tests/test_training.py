@@ -17,6 +17,7 @@ from lanecast.pipeline import (
     fit_normalization,
     grid_windows,
     group_records,
+    prepare_dataset,
 )
 from lanecast.synth import SynthConfig, generate
 from lanecast.training import (
@@ -24,7 +25,6 @@ from lanecast.training import (
     accuracy,
     dataset_loss,
     evaluate,
-    forecast_chunks,
     predict_multistep,
     sweep,
     train,
@@ -41,6 +41,22 @@ def small_config(seed=0):
         shape=small_shape(), filters_per_layer=(4, 4, 4), fc_hidden=16,
         dropout_conv=0.0, dropout_fc=0.0, seed=seed,
     )
+
+
+def traced_peak(call):
+    """The smaller of two tracemalloc peaks of `call()`. Both runs do the same
+    work, but memory the interpreter keeps for good can be allocated during
+    either: in a whole Tier-1 run, one 1.9 MB block was allocated, and kept,
+    inside a numpy call of one evaluate."""
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
 
 
 def make_samples(shape, count, seed=0, constant=None):
@@ -145,6 +161,11 @@ class TestNonFinitePredictions:
         samples = make_samples(small_shape(), 6, seed=18)
         with pytest.raises(NumericError, match=f"non-finite {quantity}"):
             evaluate(_PoisonedPredictions(quantity, value), samples, [1], NORM, small_shape())
+
+    def test_predict_multistep_refuses(self, quantity, value):
+        samples = make_samples(small_shape(), 6, seed=18)
+        with pytest.raises(NumericError, match=f"forecast step 1: .*non-finite {quantity}"):
+            predict_multistep(_PoisonedPredictions(quantity, value), samples, 2)
 
 
 class TestTrain:
@@ -404,12 +425,7 @@ class TestEvaluate:
         model = ConvForecaster(small_config(seed=15))
 
         def peak(horizon):
-            tracemalloc.start()
-            try:
-                evaluate(model, samples, [horizon], NORM, shape)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: evaluate(model, samples, [horizon], NORM, shape))
 
         near, far = peak(1), peak(200)
         assert far <= near + 512 * 1024, (near, far)
@@ -427,12 +443,7 @@ class TestEvaluate:
         model = ConvForecaster(ArchitectureConfig(shape=shape, seed=22), kind)
 
         def peak(windows):
-            tracemalloc.start()
-            try:
-                evaluate(model, samples[:windows], [1, 2, 3], norm, shape)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: evaluate(model, samples[:windows], [1, 2, 3], norm, shape))
 
         one, four = peak(128), peak(4 * 128)
         assert four <= 1.5 * one, (one, four)
@@ -441,7 +452,7 @@ class TestEvaluate:
     def test_forecast_chunks_cover_the_set_evenly(self, count):
         # the shared plan (tests/test_lanes.py) at 1,024 windows: none longer,
         # nor shorter than 512 in a split set
-        bounds = forecast_chunks(count)
+        bounds = even_chunks(count, lanecast.training._FORECAST_CHUNK)
         sizes = [b - a for a, b in bounds]
         assert bounds == even_chunks(count, 1024)
         assert max(sizes) <= 1024 and (len(sizes) == 1 or min(sizes) >= 512)
@@ -452,6 +463,63 @@ class TestEvaluate:
         report = evaluate(PersistenceModel(), samples, [1], NORM, shape)
         assert len(report.per_lane[1]) == shape.lanes
         assert len(report.per_detector[1]) == shape.detectors
+
+
+THREE_DAY_SHAPE = CorridorShape(4, 4, 2)
+
+
+def three_day_model(seed, kind="two_stream"):
+    return ConvForecaster(ArchitectureConfig(shape=THREE_DAY_SHAPE, filters_per_layer=(4, 4, 4),
+                                             fc_hidden=16, seed=seed), kind)
+
+
+@pytest.fixture(scope="module")
+def three_days():
+    """(430 test windows, all 860 windows) of a 3-day corpus split in half."""
+    records = generate(SynthConfig(shape=THREE_DAY_SHAPE, days=3, seed=5))
+    norm, _, test_set = prepare_dataset(records, THREE_DAY_SHAPE, 0.5)
+    return test_set, grid_windows(group_records(records, THREE_DAY_SHAPE), THREE_DAY_SHAPE, norm)
+
+
+class TestChunkPlans:
+    """Every forecast over a set runs through one chunked loop, and what it
+    returns does not depend on the chunks: at 96 windows the 430 test windows
+    are rolled out in six chunks of 71-72, and all 860 in ten of 86."""
+
+    def test_dataset_loss_does_not_depend_on_the_plan(self, three_days, monkeypatch):
+        # a sum per chunk into a Python float moves 1 of these 10 losses
+        test_set, _ = three_days
+
+        def losses(chunk):
+            monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", chunk)
+            return [dataset_loss(three_day_model(seed), test_set, 0.1).hex() for seed in range(10)]
+
+        assert losses(96) == losses(1024)
+
+    @pytest.mark.parametrize("kind", ["two_stream", "single_stream", "persistence"])
+    def test_predict_multistep_does_not_depend_on_the_plan(self, three_days, monkeypatch, kind):
+        _, samples = three_days
+        model = PersistenceModel() if kind == "persistence" else three_day_model(7, kind)
+        sizes = []  # the windows of each rollout
+        rollout = model.rollout
+        monkeypatch.setattr(model, "rollout", lambda part, horizon: sizes.append(len(part)) or rollout(part, horizon))
+
+        def steps(chunk):
+            monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", chunk)
+            pairs = predict_multistep(model, samples, 3)
+            return [[p.tobytes() for p in pair if p is not None] for pair in pairs]
+
+        assert steps(96) == steps(1024)
+        assert sizes == [86] * 10 + [860]
+
+    def test_predict_multistep_memory_is_its_result_and_one_chunk(self, three_days, monkeypatch):
+        # measured 0.52 MiB, 0.31 MiB of it the three steps' predictions; in
+        # one chunk of all 860 windows it peaks at 1.68 MiB
+        _, samples = three_days
+        model = three_day_model(8)
+        monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", 96)
+        peak = traced_peak(lambda: predict_multistep(model, samples, 3))
+        assert peak <= 2**20, peak
 
 
 class TestSweep:
