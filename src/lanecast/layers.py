@@ -9,6 +9,7 @@ cross-correlation (no kernel flip), stride 1, valid padding.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ Array = np.ndarray
 # 64-window train batch's first layer at the 10x8x4 corridor (64 x 9 x 7 =
 # 4,032 positions) is two chunks of 32 windows, one per lane.
 _CONV_POSITIONS = 2048
+# held, so numpy's __array_interface__ (each sliding_window_view) does not intern
+# "typestr" anew: CPython 3.11 then rebuilds a 1.9 MB table every ~43k calls
+_TYPESTR = sys.intern("typestr")
 
 
 def _as_f64(x) -> Array:

@@ -86,13 +86,13 @@ def dataset_loss(model, samples, volume_weight) -> float:
     if not samples:
         raise DataError("cannot compute the loss of an empty sample set")
     [(pred_u, pred_q)] = predict_multistep(model, samples, 1)
-    # finite predictions can still overflow when squared: the loss is then inf
+    # squared errors in place; finite predictions can overflow when squared: the loss is then inf
     with np.errstate(over="ignore"):
-        du = pred_u - samples.speed_target
-        loss = float(np.sum(du * du)) / du.size
+        du = np.subtract(pred_u, samples.speed_target, out=pred_u)
+        loss = float(np.sum(np.multiply(du, du, out=du))) / du.size
         if pred_q is not None:
-            dq = pred_q - samples.volume_target
-            loss += volume_weight * (float(np.sum(dq * dq)) / dq.size)
+            dq = np.subtract(pred_q, samples.volume_target, out=pred_q)
+            loss += volume_weight * (float(np.sum(np.multiply(dq, dq, out=dq))) / dq.size)
     return loss
 
 
@@ -131,7 +131,10 @@ def train(model, samples, config: TrainConfig, eval_samples=None) -> list[EpochS
             weighted += loss * len(batch)
         stats = EpochStats(epoch=epoch, train_loss=weighted / total)
         if eval_samples:
-            stats.test_loss = dataset_loss(model, eval_samples, config.volume_weight)
+            try:
+                stats.test_loss = dataset_loss(model, eval_samples, config.volume_weight)
+            except NumericError as err:
+                raise NumericError(f"test loss at epoch {epoch}: {err}") from None
         curve.append(stats)
     return curve
 
@@ -190,13 +193,11 @@ class PredictionPair(NamedTuple):
 
 def _rollouts(model, samples: SampleSet, horizon: int):
     """The one forecast loop over a set: `model.rollout` on each chunk of
-    `even_chunks(len(samples), _FORECAST_CHUNK)`, yielding (start, stop,
-    step, pred_speed, pred_volume) for steps 1..horizon; NumericError if a
-    prediction is not finite. So memory does not grow with the set, and no
-    chunk of a split set is shorter than 512 windows: OpenBLAS computes a
-    dense product of at most 1,200 values (rows x outputs) with other bits
-    (ROADMAP item 12), so for every layer of 3 or more outputs each window's
-    prediction is bitwise that of a one-chunk run."""
+    `even_chunks(len(samples), _FORECAST_CHUNK)`, yielding (start, stop, step,
+    pred_speed, pred_volume); NumericError if a prediction is not finite. No
+    chunk of a split set is under 512 windows: OpenBLAS gives a dense product
+    of at most 1,200 values (rows x outputs) other bits (ROADMAP item 12), so
+    at 3 or more outputs each window's prediction is bitwise a one-chunk run's."""
     for start, stop in even_chunks(len(samples), _FORECAST_CHUNK):
         steps = model.rollout(samples[start:stop], horizon)
         for step in range(1, horizon + 1):
@@ -212,11 +213,9 @@ def _rollouts(model, samples: SampleSet, horizon: int):
 def predict_multistep(model, samples: SampleSet, horizon: int) -> list[PredictionPair]:
     """Forecast `horizon` steps ahead from every window of a SampleSet, e.g.
     the one-window `samples[i]` (inference mode): one PredictionPair of
-    (windows, targets) arrays per step, rolled out in chunks (`_rollouts`) so
-    memory beyond them is one chunk's; NumericError if a value is not finite.
-    A window's rows can differ in the last bits between a small set and a
-    larger one: OpenBLAS gives a dense product of at most 1,200 values (rows
-    x outputs) other bits, at the paper's shape 1-15 windows (ROADMAP item 12)."""
+    (windows, targets) arrays per step, rolled out in chunks (`_rollouts`);
+    NumericError if a value is not finite. At the paper's shape a set of 1-15
+    windows gets other last bits than a larger one (ROADMAP item 12)."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     steps = []
@@ -250,10 +249,8 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     skipped and counted. Predictions and targets are denormalized to mph
     before the percentage metric.
 
-    The set is rolled out in chunks (`_rollouts`), each through every
-    horizon, and the predictions are put back by window index, so the report
-    is that of one rollout over the whole set; NumericError if a prediction
-    is not finite, even once in mph.
+    Chunked rollouts (`_rollouts`), put back by window index, give the report
+    of one whole-set rollout; NumericError if a prediction is not finite, even in mph.
     """
     if not samples:
         raise DataError("cannot evaluate an empty sample set")
@@ -271,8 +268,7 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
         if shift > reach or not source.size:
             raise DataError(f"no sample has a horizon-{h} target; not enough look-ahead")
         pairs[h] = source, target
-    # horizon -> speed predictions of its source samples: only the requested
-    # horizons' rows are kept, so memory does not grow with the largest one
+    # horizon -> its source samples' speed predictions; no other horizon's are kept
     kept = {h: np.empty((source.size, shape.detectors * shape.lanes)) for h, (source, _) in pairs.items()}
     for a, b, h, pred_u, _ in _rollouts(model, samples, horizons[-1]):
         if h in pairs:

@@ -26,8 +26,7 @@ import pytest
 import lanecast
 import lanecast.training
 from lanecast.cli import main
-from lanecast.lanes import even_chunks
-from lanecast.model import PersistenceModel, load_bundle
+from lanecast.model import ConvForecaster, PersistenceModel, load_bundle
 from lanecast.pipeline import (
     CorridorShape,
     Records,
@@ -142,6 +141,15 @@ def test_outputs_match_the_manifest(golden):
 SMALL_CHUNKS = (96, 128)
 
 
+def rollout_sizes(monkeypatch, model_class) -> list[int]:
+    """The windows of each `model_class.rollout` call from now on."""
+    sizes = []
+    rollout = model_class.rollout
+    monkeypatch.setattr(model_class, "rollout",
+                        lambda self, part, horizon: sizes.append(len(part)) or rollout(self, part, horizon))
+    return sizes
+
+
 @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
 class TestChunkBoundaries:
     @pytest.mark.parametrize("order", ["chronological", "shuffled"])
@@ -159,10 +167,10 @@ class TestChunkBoundaries:
         if order == "shuffled":
             samples = samples[np.random.default_rng(chunk).permutation(len(samples))]
         monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", chunk)
-        sizes = [b - a for a, b in even_chunks(len(samples), lanecast.training._FORECAST_CHUNK)]
-        # several chunks of two sizes: the set is no whole number of chunks
-        assert len(sizes) > 1 and max(sizes) - min(sizes) == 1
+        sizes = rollout_sizes(monkeypatch, type(model))
         assert report_bytes(evaluate(model, samples, HORIZONS, norm, SHAPE)) == one_chunk
+        # several chunks of two sizes: the set is no whole number of chunks
+        assert len(sizes) > 1 and max(sizes) - min(sizes) == 1 and sum(sizes) == len(samples)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_heatmap_outputs_equal_one_chunk_run(self, golden, tmp_path, monkeypatch, chunk, kind):
@@ -176,9 +184,10 @@ class TestChunkBoundaries:
 
         one_chunk = heatmap("whole")
         monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", chunk)
-        # a day of windows: four chunks of 72, above the 66-window edge
-        assert len(even_chunks(288, lanecast.training._FORECAST_CHUNK)) == 4
+        sizes = rollout_sizes(monkeypatch, ConvForecaster)
         assert heatmap("chunked") == one_chunk
+        # a day of windows: four chunks of 72, above the 66-window edge
+        assert sizes == [72] * 4
         assert len(one_chunk) == SHAPE.lanes * (4 + SHAPE.detectors)
 
     @pytest.mark.parametrize("kind", KINDS)

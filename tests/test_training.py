@@ -43,22 +43,6 @@ def small_config(seed=0):
     )
 
 
-def traced_peak(call):
-    """The smaller of two tracemalloc peaks of `call()`. Both runs do the same
-    work, but memory the interpreter keeps for good can be allocated during
-    either: in a whole Tier-1 run, one 1.9 MB block was allocated, and kept,
-    inside a numpy call of one evaluate."""
-    peaks = []
-    for _ in range(2):
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return min(peaks)
-
-
 def make_samples(shape, count, seed=0, constant=None):
     rng = np.random.default_rng(seed)
     windows = []
@@ -214,6 +198,15 @@ class TestTrain:
         assert all(s.test_loss is not None for s in curve)
         final = dataset_loss(model, samples[8:], 0.1)
         assert curve[-1].test_loss == final
+
+    def test_non_finite_test_loss_names_the_epoch(self, monkeypatch):
+        samples = make_samples(small_shape(), 12, seed=4)
+        model = ConvForecaster(small_config(seed=4))
+        rollout = model.rollout
+        monkeypatch.setattr(model, "rollout", lambda part, horizon: (
+            (np.full_like(pred_u, np.nan), pred_q) for pred_u, pred_q in rollout(part, horizon)))
+        with pytest.raises(NumericError, match="^test loss at epoch 1: forecast step 1: .*non-finite speed"):
+            train(model, samples[:8], TrainConfig(epochs=2, seed=4), eval_samples=samples[8:])
 
 
 class TestMultistep:
@@ -425,7 +418,12 @@ class TestEvaluate:
         model = ConvForecaster(small_config(seed=15))
 
         def peak(horizon):
-            return traced_peak(lambda: evaluate(model, samples, [horizon], NORM, shape))
+            tracemalloc.start()
+            try:
+                evaluate(model, samples, [horizon], NORM, shape)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
         near, far = peak(1), peak(200)
         assert far <= near + 512 * 1024, (near, far)
@@ -443,18 +441,27 @@ class TestEvaluate:
         model = ConvForecaster(ArchitectureConfig(shape=shape, seed=22), kind)
 
         def peak(windows):
-            return traced_peak(lambda: evaluate(model, samples[:windows], [1, 2, 3], norm, shape))
+            tracemalloc.start()
+            try:
+                evaluate(model, samples[:windows], [1, 2, 3], norm, shape)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
         one, four = peak(128), peak(4 * 128)
         assert four <= 1.5 * one, (one, four)
 
     @pytest.mark.parametrize("count", [1, 548, 1024, 1025, 2049, 8632])
-    def test_forecast_chunks_cover_the_set_evenly(self, count):
-        # the shared plan (tests/test_lanes.py) at 1,024 windows: none longer,
-        # nor shorter than 512 in a split set
-        bounds = even_chunks(count, lanecast.training._FORECAST_CHUNK)
-        sizes = [b - a for a, b in bounds]
-        assert bounds == even_chunks(count, 1024)
+    def test_forecast_chunks_cover_the_set_evenly(self, monkeypatch, count):
+        # the windows of each rollout evaluate runs: the shared plan
+        # (tests/test_lanes.py) at 1,024, none longer, nor shorter than 512 in
+        # a split set
+        model = PersistenceModel()
+        sizes = []
+        rollout = model.rollout
+        monkeypatch.setattr(model, "rollout", lambda part, horizon: sizes.append(len(part)) or rollout(part, horizon))
+        evaluate(model, make_samples(small_shape(), count, seed=16), [1], NORM, small_shape())
+        assert sizes == [b - a for a, b in even_chunks(count, 1024)]
         assert max(sizes) <= 1024 and (len(sizes) == 1 or min(sizes) >= 512)
 
     def test_breakdown_shapes(self):
@@ -513,12 +520,17 @@ class TestChunkPlans:
         assert sizes == [86] * 10 + [860]
 
     def test_predict_multistep_memory_is_its_result_and_one_chunk(self, three_days, monkeypatch):
-        # measured 0.52 MiB, 0.31 MiB of it the three steps' predictions; in
+        # measured 0.54 MiB, 0.31 MiB of it the three steps' predictions; in
         # one chunk of all 860 windows it peaks at 1.68 MiB
         _, samples = three_days
         model = three_day_model(8)
         monkeypatch.setattr(lanecast.training, "_FORECAST_CHUNK", 96)
-        peak = traced_peak(lambda: predict_multistep(model, samples, 3))
+        tracemalloc.start()
+        try:
+            predict_multistep(model, samples, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 2**20, peak
 
 
