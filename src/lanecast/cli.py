@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import load_run_config
 from .errors import ConfigError, DataError, NumericError
-from .fileio import atomic_write_bytes, atomic_write_text, format_rows
+from .fileio import atomic_write_text, format_rows
 from .model import ConvForecaster, load_bundle, save_bundle
 from .pipeline import (
     build_samples,
@@ -175,10 +175,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, norm = load_bundle(args.bundle)
-    records = read_records(args.data)
     shape = model.config.shape
+    samples = build_samples(read_records(args.data), shape, norm)
     horizons = _parse_values(args.horizons, "--horizons", kind=int)
-    samples = build_samples(records, shape, norm)
     if not samples:
         raise DataError("no complete windows in the input data")
     report = evaluate(model, samples, horizons, norm, shape)
@@ -225,11 +224,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _pgm_bytes(grid, vmax: float) -> bytes:
-    """P5 grayscale: header then rows of bytes, values scaled over [0, vmax]."""
+def _pgm_bytes(grid, vmax: float) -> tuple[bytes, bytes]:
+    """P5 grayscale as two pieces: the header, then rows of bytes, values
+    scaled over [0, vmax]."""
     scaled = np.rint(255.0 * np.clip(grid, 0.0, vmax) / vmax).astype(np.uint8)
-    header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii")
-    return header + scaled.tobytes()
+    return f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii"), scaled.tobytes()
 
 
 def _write_grid(path, grid, timestamps) -> None:
@@ -245,8 +244,7 @@ def _write_grid(path, grid, timestamps) -> None:
 def cmd_heatmap(args) -> int:
     model, norm = load_bundle(args.bundle)
     shape = model.config.shape
-    records = read_records(args.data)
-    grid = group_records(records, shape)
+    grid = group_records(read_records(args.data), shape)
     timestamps, speed, _, complete = grid
     try:
         start_day, end_day = (int(p) for p in args.days.split(":"))
@@ -288,8 +286,8 @@ def cmd_heatmap(args) -> int:
         tag = f"{args.out}_lane{lane + 1}"
         _write_grid(f"{tag}_truth.csv", truth_grid, grid_ts)
         _write_grid(f"{tag}_pred.csv", pred_grid, grid_ts)
-        atomic_write_bytes(f"{tag}_truth.pgm", _pgm_bytes(truth_grid, norm.speed_max))
-        atomic_write_bytes(f"{tag}_pred.pgm", _pgm_bytes(pred_grid, norm.speed_max))
+        atomic_write_text(f"{tag}_truth.pgm", _pgm_bytes(truth_grid, norm.speed_max))
+        atomic_write_text(f"{tag}_pred.pgm", _pgm_bytes(pred_grid, norm.speed_max))
         for det in range(shape.detectors):
             _write_csv(f"{tag}_detector{det + 1}.csv", ["timestamp", "truth", "prediction"],
                        [grid_ts, truth_grid[det], pred_grid[det]])

@@ -7,10 +7,10 @@ exactly. Unknown keys are rejected rather than ignored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
+from .fileio import read_json
 from .model import STREAMS_BY_KIND, ArchitectureConfig
 from .pipeline import CorridorShape, check_fields
 from .synth import SynthConfig
@@ -106,14 +106,7 @@ def load_run_config(path: str | None, seed: int | None = None) -> RunConfig:
     if path is None:
         config = default_run_config()
     else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        config = parse_run_config(doc, source=str(path))
+        config = parse_run_config(read_json(path, "config", ConfigError), source=str(path))
     if seed is not None:
         config = config.with_seed(seed)
     return config

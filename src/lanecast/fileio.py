@@ -1,4 +1,8 @@
-"""Atomic file writes, and the text form of numbers in the files written.
+"""How lanecast reads and writes its files, and the text form of numbers in them.
+
+Every file is written by `atomic_write_text`, and every JSON document (a
+bundle, a config) read by `read_json`; both turn what the OS refuses into a
+DataError.
 
 Numbers are written as Python writes them: an integer as `str(int(v))`, a
 float as `repr(float(v))`, the shortest decimal that reads back as the same
@@ -8,12 +12,13 @@ independent chunks of rows, or blocks of lines, which the two lanes of
 `lanecast.lanes` share: the bytes and values are those of one lane.
 """
 
+import json
 import os
 import re
-import tempfile
 
 import numpy as np
 
+from .errors import DataError
 from .lanes import claim_chunks, even_chunks
 
 # rows formatted per pass, at most: bounds the buffers of one call
@@ -70,29 +75,40 @@ _QUAD_FRACTION = np.concatenate([_quads(_R, _R % (10 * _PLACE) != 0), _QUAD])
 _FIRST_QUAD_MASK = np.array([0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF], "<u4")
 
 
-def atomic_write_bytes(path, data) -> None:
-    """Write `data`, bytes or an iterable of bytes pieces written in turn,
-    atomically: if a piece raises, `path` is left as it was and no
-    temporary file remains."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def atomic_write_text(path, pieces) -> None:
+    """Write the bytes `pieces`, an iterable, to `path` in turn, atomically.
+
+    The file appears whole, with a new file's mode (0o666 less the umask),
+    or not at all: if a piece raises, or the OS refuses the write (a
+    DataError), `path` is left as it was and no temporary file remains.
+    """
+    # beside `path`, so that os.replace is a rename; not mkstemp, whose 0600 stays
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            if isinstance(data, bytes):
-                fh.write(data)
-            else:
-                fh.writelines(data)
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+            fh.writelines(pieces)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if os.path.lexists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
-def atomic_write_text(path, text) -> None:
-    """Write `text` (a str, or bytes already encoded as UTF-8, or an
-    iterable of such bytes) atomically."""
-    atomic_write_bytes(path, text.encode("utf-8") if isinstance(text, str) else text)
+def read_json(path, what: str, invalid):
+    """The JSON document in the file `path`, a `what` such as "bundle". A
+    file that cannot be read is a DataError; one that is not UTF-8 text, or
+    not JSON the parser takes, raises the error class `invalid`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise invalid(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
+        raise invalid(f"corrupt {what} {path}: {exc}") from exc
 
 
 def format_rows(columns, separator: bytes, terminator: bytes) -> bytes:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import layers
 from .errors import ConfigError, DataError, ShapeError
-from .fileio import atomic_write_text, format_rows
+from .fileio import atomic_write_text, format_rows, read_json
 from .layers import (
     DenseParams,
     FilterBank,
@@ -528,17 +528,7 @@ def _stored_values(spec, name: str, shape: tuple[int, ...], path) -> list:
 
 def load_bundle(path):
     """Read a bundle back; returns (model, normalization)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read bundle {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"bundle {path} is not UTF-8 text: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
-        raise DataError(f"corrupt bundle {path}: {exc}") from exc
+    doc = read_json(path, "bundle", DataError)
     if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT:
         raise DataError(f"bundle {path} is not a {BUNDLE_FORMAT!r} document")
     if doc.get("schema_version") != BUNDLE_SCHEMA_VERSION:

@@ -1,5 +1,6 @@
 import ast
 import copy
+import errno
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -509,6 +511,72 @@ class TestHeatmapCommand:
             "--days", "0:1", "--out", str(tmp_path / "h"),
         ])
         assert code == 2
+
+
+class TestFiles:
+    def test_new_files_take_the_umask(self, tmp_path):
+        config = small_config_doc(tmp_path, training={"epochs": 1, "seed": 3, "batch_size": 32})
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for argv in (["synth", "--config", config, "--out", "c.csv"],
+                     ["train", "--config", config, "--data", "c.csv", "--bundle", "m.json"],
+                     ["heatmap", "--bundle", "m.json", "--data", "c.csv", "--days", "1:2", "--out", "h"]):
+            run = subprocess.run([sys.executable, "-m", "lanecast.cli", *argv], cwd=tmp_path, env=env,
+                                 umask=0o027, capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+        for name in ("c.csv", "m.json", "m.json.loss.csv", "h_lane1_truth.pgm"):
+            assert oct((tmp_path / name).stat().st_mode & 0o777) == oct(0o640), name
+
+    @pytest.mark.parametrize("out, error", [("missing/c.csv", errno.ENOENT), ("taken", errno.EISDIR)],
+                             ids=["missing_directory", "existing_directory"])
+    def test_unwritable_out_is_data_error(self, tmp_path, monkeypatch, capsys, out, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        config = small_config_doc(tmp_path, synth={"days": 1, "seed": 1})
+        assert main(["synth", "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == f"data error: cannot write {out}: {os.strerror(error)}\n"
+        # no temporary file is left, and the directory in the way is as it was
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"schema_version": 1\xff}', "config config.json is not UTF-8 text: "),
+        (b"[" * 200_000, "corrupt config config.json: maximum recursion depth"),
+        (b'{"schema_version": 1', "corrupt config config.json: Expecting"),
+    ], ids=["non_utf8", "deeply_nested", "truncated"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, monkeypatch, capsys, text, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_bytes(text)
+        assert main(["synth", "--config", "config.json", "--out", "c.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("command, rollout, flags", [
+        ("evaluate", "evaluate", []),
+        ("heatmap", "predict_multistep", ["--days", "1:2"]),
+    ])
+    def test_records_freed_before_the_rollout(self, corpus, tmp_path, monkeypatch, command, rollout, flags):
+        config, data = corpus
+        bundle = tmp_path / "m.json"
+        assert main(["train", "--config", config, "--data", data, "--bundle", str(bundle)]) == 0
+        records, alive = [], []
+        read, forecast = cli.read_records, getattr(cli, rollout)
+
+        def reading(path):
+            result = read(path)
+            records.append(weakref.ref(result))
+            return result
+
+        def forecasting(*args, **kwargs):
+            alive.append([ref() is not None for ref in records])
+            return forecast(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_records", reading)
+        monkeypatch.setattr(cli, rollout, forecasting)
+        assert main([command, "--bundle", str(bundle), "--data", data, *flags,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert alive == [[False]]
 
 
 def _fmt(x) -> str:

@@ -2,7 +2,10 @@
 `str` for integers, byte for byte; parse_rows against `float()` and `int()`,
 bit for bit."""
 
+import errno
 import math
+import os
+import re
 import threading
 from concurrent.futures import wait
 from decimal import Decimal
@@ -188,6 +191,17 @@ class TestAtomicWrite:
         with pytest.raises(RuntimeError, match="stopped"):
             fileio.atomic_write_text(path, pieces())
         assert list(tmp_path.iterdir()) == []
+
+    def test_refused_write_is_data_error_and_keeps_the_old_file(self, tmp_path):
+        def pieces():
+            yield b"new"
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old")
+        with pytest.raises(DataError, match=re.escape(f"cannot write {path}: {os.strerror(errno.ENOSPC)}")):
+            fileio.atomic_write_text(path, pieces())
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old"
 
 
 def parsed(texts, dtype=np.float64):

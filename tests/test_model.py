@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -515,6 +516,12 @@ class TestBundle:
         with pytest.raises(DataError, match="parameter 'fusion.weights' has non-finite values"):
             save_bundle(path, model, self.norm())
         assert not path.exists()
+
+    def test_unwritable_path_is_data_error(self, tmp_path):
+        path = tmp_path / "missing" / "model.json"
+        with pytest.raises(DataError, match=re.escape(f"cannot write {path}: ")):
+            save_bundle(path, ConvForecaster(toy_config(seed=34)), self.norm())
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=600, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
