@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import load_run_config
 from .errors import ConfigError, DataError, NumericError
-from .fileio import atomic_write_text, format_rows
+from .fileio import atomic_write_text, check_writable, format_rows
 from .model import ConvForecaster, load_bundle, save_bundle
 from .pipeline import (
     build_samples,
@@ -29,7 +29,7 @@ from .pipeline import (
     write_records,
 )
 from .synth import DAY_SECONDS, generate
-from .training import SWEEP_AXES, evaluate, predict_multistep, speeds_in_mph, sweep, train
+from .training import SWEEP_AXES, evaluate, horizon_pairs, predict_multistep, speeds_in_mph, sweep, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,6 +155,7 @@ def cmd_train(args) -> int:
     records = read_records(data_path)
     norm, train_set, test_set = prepare_dataset(records, config.corridor, config.split_fraction)
     model = ConvForecaster(config.architecture, config.model)
+    check_writable(bundle_path)
     curve = train(model, train_set, config.training, eval_samples=test_set)
     save_bundle(bundle_path, model, norm)
     loss_path = f"{bundle_path}.loss.csv"
@@ -180,8 +181,10 @@ def cmd_evaluate(args) -> int:
     horizons = _parse_values(args.horizons, "--horizons", kind=int)
     if not samples:
         raise DataError("no complete windows in the input data")
-    report = evaluate(model, samples, horizons, norm, shape)
+    horizon_pairs(samples, horizons, shape)  # evaluate's own checks, before the out check
     out_prefix = args.out or f"{args.bundle}.eval"
+    check_writable(f"{out_prefix}_report.csv")
+    report = evaluate(model, samples, horizons, norm, shape)
 
     hs = report.horizons
     _write_csv(f"{out_prefix}_report.csv",
@@ -209,8 +212,14 @@ def cmd_sweep(args) -> int:
     values = _parse_values(args.values, "--values")
     records = read_records(data_path)
     norm, train_set, test_set = prepare_dataset(records, config.corridor, config.split_fraction)
+
+    def build_model():
+        # sweep calls this once it has refused any bad value, before each run
+        check_writable(out_path)
+        return ConvForecaster(config.architecture, config.model)
+
     rows = sweep(
-        args.axis, values, lambda: ConvForecaster(config.architecture, config.model),
+        args.axis, values, build_model,
         train_set, test_set, config.training, norm, config.corridor,
     )
     for row in rows:
@@ -277,6 +286,7 @@ def cmd_heatmap(args) -> int:
 
     truth = speed[np.searchsorted(timestamps, grid_ts)]  # (time, detectors, lanes)
     windows = windows[np.searchsorted(windows.origin_timestamps, origins)]
+    check_writable(f"{args.out}_lane1_truth.csv")
     [(pred_n, _)] = predict_multistep(model, windows, 1)
     pred = speeds_in_mph(pred_n, norm).reshape(len(grid_ts), shape.detectors, shape.lanes)
 

@@ -82,8 +82,7 @@ def atomic_write_text(path, pieces) -> None:
     or not at all: if a piece raises, or the OS refuses the write (a
     DataError), `path` is left as it was and no temporary file remains.
     """
-    # beside `path`, so that os.replace is a rename; not mkstemp, whose 0600 stays
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    tmp = _beside(path)
     try:
         with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
             fh.writelines(pieces)
@@ -92,8 +91,29 @@ def atomic_write_text(path, pieces) -> None:
         if os.path.lexists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+            raise _refused(path, exc) from exc
         raise
+
+
+def check_writable(path) -> None:
+    """Raise now the DataError that `atomic_write_text(path, ...)` gives
+    when the OS refuses a new file beside `path`, as in a missing directory;
+    a command calls it before the work that makes the file's bytes."""
+    tmp = _beside(path)
+    try:
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        os.unlink(tmp)
+    except OSError as exc:
+        raise _refused(path, exc) from exc
+
+
+def _beside(path) -> str:
+    # a new name beside `path`, so that os.replace is a rename; not mkstemp, whose 0600 stays
+    return os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+
+
+def _refused(path, exc: OSError) -> DataError:
+    return DataError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def read_json(path, what: str, invalid):

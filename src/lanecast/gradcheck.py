@@ -45,7 +45,8 @@ def gradient_check(
     """Compare analytic gradients against (f(x+h) - f(x-h)) / 2h.
 
     loss_fn() must re-read the arrays in `params` at call time and must be
-    deterministic (dropout off, or its masks frozen); entries are perturbed
+    deterministic (dropout off, or drawn from a fresh copy of one generator
+    state each call); entries are perturbed
     in place and restored. With max_entries set, at most that many randomly
     chosen entries per array are probed (every array is always covered).
     Relative error is |a - n| / max(|a|, |n|, 1e-12).

@@ -300,13 +300,12 @@ def dense_backward(
 # -- dropout ------------------------------------------------------------------
 
 
-def dropout_forward(x: Array, ratio: float, mode: str = "train", rng=None, mask: Array | None = None):
+def dropout_forward(x: Array, ratio: float, mode: str = "train", rng=None):
     """Inverted dropout: zero with probability `ratio`, scale survivors by
     1/(1-ratio) so inference is the identity.
 
-    Returns (output, mask); mask is None whenever dropout was a no-op. Pass a
-    previously returned mask to replay the exact same drop pattern (used when
-    gradient checking with frozen masks).
+    Returns (output, mask); mask is None whenever dropout was a no-op. The
+    mask is drawn from `rng`, so a copy of the generator replays it.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
@@ -314,10 +313,9 @@ def dropout_forward(x: Array, ratio: float, mode: str = "train", rng=None, mask:
         raise ValueError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
     if mode == "infer" or ratio == 0.0:
         return x, None
-    if mask is None:
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng or an explicit mask")
-        mask = (rng.random(np.shape(x)) >= ratio) / (1.0 - ratio)
+    if rng is None:
+        raise ValueError("train-mode dropout needs an rng")
+    mask = (rng.random(np.shape(x)) >= ratio) / (1.0 - ratio)
     return x * mask, mask
 
 

@@ -49,10 +49,9 @@ def composite_loss(pred_speed, pred_volume, target_speed, target_volume, volume_
     if pred_volume is None:
         return speed_term, grad_u, None
     if not 0.0 <= volume_weight <= 1.0:
-        warnings.warn(
-            f"volume_weight {volume_weight} is outside the suggested [0, 1] range",
-            stacklevel=2,
-        )
+        # located here, not at a caller: with the training step and the test
+        # loss both calling, the default filter still warns once per run
+        warnings.warn(f"volume_weight {volume_weight} is outside the suggested [0, 1] range")
     pred_q, target_q = _check_pair(pred_volume, target_volume, "volume")
     dq = pred_q - target_q
     loss = speed_term + volume_weight * float(np.mean(dq * dq))

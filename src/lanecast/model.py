@@ -173,11 +173,6 @@ class _ModelCache:
     fusion_mask: np.ndarray | None
     mode: str
 
-    @property
-    def masks(self) -> dict:
-        """Dropout masks of this pass, replayable via forward_batch(..., masks=...)."""
-        return {"fusion": self.fusion_mask, **{name: c.mask for name, c in self.streams.items()}}
-
 
 def _block_acts(banks, grid, starts, steps):
     """The rollout state of the windows of `grid` whose first history rows
@@ -290,21 +285,20 @@ class ConvForecaster:
                 )
         _require_windows(samples)
 
-    def forward_batch(self, samples, *, mode="infer", rng=None, masks=None):
+    def forward_batch(self, samples, *, mode="infer", rng=None):
         """Returns (pred_speed, pred_volume, cache) for the windows of a
         SampleSet; pred_volume is None for the speed-only kind.
 
         A train pass convolves each window's history on its own and caches
         every activation, with the dropout masks, for `backward_batch`.
-        Dropout draws from `rng` in train mode; pass `masks` (from a previous
-        cache) instead to replay a pass with frozen drop patterns.
+        Dropout draws its masks from `rng` in train mode, so a pass given a
+        copy of the same generator state drops the same units.
 
         An infer pass convolves the set's grids in blocks (`_block_acts`), and
         its cache holds only the rollout state: each layer's newest columns
         that the layer above reads, and the top layer in full.
         """
         self._check_set(samples)
-        fixed = masks or {}
         outs, caches = [], {}
         for stream in self.streams:
             banks = self._banks[stream]
@@ -313,19 +307,17 @@ class ConvForecaster:
             else:
                 acts = _window_acts(samples.history(stream), banks)
             flat = acts[-1].reshape(len(samples), -1)
-            out, mask = dropout_forward(flat, self.config.dropout_conv, mode, rng, fixed.get(stream))
+            out, mask = dropout_forward(flat, self.config.dropout_conv, mode, rng)
             caches[stream] = _StreamCache(acts=acts, mask=mask)
             outs.append(out)
-        return self._head(outs, caches, mode, rng, fixed.get("fusion"))
+        return self._head(outs, caches, mode, rng)
 
-    def _head(self, outs, caches, mode="infer", rng=None, mask=None):
+    def _head(self, outs, caches, mode="infer", rng=None):
         """Fusion and output layers on the streams' flattened outputs."""
         fused = np.concatenate(outs, axis=1)
         fusion_pre = dense_forward(fused, self._fusion)
         fusion_act = relu(fusion_pre)
-        fusion_dropped, fusion_mask = dropout_forward(
-            fusion_act, self.config.dropout_fc, mode, rng, mask
-        )
+        fusion_dropped, fusion_mask = dropout_forward(fusion_act, self.config.dropout_fc, mode, rng)
         out = dense_forward(fusion_dropped, self._output)
         n = self.config.targets_per_quantity
         pred_u, pred_q = out[:, :n], (out[:, n:] if self.uses_volume else None)
@@ -419,9 +411,6 @@ class ConvForecaster:
         """Every learnable array by name, in `param_shapes` order; the arrays
         are the model's own, so in-place writes change the model."""
         return dict(self._params)
-
-    def param_count(self) -> int:
-        return sum(a.size for a in self._params.values())
 
 
 # perfbench builds the two-stream model through this name and traces the

@@ -157,9 +157,6 @@ class NormalizationParams:
     def denormalize_speed(self, value):
         return denormalize(value, self.speed_min, self.speed_max)
 
-    def denormalize_volume(self, value):
-        return denormalize(value, self.volume_min, self.volume_max)
-
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
@@ -231,17 +228,14 @@ def denormalize(value, lo: float, hi: float):
     return result if isinstance(value, np.ndarray) else float(result)
 
 
-def fit_normalization(records, start: int | None = None, end: int | None = None) -> NormalizationParams:
-    """Min/max over the records within [start, end] (inclusive, timestamps).
+def fit_normalization(records, end: int | None = None) -> NormalizationParams:
+    """Min/max over the records up to timestamp `end` (inclusive), or over
+    all of them.
 
     Fit this on the training range only so no test-time information leaks
     into the scaling; later out-of-range values clamp to [0, 1].
     """
-    kept = np.ones(len(records), dtype=bool)
-    if start is not None:
-        kept &= records.timestamp >= start
-    if end is not None:
-        kept &= records.timestamp <= end
+    kept = np.ones(len(records), dtype=bool) if end is None else records.timestamp <= end
     if not kept.any():
         raise DataError("no records in the normalization range")
     speeds, volumes = records.speed[kept], records.volume[kept]

@@ -13,7 +13,7 @@ from .errors import ConfigError, DataError, MetricError, NumericError, ShapeErro
 from .lanes import even_chunks
 from .losses import composite_loss
 from .optim import RmsProp
-from .pipeline import CorridorShape, NormalizationParams, SampleSet, check_fields, denormalize
+from .pipeline import CorridorShape, NormalizationParams, SampleSet, check_fields
 
 DEFAULT_MIN_TARGET = 1.0  # mph; slower targets are excluded from percentage errors
 # most windows per chunk of a set's forecasts (`_rollouts`)
@@ -82,18 +82,13 @@ def _loss_and_grads(model, batch, volume_weight, rng):
 
 
 def dataset_loss(model, samples, volume_weight) -> float:
-    """Deterministic (infer-mode) loss over a SampleSet: a function of its predictions alone."""
+    """The infer-mode `composite_loss` of a SampleSet: a function of its predictions alone."""
     if not samples:
         raise DataError("cannot compute the loss of an empty sample set")
     [(pred_u, pred_q)] = predict_multistep(model, samples, 1)
-    # squared errors in place; finite predictions can overflow when squared: the loss is then inf
+    # finite predictions can overflow when squared: the loss is then inf
     with np.errstate(over="ignore"):
-        du = np.subtract(pred_u, samples.speed_target, out=pred_u)
-        loss = float(np.sum(np.multiply(du, du, out=du))) / du.size
-        if pred_q is not None:
-            dq = np.subtract(pred_q, samples.volume_target, out=pred_q)
-            loss += volume_weight * (float(np.sum(np.multiply(dq, dq, out=dq))) / dq.size)
-    return loss
+        return composite_loss(pred_u, pred_q, samples.speed_target, samples.volume_target, volume_weight)[0]
 
 
 def train(model, samples, config: TrainConfig, eval_samples=None) -> list[EpochStats]:
@@ -240,6 +235,29 @@ def speeds_in_mph(pred, norm: NormalizationParams) -> np.ndarray:
     return mph
 
 
+def horizon_pairs(samples, horizons, shape: CorridorShape) -> dict:
+    """`evaluate`'s pairs: each distinct horizon h, ascending, mapped to the
+    indices of the samples scored at h (source) and of the samples whose
+    origins lie h-1 intervals after theirs (target). Checks the horizons."""
+    if not samples:
+        raise DataError("cannot evaluate an empty sample set")
+    horizons = sorted(set(int(h) for h in horizons))
+    if not horizons or horizons[0] < 1:
+        raise ConfigError(f"horizons must be >= 1, got {horizons}")
+    origins = samples.origin_timestamps
+    reach = int(origins.max() - origins.min())
+    pairs = {}
+    for h in horizons:
+        shift = (h - 1) * shape.interval
+        # compared as Python integers first: a huge shift overflows int64
+        if shift <= reach:
+            _, source, target = np.intersect1d(origins + shift, origins, return_indices=True)
+        if shift > reach or not source.size:
+            raise DataError(f"no sample has a horizon-{h} target; not enough look-ahead")
+        pairs[h] = source, target
+    return pairs
+
+
 def evaluate(model, samples, horizons, norm: NormalizationParams,
              shape: CorridorShape) -> EvalReport:
     """Score step-h rollouts against the true targets h steps ahead.
@@ -252,36 +270,21 @@ def evaluate(model, samples, horizons, norm: NormalizationParams,
     Chunked rollouts (`_rollouts`), put back by window index, give the report
     of one whole-set rollout; NumericError if a prediction is not finite, even in mph.
     """
-    if not samples:
-        raise DataError("cannot evaluate an empty sample set")
-    horizons = sorted(set(int(h) for h in horizons))
-    if not horizons or horizons[0] < 1:
-        raise ConfigError(f"horizons must be >= 1, got {horizons}")
-    origins = samples.origin_timestamps
-    reach = int(origins.max() - origins.min())
-    pairs = {}  # horizon -> (source, target) sample indices
-    for h in horizons:
-        shift = (h - 1) * shape.interval
-        # compared as Python integers first: a huge shift overflows int64
-        if shift <= reach:
-            _, source, target = np.intersect1d(origins + shift, origins, return_indices=True)
-        if shift > reach or not source.size:
-            raise DataError(f"no sample has a horizon-{h} target; not enough look-ahead")
-        pairs[h] = source, target
+    pairs = horizon_pairs(samples, horizons, shape)
     # horizon -> its source samples' speed predictions; no other horizon's are kept
     kept = {h: np.empty((source.size, shape.detectors * shape.lanes)) for h, (source, _) in pairs.items()}
-    for a, b, h, pred_u, _ in _rollouts(model, samples, horizons[-1]):
+    for a, b, h, pred_u, _ in _rollouts(model, samples, max(pairs)):
         if h in pairs:
             source = pairs[h][0]
             inside = np.flatnonzero((source >= a) & (source < b))
             kept[h][inside] = pred_u[source[inside] - a]
     report = EvalReport(
-        horizons=horizons, accuracy={}, per_lane={}, per_detector={},
+        horizons=list(pairs), accuracy={}, per_lane={}, per_detector={},
         evaluated={}, skipped={}, excluded={},
     )
     for h, (source, target) in pairs.items():
         pred = speeds_in_mph(kept[h], norm)
-        truth = denormalize(samples[target].speed_target, norm.speed_min, norm.speed_max)
+        truth = norm.denormalize_speed(samples[target].speed_target)
         overall, used, excluded = _ape_stats(pred, truth)
         if used == 0:
             raise MetricError(f"horizon {h}: every target is below {DEFAULT_MIN_TARGET} mph")
@@ -323,17 +326,18 @@ def sweep(axis: str, values, build_model, train_samples, test_samples,
 
     `build_model` must return a freshly initialized model; with a fixed
     architecture seed every run then starts from identical weights and the
-    rows isolate the effect of the swept value. A diverging run is recorded
-    and the sweep continues.
+    rows isolate the effect of the swept value. Every value's config is
+    built, so a bad value refused, before the first `build_model` call. A
+    diverging run is recorded and the sweep continues.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
+    configs = [replace(base_config, **{SWEEP_AXES[axis]: float(value)}) for value in values]
     rows = []
-    for value in values:
-        config = replace(base_config, **{SWEEP_AXES[axis]: float(value)})
+    for value, config in zip(values, configs):
         model = build_model()
         try:
             curve = train(model, train_samples, config)

@@ -6,6 +6,7 @@ run on deterministic synthetic corpora at fixed seeds, so every number here
 is reproducible bit for bit.
 """
 
+import copy
 import json
 import time
 
@@ -62,6 +63,10 @@ def trained_two_stream(default_corpus):
     return model, curve, report_, elapsed
 
 
+def param_count(model):
+    return sum(a.size for a in model.param_arrays().values())
+
+
 def test_criterion_01_gradient_fidelity():
     """Full model, toy shape, frozen dropout: analytic vs central differences."""
     started = time.time()
@@ -74,13 +79,14 @@ def test_criterion_01_gradient_fidelity():
     yu = rng.random((1, 8))
     yq = rng.random((1, 8))
     samples = sample_set(xu, xq, yu, yq, [0])
+    # every pass draws its dropout masks from a copy of this state: the same masks
+    frozen = copy.deepcopy(rng)
     pred_u, pred_q, cache = model.forward_batch(samples, mode="train", rng=rng)
-    masks = cache.masks
     _, grad_u, grad_q = composite_loss(pred_u, pred_q, yu, yq, 0.1)
     grads = model.backward_batch(cache, grad_u, grad_q)
 
     def loss_fn():
-        pu, pq, _ = model.forward_batch(samples, mode="train", masks=masks)
+        pu, pq, _ = model.forward_batch(samples, mode="train", rng=copy.deepcopy(frozen))
         return composite_loss(pu, pq, yu, yq, 0.1)[0]
 
     result = gradient_check(loss_fn, model.param_arrays(), grads, step=1e-6, tolerance=1e-5)
@@ -88,7 +94,7 @@ def test_criterion_01_gradient_fidelity():
     ok = result.passed and elapsed < 60.0
     assert report(
         "01 gradient-fidelity", ok,
-        f"worst rel err {result.worst:.2e} over {model.param_count()} params in {elapsed:.1f}s",
+        f"worst rel err {result.worst:.2e} over {param_count(model)} params in {elapsed:.1f}s",
     ), result.summary()
 
 
@@ -165,7 +171,7 @@ def test_criterion_03_layout_fidelity():
             for t in range(shape.steps):
                 raw = grids[origin_step - (shape.steps - 1 - t)]
                 back_u = norm.denormalize_speed(samples.speed_history[n, :, t, :])
-                back_q = norm.denormalize_volume(samples.volume_history[n, :, t, :])
+                back_q = lc.denormalize(samples.volume_history[n, :, t, :], norm.volume_min, norm.volume_max)
                 worst = max(
                     worst,
                     float(np.abs(back_u - raw).max()),
@@ -262,7 +268,7 @@ def test_criterion_07_single_stream_ablation(default_corpus, trained_two_stream)
     expected += arch.fc_hidden * arch.flat_size + arch.fc_hidden
     n = arch.targets_per_quantity
     expected += n * arch.fc_hidden + n
-    count_ok = single.param_count() == expected
+    count_ok = param_count(single) == expected
 
     config = TrainConfig(learning_rate=EXPERIMENT_LR, epochs=EXPERIMENT_EPOCHS, seed=ACC_SEED)
     lc.train(single, train_set, config)
@@ -271,7 +277,7 @@ def test_criterion_07_single_stream_ablation(default_corpus, trained_two_stream)
 
     assert report(
         "07 single-stream-ablation", count_ok,
-        f"params {single.param_count()} (expected {expected}); accuracy "
+        f"params {param_count(single)} (expected {expected}); accuracy "
         f"single {single_report.accuracy[1]:.2f}% vs two-stream "
         f"{two_report.accuracy[1]:.2f}% at one step (reported, not asserted)",
     )

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lanecast.training
 from lanecast import cli
 from lanecast.cli import main
 from lanecast.config import default_run_config, load_run_config, parse_run_config
@@ -205,7 +206,8 @@ class TestTrainCommand:
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert run.returncode == 0, run.stderr
-        assert "warning: volume_weight 4.5 is outside the suggested [0, 1] range\n" in run.stderr
+        # once, though the training steps and the test loss both compute the loss
+        assert run.stderr.count("warning: volume_weight 4.5 is outside the suggested [0, 1] range\n") == 1
         assert ".py:" not in run.stderr
 
     def test_missing_data_flag_is_usage_error(self, tmp_path):
@@ -396,6 +398,16 @@ class TestSweepCommand:
         assert "warning" not in run.stderr.lower()
         assert [line.split(",")[-1] for line in out.read_text().splitlines()[1:]] == ["diverged", "ok"]
 
+    def test_bad_value_refused_before_any_run(self, corpus, tmp_path, monkeypatch, capsys):
+        # and before the out check: the bad value is reported, not the missing directory
+        config, data = corpus
+        runs = []
+        monkeypatch.setattr(lanecast.training, "train", lambda *args, **kwargs: runs.append(args))
+        assert main(["sweep", "--config", config, "--data", data, "--axis", "lr",
+                     "--values", "1e-3,0", "--out", str(tmp_path / "missing" / "s.csv")]) == 1
+        assert "learning rate must be positive" in capsys.readouterr().err
+        assert runs == []
+
     def test_empty_values_is_usage_error(self, corpus, tmp_path):
         config, data = corpus
         code = main([
@@ -538,6 +550,36 @@ class TestFiles:
         # no temporary file is left, and the directory in the way is as it was
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "taken"]
         assert list((tmp_path / "taken").iterdir()) == []
+
+    # the work spied on: training, or the forecast over the windows
+    @pytest.mark.parametrize("command, work, flags, written", [
+        ("train", (cli, "train"), ["--bundle", "missing/m.json"], "missing/m.json"),
+        ("sweep", (lanecast.training, "train"), ["--axis", "lr", "--values", "1e-3", "--out", "missing/s.csv"],
+         "missing/s.csv"),
+        ("evaluate", (cli, "evaluate"), ["--bundle", "m.json", "--out", "missing/x"], "missing/x_report.csv"),
+        ("heatmap", (cli, "predict_multistep"), ["--bundle", "m.json", "--days", "1:2", "--out", "missing/x"],
+         "missing/x_lane1_truth.csv"),
+    ], ids=["train", "sweep", "evaluate", "heatmap"])
+    def test_missing_out_directory_refused_before_the_work(self, corpus, tmp_path, monkeypatch, capsys,
+                                                          command, work, flags, written):
+        config, data = corpus
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", config, "--data", data, "--bundle", "m.json"]) == 0
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(*work, lambda *args, **kwargs: calls.append(args))
+        config_flag = ["--config", config] if command in ("train", "sweep") else []
+        assert main([command, *config_flag, "--data", data, *flags]) == 2
+        assert capsys.readouterr() == ("", f"data error: cannot write {written}: {os.strerror(errno.ENOENT)}\n")
+        assert calls == []
+
+    def test_bad_horizon_precedes_the_out_check(self, corpus, tmp_path, capsys):
+        config, data = corpus
+        bundle = str(tmp_path / "m.json")
+        assert main(["train", "--config", config, "--data", data, "--bundle", bundle]) == 0
+        assert main(["evaluate", "--bundle", bundle, "--data", data, "--horizons", "0",
+                     "--out", str(tmp_path / "missing" / "x")]) == 1
+        assert "horizons must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         (b'{"schema_version": 1\xff}', "config config.json is not UTF-8 text: "),

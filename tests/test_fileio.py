@@ -204,6 +204,24 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old"
 
 
+class TestCheckWritable:
+    def test_missing_directory_refused_as_the_writer_does(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(DataError) as writer:
+            fileio.atomic_write_text(path, [b"x"])
+        with pytest.raises(DataError) as check:
+            fileio.check_writable(path)
+        assert str(check.value) == str(writer.value) == f"cannot write {path}: {os.strerror(errno.ENOENT)}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writable_path_leaves_no_file(self, tmp_path):
+        (tmp_path / "out.txt").write_bytes(b"old")
+        fileio.check_writable(tmp_path / "out.txt")
+        fileio.check_writable(tmp_path / "new.txt")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert (tmp_path / "out.txt").read_bytes() == b"old"
+
+
 def parsed(texts, dtype=np.float64):
     """parse_rows of `texts`, one cell per row, or None."""
     columns = parse_rows("".join(t + "\n" for t in texts).encode(), [dtype])

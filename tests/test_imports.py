@@ -1,15 +1,17 @@
 """numpy is the package's only runtime dependency: every module of
 `src/lanecast` imports only numpy, lanecast itself and the standard library.
 And `fileio` is the one module that decides how a file is written or a JSON
-document read."""
+document read. No definition in the package is there for the tests alone."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lanecast").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "lanecast").glob("*.py"))
 ALLOWED = {"numpy", "lanecast", *sys.stdlib_module_names}
 
 
@@ -64,3 +66,30 @@ def test_fileio_writes_and_reads_json():
                          ids=lambda path: path.name)
 def test_only_fileio_writes_or_reads_json(path):
     assert list(file_access(path)) == []
+
+
+# where a name counts as a use: the package, the benchmark and the README
+USES = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md"]
+
+
+def definitions(path):
+    """(name, first line, last line) of each function, class and method in
+    `path` but the dunder methods."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno
+
+
+def test_every_definition_is_named_outside_the_tests():
+    # each name must appear at least once in USES outside its own definition
+    texts = [path.read_text() for path in USES]
+    unused = []
+    for path in SOURCES:
+        lines = path.read_text().splitlines()
+        for name, first, last in definitions(path):
+            word = re.compile(rf"\b{name}\b")
+            own = len(word.findall("\n".join(lines[first - 1:last])))
+            if sum(len(word.findall(text)) for text in texts) == own:
+                unused.append(f"{path.name}:{name}")
+    assert unused == []

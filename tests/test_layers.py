@@ -823,14 +823,6 @@ class TestDropout:
         assert np.array_equal(grad, mask)
         assert np.array_equal((grad == 0.0), (out == 0.0))
 
-    def test_mask_replay(self):
-        rng = np.random.default_rng(13)
-        x = np.arange(50.0)
-        out1, mask = dropout_forward(x, 0.4, "train", rng)
-        out2, mask2 = dropout_forward(x, 0.4, "train", mask=mask)
-        assert np.array_equal(out1, out2)
-        assert mask2 is mask
-
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):
             dropout_forward(np.zeros(3), 1.0, "train", np.random.default_rng(0))

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import re
@@ -58,6 +59,10 @@ def random_set(shape, batch=3, seed=1):
     targets = np.zeros((batch, k * c))
     return sample_set(rng.random((batch, k, n, c)), rng.random((batch, k, n, c)),
                       targets, targets, np.arange(batch) * shape.interval)
+
+
+def param_count(model):
+    return sum(a.size for a in model.param_arrays().values())
 
 
 class TestArchitecture:
@@ -348,16 +353,17 @@ class TestBackward:
         yu, yq = rng.random((2, 1, config.targets_per_quantity))
         samples = sample_set(xu, xq, yu, yq, [0])
 
+        # every pass draws its dropout masks from a copy of this state: the same masks
+        frozen = copy.deepcopy(rng)
         pred_u, pred_q, cache = model.forward_batch(samples, mode="train", rng=rng)
         # an all-zero fused vector would put every hidden unit on the Relu
         # kink, where central differences are undefined
         assert (cache.fused != 0.0).any()
-        masks = cache.masks
         _, grad_u, grad_q = composite_loss(pred_u, pred_q, yu, yq, 0.1)
         grads = model.backward_batch(cache, grad_u, grad_q)
 
         def loss_fn():
-            pu, pq, _ = model.forward_batch(samples, mode="train", masks=masks)
+            pu, pq, _ = model.forward_batch(samples, mode="train", rng=copy.deepcopy(frozen))
             return composite_loss(pu, pq, yu, yq, 0.1)[0]
 
         report = gradient_check(
@@ -421,7 +427,7 @@ class TestSingleStream:
         fusion_widening = config.fc_hidden * flat
         head_widening = n * config.fc_hidden + n
         expected_diff = volume_stream + fusion_widening + head_widening
-        assert two.param_count() - one.param_count() == expected_diff
+        assert param_count(two) - param_count(one) == expected_diff
 
     def test_analytic_parameter_count(self):
         config = toy_config(seed=12)
@@ -435,7 +441,7 @@ class TestSingleStream:
         counts += config.fc_hidden * config.flat_size + config.fc_hidden
         n = config.targets_per_quantity
         counts += n * config.fc_hidden + n
-        assert model.param_count() == counts
+        assert param_count(model) == counts
 
 class TestPersistence:
     def test_constant_sample(self):

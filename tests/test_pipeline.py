@@ -129,7 +129,7 @@ class TestFitNormalization:
         shape = CorridorShape(2, 2, 1)
         records = make_records(shape, {0: [[30.0], [40.0]]})
         with pytest.raises(DataError, match="no records"):
-            fit_normalization(records, start=10_000)
+            fit_normalization(records, end=-1)
 
 
 class TestBuildSamples:

@@ -6,6 +6,7 @@ import pytest
 import lanecast.training
 from lanecast.errors import ConfigError, DataError, MetricError, NumericError
 from lanecast.lanes import even_chunks
+from lanecast.losses import composite_loss
 from lanecast.model import (
     ArchitectureConfig,
     ConvForecaster,
@@ -207,6 +208,25 @@ class TestTrain:
             (np.full_like(pred_u, np.nan), pred_q) for pred_u, pred_q in rollout(part, horizon)))
         with pytest.raises(NumericError, match="^test loss at epoch 1: forecast step 1: .*non-finite speed"):
             train(model, samples[:8], TrainConfig(epochs=2, seed=4), eval_samples=samples[8:])
+
+
+class TestTestLoss:
+    """The epoch-end test loss is the training loss, computed by the one loss function."""
+
+    def test_dataset_loss_calls_composite_loss(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lanecast.training, "composite_loss",
+                            lambda *args: calls.append(args) or composite_loss(*args))
+        loss = dataset_loss(ConvForecaster(small_config(seed=6)), make_samples(small_shape(), 4, seed=6), 0.1)
+        assert len(calls) == 1 and loss == composite_loss(*calls[0])[0]
+
+    @pytest.mark.parametrize("kind", ["two_stream", "single_stream"])
+    def test_bitwise_composite_loss_of_step_one(self, three_days, kind):
+        test_set, _ = three_days
+        model = three_day_model(3, kind)
+        [(pred_u, pred_q)] = predict_multistep(model, test_set, 1)
+        expected = composite_loss(pred_u, pred_q, test_set.speed_target, test_set.volume_target, 0.3)[0]
+        assert dataset_loss(model, test_set, 0.3).hex() == expected.hex()
 
 
 class TestMultistep:
