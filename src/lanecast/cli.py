@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     heat = sub.add_parser("heatmap", help="emit truth/prediction grids per lane")
     heat.add_argument("--bundle", required=True, help="model bundle path")
     heat.add_argument("--data", required=True, help="input record CSV")
-    heat.add_argument("--days", default="0:1", help="day range start:end relative to the data start")
+    heat.add_argument("--days", default="1:2", help="day range start:end relative to the data start "
+                      "(default 1:2: day 0's first timestamps have no history to predict them from)")
     heat.add_argument("--out", required=True, help="output file prefix")
     heat.set_defaults(func=cmd_heatmap)
 
@@ -242,12 +243,14 @@ def _pgm_bytes(grid, vmax: float) -> tuple[bytes, bytes]:
 
 def _write_grid(path, grid, timestamps) -> None:
     """A row per detector: its index, then its value at each timestamp."""
-    # formatted as one flat column, then cut into rows (one column per
-    # timestamp costs a format_rows pass per column)
-    cells = format_rows([grid.ravel()], b"", b",").split(b",")
-    t = grid.shape[1]
-    rows = [b",".join(cells[i * t:(i + 1) * t]) for i in range(grid.shape[0])]
-    _write_csv(path, ["detector", *timestamps], [np.arange(1, grid.shape[0] + 1), np.array(rows)])
+    def pieces():
+        yield ",".join(map(str, ["detector", *timestamps])).encode() + b"\n"
+        for i, row in enumerate(grid, start=1):
+            yield b"%d," % i
+            yield format_rows([row], b"", b",")[:-1]
+            yield b"\n"
+
+    atomic_write_text(path, pieces())
 
 
 def cmd_heatmap(args) -> int:

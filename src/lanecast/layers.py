@@ -300,21 +300,18 @@ def dense_backward(
 # -- dropout ------------------------------------------------------------------
 
 
-def dropout_forward(x: Array, ratio: float, mode: str = "train", rng=None):
-    """Inverted dropout: zero with probability `ratio`, scale survivors by
-    1/(1-ratio) so inference is the identity.
+def dropout_forward(x: Array, ratio: float, rng=None):
+    """Inverted dropout. Given a generator, zero each unit with probability
+    `ratio` and scale survivors by 1/(1-ratio); without one, the identity,
+    as inference needs.
 
     Returns (output, mask); mask is None whenever dropout was a no-op. The
     mask is drawn from `rng`, so a copy of the generator replays it.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
-    if mode not in ("train", "infer"):
-        raise ValueError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "infer" or ratio == 0.0:
+    if rng is None or ratio == 0.0:
         return x, None
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
     mask = (rng.random(np.shape(x)) >= ratio) / (1.0 - ratio)
     return x * mask, mask
 

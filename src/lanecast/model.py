@@ -157,21 +157,15 @@ def _init_params(config: ArchitectureConfig, kind: str) -> dict[str, np.ndarray]
 
 
 @dataclass
-class _StreamCache:
-    # the stream input, then each conv layer's Relu output; an infer pass
-    # keeps only the columns a rollout step reads (`_block_acts`)
-    acts: list[np.ndarray]
-    mask: np.ndarray | None
-
-
-@dataclass
 class _ModelCache:
-    streams: dict[str, _StreamCache]
+    # per stream: the input, then each conv layer's Relu output, and the
+    # dropout mask of its flattened top layer
+    acts: dict[str, list[np.ndarray]]
+    masks: dict[str, np.ndarray | None]
     fused: np.ndarray
     fusion_pre: np.ndarray
     fusion_dropped: np.ndarray
     fusion_mask: np.ndarray | None
-    mode: str
 
 
 def _block_acts(banks, grid, starts, steps):
@@ -234,14 +228,14 @@ def _shift_left(a):
     flat[:-a.shape[-1]] = flat[a.shape[-1]:]
 
 
-def _stream_backward(cache: _StreamCache, banks, grad_flat, stream: str) -> dict[str, np.ndarray]:
-    g = dropout_backward(grad_flat, cache.mask)
-    g = g.reshape(cache.acts[-1].shape)
+def _stream_backward(acts, mask, banks, grad_flat, stream: str) -> dict[str, np.ndarray]:
+    g = dropout_backward(grad_flat, mask)
+    g = g.reshape(acts[-1].shape)
     grads = {}
     for idx in range(len(banks) - 1, -1, -1):
         # relu(z) > 0 exactly where z > 0, so the output carries the relu mask
-        g = relu_backward(cache.acts[idx + 1], g)
-        g, gbank = conv2d_backward(cache.acts[idx], banks[idx], g, input_grad=idx > 0)
+        g = relu_backward(acts[idx + 1], g)
+        g, gbank = conv2d_backward(acts[idx], banks[idx], g, input_grad=idx > 0)
         grads[f"{stream}_conv{idx + 1}.weights"] = gbank.weights
         grads[f"{stream}_conv{idx + 1}.biases"] = gbank.biases
     return grads
@@ -285,51 +279,46 @@ class ConvForecaster:
                 )
         _require_windows(samples)
 
-    def forward_batch(self, samples, *, mode="infer", rng=None):
-        """Returns (pred_speed, pred_volume, cache) for the windows of a
+    def forward_batch(self, samples, *, rng=None):
+        """Returns (pred_speed, pred_volume, state) for the windows of a
         SampleSet; pred_volume is None for the speed-only kind.
 
-        A train pass convolves each window's history on its own and caches
-        every activation, with the dropout masks, for `backward_batch`.
-        Dropout draws its masks from `rng` in train mode, so a pass given a
-        copy of the same generator state drops the same units.
+        Given a generator, this is the train pass: each window's history is
+        convolved on its own, dropout draws its masks from `rng` (a pass
+        given a copy of the same generator state drops the same units), and
+        the state is the `_ModelCache` of every activation and mask that
+        `backward_batch` reads.
 
-        An infer pass convolves the set's grids in blocks (`_block_acts`), and
-        its cache holds only the rollout state: each layer's newest columns
-        that the layer above reads, and the top layer in full.
+        Without one, this is the infer pass: no dropout, the set's grids
+        convolved in blocks (`_block_acts`), and the state is each stream's
+        rollout state: each layer's newest columns that the layer above
+        reads, and the top layer in full.
         """
         self._check_set(samples)
-        outs, caches = [], {}
+        acts, masks, outs = {}, {}, []
         for stream in self.streams:
             banks = self._banks[stream]
-            if mode == "infer":
-                acts = _block_acts(banks, getattr(samples, stream), samples.starts, samples.steps)
+            if rng is None:
+                acts[stream] = _block_acts(banks, getattr(samples, stream), samples.starts, samples.steps)
             else:
-                acts = _window_acts(samples.history(stream), banks)
-            flat = acts[-1].reshape(len(samples), -1)
-            out, mask = dropout_forward(flat, self.config.dropout_conv, mode, rng)
-            caches[stream] = _StreamCache(acts=acts, mask=mask)
+                acts[stream] = _window_acts(samples.history(stream), banks)
+            flat = acts[stream][-1].reshape(len(samples), -1)
+            out, masks[stream] = dropout_forward(flat, self.config.dropout_conv, rng)
             outs.append(out)
-        return self._head(outs, caches, mode, rng)
+        pred_u, pred_q, head = self._head(outs, rng)
+        return pred_u, pred_q, acts if rng is None else _ModelCache(acts, masks, *head)
 
-    def _head(self, outs, caches, mode="infer", rng=None):
-        """Fusion and output layers on the streams' flattened outputs."""
+    def _head(self, outs, rng=None):
+        """Fusion and output layers on the streams' flattened outputs:
+        (pred_speed, pred_volume, the arrays `backward_batch` reads)."""
         fused = np.concatenate(outs, axis=1)
         fusion_pre = dense_forward(fused, self._fusion)
         fusion_act = relu(fusion_pre)
-        fusion_dropped, fusion_mask = dropout_forward(fusion_act, self.config.dropout_fc, mode, rng)
+        fusion_dropped, fusion_mask = dropout_forward(fusion_act, self.config.dropout_fc, rng)
         out = dense_forward(fusion_dropped, self._output)
         n = self.config.targets_per_quantity
         pred_u, pred_q = out[:, :n], (out[:, n:] if self.uses_volume else None)
-        cache = _ModelCache(
-            streams=caches,
-            fused=fused,
-            fusion_pre=fusion_pre,
-            fusion_dropped=fusion_dropped,
-            fusion_mask=fusion_mask,
-            mode=mode,
-        )
-        return pred_u, pred_q, cache
+        return pred_u, pred_q, (fused, fusion_pre, fusion_dropped, fusion_mask)
 
     def predict_batch(self, samples):
         pred_u, pred_q, _ = self.forward_batch(samples)
@@ -340,19 +329,17 @@ class ConvForecaster:
         (pred_speed, pred_volume): each later step feeds the previous
         predictions back, clipped to [0, 1], as the newest input column.
 
-        One infer-mode `forward_batch` gives the first step and the state:
-        the newest `filter_cols` columns of the input and of each lower conv
-        layer's Relu output, and the top layer in full. Each later step
-        shifts the state left by one column in place and writes the fed
-        column. Only each conv layer's newest output column can differ from
-        its shifted one, so only that is computed, from the `filter_cols`
-        columns kept below it. Every element gets the operations of the full
-        pass, so each step is bitwise `predict_batch` on the shifted windows.
+        One `forward_batch` without a generator gives the first step and its
+        rollout state: the newest `filter_cols` columns of the input and of
+        each lower conv layer's Relu output, and the top layer in full. Each
+        later step shifts the state left by one column in place and writes
+        the fed column. Only each conv layer's newest output column can
+        differ from its shifted one, so only that is computed, from the
+        `filter_cols` columns kept below it. Every element gets the
+        operations of the full pass, so each step is bitwise `predict_batch`
+        on the shifted windows.
         """
-        pred_u, pred_q, cache = self.forward_batch(samples)
-        # only the conv activations are carried from step to step
-        acts = {stream: c.acts for stream, c in cache.streams.items()}
-        del cache
+        pred_u, pred_q, acts = self.forward_batch(samples)
         for _ in range(horizon - 1):
             yield pred_u, pred_q
             flats = []
@@ -369,12 +356,12 @@ class ConvForecaster:
                     z = layers.conv2d_valid(below, bank)
                     above[:, :, -1:] = np.maximum(z, 0.0, out=z)
                 flats.append(stream_acts[-1].reshape(len(samples), -1))
-            pred_u, pred_q, _ = self._head(flats, {})
+            pred_u, pred_q, _ = self._head(flats)
         yield pred_u, pred_q
 
     def backward_batch(self, cache, grad_speed, grad_volume=None):
         """Exact gradients of every parameter array given output gradients."""
-        if cache is None or cache.mode != "train":
+        if not isinstance(cache, _ModelCache):
             raise ShapeError("backward needs the cache from a train-mode forward")
         if not self.uses_volume and grad_volume is not None:
             raise ShapeError("single-stream model has no volume output")
@@ -395,11 +382,10 @@ class ConvForecaster:
         grads: dict[str, np.ndarray] = {}
         start = 0
         for stream in self.streams:
-            stream_cache = cache.streams[stream]
-            stop = start + stream_cache.acts[-1][0].size
-            grads.update(
-                _stream_backward(stream_cache, self._banks[stream], grad_fused[:, start:stop], stream)
-            )
+            acts = cache.acts[stream]
+            stop = start + acts[-1][0].size
+            grads.update(_stream_backward(acts, cache.masks[stream], self._banks[stream],
+                                          grad_fused[:, start:stop], stream))
             start = stop
         grads["fusion.weights"] = gw_fus
         grads["fusion.biases"] = gb_fus

@@ -74,7 +74,7 @@ class EvalReport:
 
 
 def _loss_and_grads(model, batch, volume_weight, rng):
-    pred_u, pred_q, cache = model.forward_batch(batch, mode="train", rng=rng)
+    pred_u, pred_q, cache = model.forward_batch(batch, rng=rng)
     loss, grad_u, grad_q = composite_loss(
         pred_u, pred_q, batch.speed_target, batch.volume_target, volume_weight
     )
@@ -82,7 +82,7 @@ def _loss_and_grads(model, batch, volume_weight, rng):
 
 
 def dataset_loss(model, samples, volume_weight) -> float:
-    """The infer-mode `composite_loss` of a SampleSet: a function of its predictions alone."""
+    """The `composite_loss` of a SampleSet's infer pass: a function of its predictions alone."""
     if not samples:
         raise DataError("cannot compute the loss of an empty sample set")
     [(pred_u, pred_q)] = predict_multistep(model, samples, 1)

@@ -81,12 +81,12 @@ def test_criterion_01_gradient_fidelity():
     samples = sample_set(xu, xq, yu, yq, [0])
     # every pass draws its dropout masks from a copy of this state: the same masks
     frozen = copy.deepcopy(rng)
-    pred_u, pred_q, cache = model.forward_batch(samples, mode="train", rng=rng)
+    pred_u, pred_q, cache = model.forward_batch(samples, rng=rng)
     _, grad_u, grad_q = composite_loss(pred_u, pred_q, yu, yq, 0.1)
     grads = model.backward_batch(cache, grad_u, grad_q)
 
     def loss_fn():
-        pu, pq, _ = model.forward_batch(samples, mode="train", rng=copy.deepcopy(frozen))
+        pu, pq, _ = model.forward_batch(samples, rng=copy.deepcopy(frozen))
         return composite_loss(pu, pq, yu, yq, 0.1)[0]
 
     result = gradient_check(loss_fn, model.param_arrays(), grads, step=1e-6, tolerance=1e-5)

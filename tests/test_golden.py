@@ -135,6 +135,22 @@ def test_outputs_match_the_manifest(golden):
     assert changed == []
 
 
+def test_heatmap_defaults_to_the_first_day_with_history(golden, tmp_path):
+    # day 0's first timestamps have no history before them: without --days
+    # the heatmap covers day 1, as --days 1:2 does
+    workdir = golden[0]
+
+    def heatmap(prefix, *days):
+        argv = ["heatmap", "--bundle", str(workdir / "two_stream.json"), "--data",
+                str(workdir / "data.csv"), *days, "--out", str(tmp_path / prefix)]
+        assert main(argv) == 0
+        return {path.name[len(prefix):]: path.read_bytes() for path in tmp_path.glob(f"{prefix}_*")}
+
+    default = heatmap("default")
+    assert default == heatmap("days", "--days", HEATMAP_DAYS)
+    assert len(default) == SHAPE.lanes * (4 + SHAPE.detectors)
+
+
 # Most windows per chunk while a test runs evaluate and heatmap in small
 # chunks. Not fewer: at this shape the single-stream head (18 outputs) gets
 # other bits in batches of up to 66 windows (ROADMAP item 12).

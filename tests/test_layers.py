@@ -787,21 +787,23 @@ class TestDense:
 class TestDropout:
     def test_ratio_zero_is_identity(self):
         x = np.arange(6.0)
-        out, mask = dropout_forward(x, 0.0, "train", np.random.default_rng(0))
+        out, mask = dropout_forward(x, 0.0, np.random.default_rng(0))
         assert out is x
         assert mask is None
 
     def test_infer_mode_is_identity(self):
+        # no generator is the identity, whatever the ratio
         x = np.arange(6.0)
-        out, mask = dropout_forward(x, 0.7, "infer")
-        assert out is x
-        assert mask is None
+        for ratio in (0.5, 0.7):
+            out, mask = dropout_forward(x, ratio)
+            assert out is x
+            assert mask is None
 
     def test_expectation_preserved(self):
         # inverted dropout: E[output] = input; check a scalar over 1e5 draws
         rng = np.random.default_rng(123)
         draws = np.array([
-            dropout_forward(np.array([1.0]), 0.5, "train", rng)[0][0]
+            dropout_forward(np.array([1.0]), 0.5, rng)[0][0]
             for _ in range(100_000)
         ])
         se = draws.std() / np.sqrt(draws.size)
@@ -810,7 +812,7 @@ class TestDropout:
     def test_survivors_scaled(self):
         rng = np.random.default_rng(11)
         x = np.ones(1000)
-        out, mask = dropout_forward(x, 0.25, "train", rng)
+        out, mask = dropout_forward(x, 0.25, rng)
         survivors = out[out != 0.0]
         assert np.allclose(survivors, 1.0 / 0.75)
         assert np.array_equal(out, x * mask)
@@ -818,13 +820,13 @@ class TestDropout:
     def test_backward_applies_same_mask(self):
         rng = np.random.default_rng(12)
         x = np.ones(100)
-        out, mask = dropout_forward(x, 0.5, "train", rng)
+        out, mask = dropout_forward(x, 0.5, rng)
         grad = dropout_backward(np.ones(100), mask)
         assert np.array_equal(grad, mask)
         assert np.array_equal((grad == 0.0), (out == 0.0))
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):
-            dropout_forward(np.zeros(3), 1.0, "train", np.random.default_rng(0))
+            dropout_forward(np.zeros(3), 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            dropout_forward(np.zeros(3), -0.1, "train", np.random.default_rng(0))
+            dropout_forward(np.zeros(3), -0.1, np.random.default_rng(0))

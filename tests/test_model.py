@@ -165,11 +165,19 @@ class TestForward:
         with pytest.raises(DataError, match="empty sample set"):
             model.predict_batch(random_set(toy_config().shape)[:0])
 
-    def test_train_mode_needs_rng_for_dropout(self):
-        config = toy_config()
-        model = ConvForecaster(config)
-        with pytest.raises(ValueError):
-            model.forward_batch(random_set(config.shape), mode="train")
+    @pytest.mark.parametrize("kind", ["two_stream", "single_stream"])
+    def test_generator_alone_picks_the_train_pass(self, kind):
+        # no dropout to draw, yet a generator still asks for the train pass:
+        # its cache feeds backward_batch, its predictions are the infer pass's
+        config = toy_config(seed=14, dropout_conv=0.0, dropout_fc=0.0)
+        model = ConvForecaster(config, kind)
+        samples = random_set(config.shape)
+        pred_u, pred_q, cache = model.forward_batch(samples, rng=np.random.default_rng(15))
+        want_u, want_q, _ = model.forward_batch(samples)
+        assert pred_u.tobytes() == want_u.tobytes()
+        assert (pred_q is None and want_q is None) or pred_q.tobytes() == want_q.tobytes()
+        ones = [None if p is None else np.ones_like(p) for p in (pred_u, pred_q)]
+        assert sorted(model.backward_batch(cache, *ones)) == sorted(model.param_arrays())
 
 
 SEGMENT = 64  # lanecast.model._SEGMENT: windows per block of grid rows
@@ -186,7 +194,7 @@ def biased_model(config, kind="two_stream", seed=0):
 
 
 def per_window_pass(model, speed_x, volume_x):
-    """The oracle of the infer-mode forward: every window's history arrays
+    """The oracle of the infer pass: every window's history arrays
     convolved on their own, as a train pass does. Returns
     (pred_speed, pred_volume, {stream: [input, relu outputs...]})."""
     given = {"speed": speed_x, "volume": volume_x}
@@ -197,21 +205,21 @@ def per_window_pass(model, speed_x, volume_x):
             stream_acts.append(np.maximum(conv2d_valid(stream_acts[-1], bank), 0.0))
         acts[stream] = stream_acts
     flats = [acts[s][-1].reshape(len(speed_x), -1) for s in model.streams]
-    pred_u, pred_q, _ = model._head(flats, {})
+    pred_u, pred_q, _ = model._head(flats)
     return pred_u, pred_q, acts
 
 
 def assert_matches_per_window(model, samples):
-    # the infer cache is the rollout state: the input's and each lower
+    # the infer pass returns the rollout state: the input's and each lower
     # layer's newest filter_cols columns, then the top layer in full
-    pred_u, pred_q, cache = model.forward_batch(samples)
+    pred_u, pred_q, state = model.forward_batch(samples)
     want_u, want_q, want_acts = per_window_pass(model, samples.speed_history, samples.volume_history)
     assert pred_u.tobytes() == want_u.tobytes()
     assert (pred_q is None and want_q is None) or pred_q.tobytes() == want_q.tobytes()
     for stream, want in want_acts.items():
         keeps = [bank.filter_cols for bank in model._banks[stream]]
         tails = [a[:, :, -keep:] for a, keep in zip(want, keeps)] + want[-1:]
-        got = cache.streams[stream].acts
+        got = state[stream]
         assert [a.shape for a in got] == [a.shape for a in tails]
         assert all(a.flags.c_contiguous for a in got)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in tails]
@@ -285,12 +293,12 @@ class TestSharedColumns:
         order = np.random.default_rng(49).permutation(len(batch))[:SEGMENT]
         batch = batch[order]
         model = ConvForecaster(corridor_config(seed=50))
-        model.forward_batch(batch, mode="train", rng=np.random.default_rng(51))
+        model.forward_batch(batch, rng=np.random.default_rng(51))
         per_stream = [("model", (64, 10, 8, 4)), ("model", (64, 9, 7, 32)), ("model", (64, 8, 6, 32))]
         assert calls == per_stream * 2
 
     def test_chronological_batch_convolves_segments(self, monkeypatch):
-        # every infer-mode call goes through `lanecast.layers`: perfbench's
+        # every infer-pass call goes through `lanecast.layers`: perfbench's
         # hook on `lanecast.model.conv2d_valid` looks a layer up by its
         # per-window input shape, which blocks and column slices lack
         calls = []
@@ -326,7 +334,7 @@ class TestBackward:
         config = toy_config(seed=7)
         model = ConvForecaster(config)
         rng = np.random.default_rng(0)
-        _, _, cache = model.forward_batch(random_set(config.shape), mode="train", rng=rng)
+        _, _, cache = model.forward_batch(random_set(config.shape), rng=rng)
         zeros = np.zeros((3, config.targets_per_quantity))
         grads = model.backward_batch(cache, zeros, zeros)
         assert all((g == 0.0).all() for g in grads.values())
@@ -355,7 +363,7 @@ class TestBackward:
 
         # every pass draws its dropout masks from a copy of this state: the same masks
         frozen = copy.deepcopy(rng)
-        pred_u, pred_q, cache = model.forward_batch(samples, mode="train", rng=rng)
+        pred_u, pred_q, cache = model.forward_batch(samples, rng=rng)
         # an all-zero fused vector would put every hidden unit on the Relu
         # kink, where central differences are undefined
         assert (cache.fused != 0.0).any()
@@ -363,7 +371,7 @@ class TestBackward:
         grads = model.backward_batch(cache, grad_u, grad_q)
 
         def loss_fn():
-            pu, pq, _ = model.forward_batch(samples, mode="train", rng=copy.deepcopy(frozen))
+            pu, pq, _ = model.forward_batch(samples, rng=copy.deepcopy(frozen))
             return composite_loss(pu, pq, yu, yq, 0.1)[0]
 
         report = gradient_check(
@@ -380,7 +388,7 @@ class TestBackward:
         rng = np.random.default_rng(1)
         yu = rng.random((2, 8))
         yq = rng.random((2, 8))
-        pred_u, pred_q, cache = model.forward_batch(samples, mode="train", rng=rng)
+        pred_u, pred_q, cache = model.forward_batch(samples, rng=rng)
         _, grad_u, grad_q = composite_loss(pred_u, pred_q, yu, yq, 0.0)
         assert (grad_q == 0.0).all()
         # volume half of the head's weight rows receives gradient only
